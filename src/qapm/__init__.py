@@ -6,8 +6,7 @@ runtime control quality, quantizes the CPU speed onto the available level
 set, and reclaims the quantization slack by shrinking periods.
 """
 
-from .kernels import BACKEND
-from .metrics import EnergyAccumulator, IaeAccumulator, RunReport
+from .metrics import EnergyAccumulator, RunReport
 from .pid import Pid, PidGains
 from .plant import (
     DivergenceError,
@@ -47,14 +46,12 @@ from .sim import Job, SimResult, Simulator, edf_select, run_loop
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "__version__",
     "AdaptationParams",
     "ConfigurationError",
     "CpuLevels",
     "DivergenceError",
     "EnergyAccumulator",
-    "IaeAccumulator",
     "Job",
     "LoopSpec",
     "MODES",

@@ -36,8 +36,23 @@ SWEEP_CASES = (
 )
 
 
+class _EnvError(ValueError):
+    """A numeric ``QAPM_*`` variable that does not parse."""
+
+
 def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name, default)
+
+
+def _env_num(name: str, kind):
+    v = _env(name)
+    if v is None:
+        return None
+    try:
+        return kind(v)
+    except ValueError:
+        raise _EnvError(f"{ENV_PREFIX}{name}: expected {kind.__name__}, "
+                        f"got {v!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,20 +70,23 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", choices=["table1"],
                      help="use the built-in four-loop benchmark")
     run.add_argument("--cpu", default=_env("CPU"),
-                     help="CPU level set: a built-in name or a scenario file "
-                          "whose cpu section to borrow (default: scenario's)")
+                     help="CPU level set, a built-in name: "
+                          f"{', '.join(sorted(builtin_cpus()))} "
+                          "(default: scenario's)")
     run.add_argument("--mode", choices=MODES, default=_env("MODE"),
                      help="power management mode (default: scenario's)")
     run.add_argument("--duration", type=float,
-                     default=_envf("DURATION"), help="run length in seconds")
-    run.add_argument("--seed", type=int, default=_envi("SEED"),
+                     default=_env_num("DURATION", float),
+                     help="run length in seconds")
+    run.add_argument("--seed", type=int, default=_env_num("SEED", int),
                      help="RNG seed for the execution-time jitter hook")
     run.add_argument("--out", default=_env("OUT"),
                      help="output directory (default: report to stdout only)")
     run.add_argument("--trace-cadence", type=float,
-                     default=_envf("TRACE_CADENCE"),
+                     default=_env_num("TRACE_CADENCE", float),
                      help="trace sample spacing in ms")
-    run.add_argument("--micro-step", type=int, default=_envi("MICRO_STEP"),
+    run.add_argument("--micro-step", type=int,
+                     default=_env_num("MICRO_STEP", int),
                      help="plant integration micro step in us")
     run.add_argument("--svg", action="store_true",
                      default=_env("SVG", "") not in ("", "0"),
@@ -86,22 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="osdvs plus the full scheme on each CPU set")
     sweep.add_argument("--out", default=_env("OUT"), required=False,
                        help="output directory (required)")
-    sweep.add_argument("--duration", type=float, default=_envf("DURATION"))
-    sweep.add_argument("--seed", type=int, default=_envi("SEED"))
+    sweep.add_argument("--duration", type=float,
+                       default=_env_num("DURATION", float))
+    sweep.add_argument("--seed", type=int, default=_env_num("SEED", int))
 
     val = sub.add_parser("validate", help="check a scenario file")
     val.add_argument("--scenario", required=True)
     return p
-
-
-def _envf(name: str):
-    v = _env(name)
-    return None if v is None else float(v)
-
-
-def _envi(name: str):
-    v = _env(name)
-    return None if v is None else int(v)
 
 
 def _load(args) -> Scenario:
@@ -164,7 +173,7 @@ def _cmd_run(args) -> int:
     rep = result.report
     if args.out:
         _emit_run(args.out, sc, result, args.svg)
-    print(f"{rep.scenario} mode={rep.mode} cpu={rep.cpu} backend={rep.backend} "
+    print(f"{rep.scenario} mode={rep.mode} cpu={rep.cpu} "
           f"E_AVG={rep.e_avg if rep.e_avg is not None else float('nan'):.4f} "
           f"J_SUM={rep.j_sum:.4f} misses={rep.misses}")
     if args.strict and rep.misses:
@@ -234,7 +243,12 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        parser = _build_parser()
+    except _EnvError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "sweep":

@@ -1,9 +1,9 @@
 """QoC and energy accumulation, end-of-run reports, trace/chart emission.
 
-IAE is accumulated by the integration kernel at micro-step resolution and
-fed here per inter-event span.  Energy is integrated exactly: the speed is
-piecewise constant between policy decisions, so the integral is a finite
-sum over the recorded speed-change list.
+IAE is accumulated by each plant at micro-step resolution (see
+`plant.StateSpacePlant`) and read into the report.  Energy is integrated
+exactly: the speed is piecewise constant between policy decisions, so the
+integral is a finite sum over the recorded speed-change list.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 __all__ = [
-    "IaeAccumulator",
     "EnergyAccumulator",
     "RunReport",
     "TraceRecorder",
@@ -29,22 +28,6 @@ TRACE_COLUMNS = (
 def sig6(v: float) -> float:
     """Round to 6 significant digits for report serialization."""
     return float(f"{v:.6g}")
-
-
-class IaeAccumulator:
-    """Per-loop integral of |r - y|; J_SUM is the sum over loops."""
-
-    def __init__(self, loop_ids):
-        self.j = {lid: 0.0 for lid in loop_ids}
-
-    def add(self, loop_id: int, delta: float) -> None:
-        if delta < 0:
-            raise ValueError(f"IAE increment must be >= 0, got {delta}")
-        self.j[loop_id] += delta
-
-    @property
-    def j_sum(self) -> float:
-        return sum(self.j.values())
 
 
 class EnergyAccumulator:
@@ -118,7 +101,6 @@ class RunReport:
     cpu: str
     duration_s: float
     seed: int
-    backend: str
     j: dict[int, float]
     j_sum: float
     e_avg: float | None
@@ -137,7 +119,6 @@ class RunReport:
             "cpu": self.cpu,
             "duration_s": sig6(self.duration_s),
             "seed": self.seed,
-            "backend": self.backend,
             "j_per_loop": {str(k): sig6(v) for k, v in self.j.items()},
             "j_sum": sig6(self.j_sum),
             "e_avg": None if self.e_avg is None else sig6(self.e_avg),

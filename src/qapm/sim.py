@@ -42,8 +42,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .kernels import BACKEND
-from .metrics import EnergyAccumulator, IaeAccumulator, RunReport, TraceRecorder
+from .metrics import EnergyAccumulator, RunReport, TraceRecorder
 from .pid import Pid
 from .plant import ReferenceSignal, tf_to_state_space
 from .policy import (
@@ -169,7 +168,6 @@ class Simulator:
         self.seg_start = 0
 
         self.energy = EnergyAccumulator(alpha0=1.0)
-        self.iae = IaeAccumulator([t.id for t in self.specs])
         self.trace = TraceRecorder()
         self.utilization: list[tuple[int, float, float]] = []
         self.jobs: list[Job] = []
@@ -205,13 +203,13 @@ class Simulator:
         t = lr.plant_tick
         if tick <= t:
             return
-        plant, lid, r = lr.plant, lr.task.id, self.r
+        plant = lr.plant
         off = t % plant.micro_step_us
         if off:  # a partial step back onto the grid first
             t = min(t - off + plant.micro_step_us, tick)
-            self.iae.add(lid, plant.integrate(t - lr.plant_tick, r))
+            plant.integrate(t - lr.plant_tick, self.r)
         if tick > t:
-            self.iae.add(lid, plant.integrate(tick - t, r))
+            plant.integrate(tick - t, self.r)
         lr.plant_tick = tick
 
     def _advance_to(self, tick):
@@ -463,15 +461,15 @@ class Simulator:
                 period_stats[lr.task.id] = {
                     "min": 0.0, "max": 0.0, "mean": 0.0, "count": 0,
                 }
+        j = {lr.task.id: lr.plant.iae for lr in self.loops}
         report = RunReport(
             scenario=self.sc.name,
             mode=self.sc.mode,
             cpu=self.sc.cpu.name or "custom",
             duration_s=duration_s,
             seed=self.sc.seed,
-            backend=BACKEND,
-            j=dict(self.iae.j),
-            j_sum=self.iae.j_sum,
+            j=j,
+            j_sum=sum(j.values()),
             e_avg=(integral / duration_s) if duration_s > 0 else None,
             energy_integral=integral,
             misses=self.misses,

@@ -146,3 +146,10 @@ def test_sweep_emits_summary_table(tmp_path):
     assert all(a > b for a, b in zip(e_row, e_row[1:]))
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == set(cases)
+
+
+def test_malformed_numeric_env_variable_is_config_error():
+    for name, value in (("QAPM_DURATION", "abc"), ("QAPM_SEED", "1.5")):
+        p = run_cli("run", "--builtin", "table1", env_extra={name: value})
+        assert p.returncode == 2, (name, p.stderr)
+        assert name in p.stderr and "Traceback" not in p.stderr

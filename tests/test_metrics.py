@@ -1,4 +1,4 @@
-"""IAE and energy accounting, trace CSV, report serialization."""
+"""Energy accounting, trace CSV, report serialization."""
 
 import csv
 import json
@@ -9,36 +9,11 @@ import pytest
 from qapm.metrics import (
     TRACE_COLUMNS,
     EnergyAccumulator,
-    IaeAccumulator,
     RunReport,
     TraceRecorder,
     line_chart_svg,
     sig6,
 )
-
-
-# --- IAE --------------------------------------------------------------------
-
-def test_iae_unit_error_for_one_second():
-    acc = IaeAccumulator([1])
-    acc.add(1, 1.0)
-    assert acc.j[1] == 1.0
-    assert acc.j_sum == 1.0
-
-
-def test_iae_sums_over_loops():
-    acc = IaeAccumulator([1, 2, 3])
-    acc.add(1, 0.25)
-    acc.add(2, 0.5)
-    acc.add(2, 0.125)
-    assert acc.j == {1: 0.25, 2: 0.625, 3: 0.0}
-    assert acc.j_sum == pytest.approx(0.875)
-
-
-def test_iae_rejects_negative_increment():
-    acc = IaeAccumulator([1])
-    with pytest.raises(ValueError):
-        acc.add(1, -1e-9)
 
 
 # --- energy -----------------------------------------------------------------
@@ -119,7 +94,7 @@ def test_trace_csv_round_trip(tmp_path):
 def make_report():
     return RunReport(
         scenario="table1", mode="qapm", cpu="cpu-2", duration_s=12.0,
-        seed=0, backend="compiled", j={1: 1.25, 2: 2.5}, j_sum=3.75,
+        seed=0, j={1: 1.25, 2: 2.5}, j_sum=3.75,
         e_avg=0.523, energy_integral=6.276, misses=0,
         period_stats_ms={1: {"min": 9.0, "max": 40.0, "mean": 20.0, "count": 100}},
         utilization=[(0.0, 0.9, 1.0)], speed_changes=[(0, 1.0), (5, 0.92)],

@@ -12,7 +12,7 @@ import pytest
 
 from qapm.policy import CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
-from qapm.sim import Job, edf_select, run_loop
+from qapm.sim import Job, Simulator, edf_select, run_loop
 
 NOMINAL_WORKLOAD = 1207.0 / 1260.0
 
@@ -301,12 +301,29 @@ def test_results_do_not_depend_on_trace_cadence(cpu):
             res.report.speed_changes,
             res.report.utilization,
             res.report.misses,
+            res.report.j,  # exact floats, not only their 6 digits in the JSON
             res.report.to_json(),  # the bytes write_json puts in report.json
         )
         if first is None:
             first = seen
         else:
             assert seen == first, f"{cpu}: trace cadence {cadence} ms differs"
+
+
+def test_report_iae_is_each_plants_running_sum():
+    sim = Simulator(builtin_table1(cpu=resolve_cpu("cpu-2")).with_(
+        duration_s=2.0, trace_cadence_ms=0.25))
+    res = sim.run()
+    j = res.report.j
+    assert j == {lr.task.id: lr.plant.iae for lr in sim.loops}
+    assert res.report.j_sum == sum(j.values())
+    # Independent check: the trapezoid integral of |e| over the trace.
+    for lid in j:
+        rows = [(t, abs(e)) for t, loop, _, _, e, *_ in res.trace.rows
+                if loop == lid]
+        trace_iae = sum((t1 - t0) * (e0 + e1) / 2
+                        for (t0, e0), (t1, e1) in zip(rows, rows[1:]))
+        assert trace_iae == pytest.approx(j[lid], rel=1e-3)
 
 
 def test_trace_row_counts(bench_runs):
