@@ -1,113 +1,19 @@
-"""Backend parity: the compiled integrator must match the pure-Python one
-bit for bit, since backend selection must never change simulation output.
+"""Edge cases of the plant integrator's stepping kernel.
+
+The integrator is the per-plant RK4 transition map inside
+`qapm.plant.StateSpacePlant`; these checks drive it through the plant.
 """
 
-import os
-import random
-import subprocess
-import sys
-from array import array
-
-import pytest
-
-from qapm import _pykernel, kernels
-
-try:
-    from qapm import _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(
-    _native is None, reason="compiled kernel not built"
-)
-
-
-@needs_native
-def test_compiled_backend_is_built_and_selected():
-    # Where the compiled kernel is built, it is the backend selected.  The
-    # pure-Python fallback gives identical results, so its absence is not
-    # an error.
-    assert _native is not None
-    assert kernels.BACKEND == "compiled"
-
-
-def random_system(rng, n):
-    a = array("d", [rng.uniform(-8.0, 2.0) if i == j else rng.uniform(-2.0, 2.0)
-                    for i in range(n) for j in range(n)])
-    b = array("d", [rng.uniform(-1.0, 1.0) for _ in range(n)])
-    c = array("d", [rng.uniform(-1.0, 1.0) for _ in range(n)])
-    x = [rng.uniform(-0.5, 0.5) for _ in range(n)]
-    return a, b, c, x
-
-
-@needs_native
-def test_backends_bit_identical_on_random_systems():
-    rng = random.Random(2024)
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        a, b, c, x = random_system(rng, n)
-        u = rng.uniform(-2.0, 2.0)
-        r = rng.uniform(-1.0, 1.0)
-        span = rng.randint(0, 40_000)
-        micro = rng.choice((37, 100, 250, 1000))
-        xa = array("d", x)
-        xb = array("d", x)
-        ra = _native.advance_held(a, b, c, xa, u, r, span, micro)
-        rb = _pykernel.advance_held(a, b, c, xb, u, r, span, micro)
-        assert ra == rb            # (iae, y) exactly equal
-        assert list(xa) == list(xb)  # states exactly equal
-
-
-@needs_native
-def test_backends_bit_identical_on_benchmark_plant():
-    # loop 2 in canonical form, unit step, many consecutive spans
-    a = array("d", [0.0, 1.0, -20.0, -10.0])
-    b = array("d", [0.0, 1.0])
-    c = array("d", [1.0, 0.0])
-    xa = array("d", [0.0, 0.0])
-    xb = array("d", [0.0, 0.0])
-    for span in (100, 2_350, 10_000, 7, 999_893):
-        ra = _native.advance_held(a, b, c, xa, 1.0, 1.0, span, 100)
-        rb = _pykernel.advance_held(a, b, c, xb, 1.0, 1.0, span, 100)
-        assert ra == rb
-        assert list(xa) == list(xb)
+from qapm.plant import StateSpacePlant
 
 
 def test_zero_span_returns_current_output():
-    a, b, c = array("d", [-1.0]), array("d", [1.0]), array("d", [2.0])
-    x = array("d", [0.5])
-    iae, y = kernels.advance_held(a, b, c, x, 0.0, 0.0, 0, 100)
-    assert iae == 0.0
-    assert y == 1.0
-    assert x[0] == 0.5
-
-
-def test_span_shorter_than_micro_step_is_one_partial_step():
-    a, b, c = array("d", [-3.0]), array("d", [1.0]), array("d", [1.0])
-    x1 = array("d", [0.2])
-    x2 = array("d", [0.2])
-    r1 = kernels.advance_held(a, b, c, x1, 1.0, 0.0, 37, 100)
-    r2 = kernels.advance_held(a, b, c, x2, 1.0, 0.0, 37, 37)
-    assert r1 == r2
-    assert x1[0] == x2[0]
-
-
-def test_argument_validation():
-    a, b, c = array("d", [-1.0]), array("d", [1.0]), array("d", [1.0])
-    with pytest.raises(ValueError):
-        kernels.advance_held(a, b, c, array("d", [0.0]), 0.0, 0.0, -1, 100)
-    with pytest.raises(ValueError):
-        kernels.advance_held(a, b, c, array("d", [0.0]), 0.0, 0.0, 100, 0)
-    big = array("d", [0.0] * 9)
-    with pytest.raises(ValueError):
-        kernels.advance_held(array("d", [0.0] * 81), array("d", [0.0] * 9),
-                             array("d", [0.0] * 9), big, 0.0, 0.0, 100, 100)
-
-
-def test_env_override_forces_pure_backend():
-    env = dict(os.environ, QAPM_PURE_KERNEL="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from qapm import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "pure-python"
+    # x' = -x + u, y = 2 x, at x = 0.5: a zero span changes nothing and
+    # the output read after it is the current one.
+    p = StateSpacePlant([-1.0], [1.0], [2.0], micro_step_us=100)
+    p.x[0] = 0.5
+    assert p.sample_after(0) == 1.0
+    p.integrate(0, r=0.0)
+    assert p.iae == 0.0
+    assert p.sample() == 1.0
+    assert p.x[0] == 0.5
