@@ -10,7 +10,6 @@ from .metrics import EnergyAccumulator, RunReport
 from .pid import Pid, PidGains
 from .plant import (
     DivergenceError,
-    ReferenceSignal,
     StateSpacePlant,
     TransferFunction,
     tf_to_state_space,
@@ -23,7 +22,6 @@ from .policy import (
     SchedulabilityError,
     TaskSpec,
     adapt_period,
-    check_feasible,
     ideal_speed,
     period_scale_factor,
     policy_step,
@@ -58,7 +56,6 @@ __all__ = [
     "Pid",
     "PidGains",
     "PolicyDecision",
-    "ReferenceSignal",
     "RunReport",
     "Scenario",
     "SchedulabilityError",
@@ -70,7 +67,6 @@ __all__ = [
     "adapt_period",
     "builtin_cpus",
     "builtin_table1",
-    "check_feasible",
     "edf_select",
     "ideal_speed",
     "load_scenario",

@@ -32,16 +32,11 @@ class Pid:
 
     The integral term accumulates ki*h*e before the output is formed, so
     a constant error contributes from the first sample.  The derivative
-    is zero on the first sample after reset (no previous error exists).
+    is zero on the first sample (no previous error exists).
     """
 
     def __init__(self, gains: PidGains):
         self.gains = gains
-        self._integral = 0.0
-        self._prev_error = 0.0
-        self._primed = False
-
-    def reset(self) -> None:
         self._integral = 0.0
         self._prev_error = 0.0
         self._primed = False

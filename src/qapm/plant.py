@@ -17,7 +17,6 @@ from .policy import ConfigurationError
 __all__ = [
     "TransferFunction",
     "StateSpacePlant",
-    "ReferenceSignal",
     "DivergenceError",
     "tf_to_state_space",
 ]
@@ -232,24 +231,3 @@ def _rk4_step(a, b, x, u, h):
     k4 = deriv([xi + h * k for xi, k in zip(x, k3)])
     return [xi + h6 * (p + 2.0 * q + 2.0 * s + t)
             for xi, p, q, s, t in zip(x, k1, k2, k3, k4)]
-
-
-@dataclass(frozen=True)
-class ReferenceSignal:
-    """Unit square wave stepping between 0 and amplitude every interval.
-
-    First step is 0 -> amplitude at t = 0; all loops share the phase.
-    """
-
-    interval_s: float = 1.0
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if self.interval_s <= 0:
-            raise ConfigurationError(f"interval must be positive: {self.interval_s}")
-
-    def value(self, t_s: float) -> float:
-        """Reference at time t (seconds); t < 0 is the pre-step rest value."""
-        if t_s < 0:
-            return 0.0
-        return self.amplitude if math.floor(t_s / self.interval_s) % 2 == 0 else 0.0

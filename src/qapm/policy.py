@@ -33,7 +33,6 @@ __all__ = [
     "in_flight_demand",
     "cover_demand",
     "fit_period",
-    "check_feasible",
 ]
 
 # |alpha_ideal - level| below this counts as an exact level match.
@@ -138,13 +137,10 @@ class PolicyDecision:
 
     ``base_periods`` are the error-adapted periods before reclaiming;
     ``effective_periods`` are the reclaimed periods actually applied.
-    ``u_expected`` is the utilization the CPU would have without reclaiming
-    (alpha_ideal / alpha).
     """
 
     alpha_ideal: float
     alpha: float
-    u_expected: float
     base_periods: tuple[float, ...]
     effective_periods: tuple[float, ...]
 
@@ -271,7 +267,6 @@ def policy_step(
     return PolicyDecision(
         alpha_ideal=alpha_ideal,
         alpha=alpha,
-        u_expected=alpha_ideal / alpha,
         base_periods=tuple(base),
         effective_periods=reclaim_periods(base, alpha_ideal, alpha),
     )
@@ -322,17 +317,3 @@ def fit_period(c_nom: float, others: float, h_max: float) -> float:
     if free * h_max <= c_nom:
         return h_max
     return c_nom / free
-
-
-def check_feasible(specs: Sequence[TaskSpec]) -> float:
-    """Validate the schedulability precondition sum(c_nom/h0) <= 1.
-
-    Returns the nominal workload; raises ConfigurationError when the task
-    set cannot fit even at full speed and nominal periods.
-    """
-    u = ideal_speed((s.c_nom, s.h0) for s in specs)
-    if u > 1.0 + _ONE_SLACK:
-        raise ConfigurationError(
-            f"nominal workload {u:.6f} exceeds 1; task set infeasible"
-        )
-    return u

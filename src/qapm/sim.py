@@ -3,19 +3,23 @@
 One event loop drives everything: job releases (sample + control output +
 power-policy invocation), preemptive EDF dispatch, speed-scaled execution
 accounting, job completions (actuation), reference steps, and trace
-sampling.  Between consecutive events the running job consumes nominal work
-at the current speed.
+sampling.  Each event source keeps only its next instant: every loop its
+next release, the reference its next step, the trace its next sample, and
+the running job its completion.  The running job is charged the nominal
+work it was served only where its service rate may change: when it is
+dispatched or preempted, when a speed decision is applied, and when it
+completes.  Its completion tick is recomputed wherever the rate changes.
 
 Each plant integrates its dynamics, with the held actuator value, on the
 grid of micro-step instants k * micro_step_us counted from t = 0, and
 splits a step only where its own loop samples (release) or actuates
 (completion) and at reference steps.  It is advanced lazily, when one of
-those events or a trace sample needs its state; other loops' events and
-stale completions do not touch it.  A trace sample at tick t advances the
-plants to the last grid instant at or before t and reads y(t) from a copy
-of the state integrated the remaining partial step.  It touches neither
-the step partition nor the job accounting nor the dispatcher, so every
-result but the trace itself is the same at any trace cadence.
+those events or a trace sample needs its state; other loops' events do
+not touch it.  A trace sample at tick t advances the plants to the last
+grid instant at or before t and reads y(t) from a copy of the state
+integrated the remaining partial step.  It touches neither the step
+partition nor the job accounting nor the dispatcher, so every result but
+the trace itself is the same at any trace cadence.
 
 Under ``qapm`` each decision also checks the job windows it leaves in
 force: the trigger's new job at its new period, rounded to the tick, and
@@ -31,20 +35,19 @@ loop's previous window fitted; with jitter, or with speed-switch stalls
 
 Time is integer microsecond ticks.  Event order at equal ticks is fixed:
 completions, then reference steps, then releases, then trace samples, then
-task id, then push order.  A completing job therefore actuates before a
-same-tick release samples the plant, and releases see the new reference.
+task id.  A completing job therefore actuates before a same-tick release
+samples the plant, and releases see the new reference.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
 
 from .metrics import EnergyAccumulator, RunReport, TraceRecorder
 from .pid import Pid
-from .plant import ReferenceSignal, tf_to_state_space
+from .plant import tf_to_state_space
 from .policy import (
     PolicyDecision,
     SchedulabilityError,
@@ -60,11 +63,12 @@ from .scenario import Scenario
 
 __all__ = ["Job", "SimResult", "Simulator", "run_loop", "edf_select"]
 
-# Event kind priorities; lower runs first at an equal tick.
+# Event kind priorities; lower runs first at an equal tick.  Trace samples
+# come after all three.
 PRI_COMPLETION = 0
 PRI_REF_STEP = 1
 PRI_RELEASE = 2
-PRI_TRACE = 3
+_NEVER = math.inf  # tick of an event source with nothing pending
 
 # A completion may round down to the previous tick, leaving at most one
 # tick of service unconsumed; anything larger is an accounting bug.
@@ -80,21 +84,18 @@ class Job:
     """One released instance of a control task."""
 
     __slots__ = (
-        "task_id", "index", "release", "deadline", "remaining", "u",
-        "completion", "missed", "token", "sched_alpha",
+        "task_id", "release", "deadline", "remaining", "u", "completion",
+        "missed",
     )
 
-    def __init__(self, task_id, index, release, deadline, work, u):
+    def __init__(self, task_id, release, deadline, work, u):
         self.task_id = task_id
-        self.index = index
         self.release = release          # ticks
         self.deadline = deadline        # ticks, absolute
         self.remaining = work           # nominal seconds at alpha = 1
         self.u = u                      # control output, applied at completion
         self.completion = None          # ticks, set when done
         self.missed = False
-        self.token = 0                  # invalidates stale completion events
-        self.sched_alpha = None         # speed the pending completion assumed
 
 
 def edf_select(ready):
@@ -109,7 +110,7 @@ def edf_select(ready):
 
 class _LoopRuntime:
     __slots__ = (
-        "task", "plant", "pid", "eff_period", "plant_tick", "release_count",
+        "task", "plant", "pid", "eff_period", "plant_tick", "next_release",
         "current_work", "period_series",
     )
 
@@ -119,7 +120,7 @@ class _LoopRuntime:
         self.pid = pid
         self.eff_period = task.h0       # seconds; governs this loop's next release
         self.plant_tick = 0             # tick the plant has integrated to
-        self.release_count = 0
+        self.next_release = 0           # tick
         self.current_work = task.c_nom  # last drawn execution time (jitter hook)
         self.period_series = []         # (tick, eff_period_s, period_ticks)
 
@@ -153,15 +154,19 @@ class Simulator:
         self.specs = [lr.task for lr in self.loops]
         self.index_of = {lr.task.id: i for i, lr in enumerate(self.loops)}
         self.base_periods = [t.h0 for t in self.specs]
-        self.ref = ReferenceSignal(interval_s=sc.perturbation_s)
         self.r = 0.0
         self.rng = random.Random(sc.seed)
 
         self.now = 0
-        self.heap = []
-        self._seq = 0
+        # The next instant of each event source (releases: per loop).
+        self.ref_step = round(sc.perturbation_s * 1e6)
+        self.next_ref = 0
+        self.trace_step = round(sc.trace_cadence_ms * 1000)
+        self.next_trace = 0
+        self.done_at = _NEVER           # completion tick of the running job
         self.ready: list[Job] = []
         self.running: Job | None = None
+        self.charged_at = 0             # running job charged up to this tick
         self.blocked_until = 0
         self.guard: set[Job] | None = None
         self.pending_alpha = 1.0
@@ -175,26 +180,6 @@ class Simulator:
         self.busy_ticks = 0
         self.idle_ticks = 0
         self.misses = 0
-
-    # -- event plumbing ------------------------------------------------
-
-    def _push(self, tick, pri, task_id, payload=0):
-        self._seq += 1
-        heapq.heappush(self.heap, (tick, pri, task_id, self._seq, payload))
-
-    def _seed_events(self):
-        for lr in self.loops:
-            self._push(0, PRI_RELEASE, lr.task.id)
-        step = round(self.sc.perturbation_s * 1e6)
-        k = 0
-        while k * step < self.end_tick:  # no step at the final instant
-            self._push(k * step, PRI_REF_STEP, 0, payload=k)
-            k += 1
-        cadence = round(self.sc.trace_cadence_ms * 1000)
-        k = 0
-        while k * cadence <= self.end_tick:
-            self._push(k * cadence, PRI_TRACE, 0)
-            k += 1
 
     # -- time advance ----------------------------------------------------
 
@@ -216,19 +201,35 @@ class Simulator:
         span = tick - self.now
         if span < 0:
             raise RuntimeError(f"event order violation: {tick} < {self.now}")
-        if span == 0:
-            return
-        job = self.running
-        if job is not None:
-            run_from = max(self.now, self.blocked_until)
-            if run_from < tick:
-                job.remaining -= (tick - run_from) * 1e-6 * self.energy.alpha
-                if job.remaining < 0.0:
-                    job.remaining = 0.0
+        if self.running is not None:
             self.busy_ticks += span
         else:
             self.idle_ticks += span
         self.now = tick
+
+    def _charge(self):
+        """Charge the running job the work served since it was last charged.
+
+        The speed and the switch stall are constant in between, since both
+        change only where this is called first.
+        """
+        job = self.running
+        if job is not None:
+            run_from = max(self.charged_at, self.blocked_until)
+            if run_from < self.now:
+                job.remaining -= (self.now - run_from) * 1e-6 * self.energy.alpha
+                if job.remaining < 0.0:
+                    job.remaining = 0.0
+        self.charged_at = self.now
+
+    def _plan_completion(self):
+        job = self.running
+        if job is None:
+            self.done_at = _NEVER
+            return
+        base = max(self.now, self.blocked_until)
+        # floor; the sub-tick residue is forgiven
+        self.done_at = base + int(job.remaining / self.energy.alpha * 1e6)
 
     def _check_deadlines(self):
         for job in self.ready:
@@ -254,7 +255,7 @@ class Simulator:
                 base[idx] = adapt_period(error, self.specs[idx])
                 ai = ideal_speed(zip(work, base))
                 dec = PolicyDecision(
-                    alpha_ideal=ai, alpha=1.0, u_expected=ai,
+                    alpha_ideal=ai, alpha=1.0,
                     base_periods=tuple(base), effective_periods=tuple(base),
                 )
             periods = list(dec.effective_periods)
@@ -313,18 +314,16 @@ class Simulator:
 
     def _apply_alpha(self, alpha: float):
         self.pending_alpha = None
+        self._charge()  # at the speed and stall in force until now
         if self.energy.set_alpha(self.now, alpha):
             if self.sc.switch_overhead_us:
                 self.blocked_until = max(self.blocked_until,
                                          self.now + self.sc.switch_overhead_us)
-            if self.running is not None:
-                # Pending completion assumed the old speed.
-                self.running.sched_alpha = None
+            self._plan_completion()
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_release(self, task_id: int):
-        lr = self.by_id[task_id]
+    def _on_release(self, lr: _LoopRuntime):
         self._advance_plant(lr, self.now)
         y = lr.plant.sample()
         e = self.r - y
@@ -334,24 +333,21 @@ class Simulator:
             work *= 1.0 + self.sc.c_jitter * (2.0 * self.rng.random() - 1.0)
         lr.current_work = work
 
-        self._invoke_policy(task_id, abs(e))
+        self._invoke_policy(lr.task.id, abs(e))
         # The manager re-decides the period before the control computation
         # runs, so the controller sees the period now in force.
         u = lr.pid.compute(e, lr.eff_period)
 
         period_ticks = _ticks(lr.eff_period)
-        job = Job(task_id, lr.release_count, self.now, self.now + period_ticks,
-                  work, u)
-        lr.release_count += 1
+        lr.next_release = self.now + period_ticks
+        job = Job(lr.task.id, self.now, lr.next_release, work, u)
         lr.period_series.append((self.now, lr.eff_period, period_ticks))
         self.ready.append(job)
         self.jobs.append(job)
-        self._push(self.now + period_ticks, PRI_RELEASE, task_id)
 
-    def _on_completion(self, ev_job: "Job", token: int):
+    def _on_completion(self):
         job = self.running
-        if job is not ev_job or job.token != token:
-            return  # stale event from before a preemption or speed change
+        self._charge()
         task_id = job.task_id
         residue_limit = self.energy.alpha * _RESIDUE_TICKS * 1e-6 + 1e-12
         if job.remaining > residue_limit:
@@ -373,6 +369,15 @@ class Simulator:
         self._advance_plant(lr, self.now)
         lr.plant.actuate(job.u)
 
+    def _on_ref_step(self):
+        # A square wave shared by all loops: 1 from even steps, 0 from odd.
+        for lr in self.loops:
+            self._advance_plant(lr, self.now)
+        self.r = 1.0 if self.now // self.ref_step % 2 == 0 else 0.0
+        self.next_ref = self.now + self.ref_step
+        if self.next_ref >= self.end_tick:  # no step at the final instant
+            self.next_ref = _NEVER
+
     def _on_trace(self, tick):
         # Runs at or after self.now and before the next event: the state in
         # force is the state at ``tick``.
@@ -390,51 +395,46 @@ class Simulator:
 
     def _dispatch(self):
         job = edf_select(self.ready)
-        if job is not self.running:
-            if self.running is not None:
-                self.running.token += 1  # cancel its pending completion
-                if self.seg_start < self.now:
-                    self.segments.append(
-                        (self.seg_start, self.now, self.running.task_id))
-            self.running = job
-            self.seg_start = self.now
-            if job is not None:
-                self._schedule_completion(job)
-        elif job is not None and job.sched_alpha != self.energy.alpha:
-            job.token += 1
-            self._schedule_completion(job)
-
-    def _schedule_completion(self, job: Job):
-        alpha = self.energy.alpha
-        base = max(self.now, self.blocked_until)
-        ticks = int(job.remaining / alpha * 1e6)  # floor; sub-tick residue forgiven
-        job.token += 1
-        job.sched_alpha = alpha
-        self._push(base + ticks, PRI_COMPLETION, job.task_id, payload=(job, job.token))
+        if job is self.running:
+            return
+        self._charge()
+        if self.running is not None and self.seg_start < self.now:
+            self.segments.append((self.seg_start, self.now, self.running.task_id))
+        self.running = job
+        self.seg_start = self.now
+        self._plan_completion()
 
     # -- main loop -----------------------------------------------------------
+
+    def _next_event(self):
+        """(tick, kind, task id, loop) of the earliest pending event other
+        than a trace sample; no two pending events share a kind and id."""
+        return min(
+            [(self.done_at, PRI_COMPLETION, 0, None),
+             (self.next_ref, PRI_REF_STEP, 0, None)]
+            + [(lr.next_release, PRI_RELEASE, lr.task.id, lr)
+               for lr in self.loops])
 
     def run(self) -> SimResult:
         if self.end_tick == 0:
             return self._finalize()
-        self._seed_events()
-        heap = self.heap
-        while heap and heap[0][0] <= self.end_tick:
-            tick, pri, task_id, _seq, payload = heapq.heappop(heap)
-            if pri == PRI_TRACE:
-                self._on_trace(tick)
-                continue
+        while True:
+            tick, kind, _, lr = self._next_event()
+            # Trace samples rank last at equal ticks.
+            while self.next_trace < tick and self.next_trace <= self.end_tick:
+                self._on_trace(self.next_trace)
+                self.next_trace += self.trace_step
+            if tick > self.end_tick:
+                break
             if tick > self.now:
                 self._advance_to(tick)
                 self._check_deadlines()
-            if pri == PRI_COMPLETION:
-                self._on_completion(payload[0], payload[1])
-            elif pri == PRI_REF_STEP:
-                for lr in self.loops:
-                    self._advance_plant(lr, tick)
-                self.r = self.ref.amplitude if payload % 2 == 0 else 0.0
+            if kind == PRI_COMPLETION:
+                self._on_completion()
+            elif kind == PRI_REF_STEP:
+                self._on_ref_step()
             else:
-                self._on_release(task_id)
+                self._on_release(lr)
             self._dispatch()
         if self.now < self.end_tick:
             self._advance_to(self.end_tick)

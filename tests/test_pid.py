@@ -73,27 +73,6 @@ def test_rejects_nonpositive_interval():
         pid.compute(0.1, -0.01)
 
 
-def test_reset_equals_fresh_controller():
-    gains = PidGains(1.5, 0.8, 0.2)
-    seq = [(0.3, 0.01), (-0.2, 0.007), (0.9, 0.02), (0.0, 0.005)]
-    a = Pid(gains)
-    for e, h in seq:
-        a.compute(e, h)
-    a.reset()
-    b = Pid(gains)
-    for e, h in seq:
-        assert a.compute(e, h) == b.compute(e, h)
-
-
-def test_reset_idempotent_and_preserves_gains():
-    pid = Pid(PidGains(1.0, 2.0, 3.0))
-    pid.compute(0.5, 0.01)
-    pid.reset()
-    pid.reset()
-    assert pid.gains == PidGains(1.0, 2.0, 3.0)
-    assert pid.compute(0.0, 0.01) == 0.0
-
-
 def test_gains_validation():
     with pytest.raises(ConfigurationError):
         PidGains(float("nan"), 0.0, 0.0)

@@ -1,4 +1,4 @@
-"""Plant models: transfer functions, RK4 integration, reference signal.
+"""Plant models: transfer functions, RK4 integration.
 
 The second benchmark plant 1/(s^2 + 10 s + 20) has real poles at
 -5 +/- sqrt(5), so its unit step response has the closed form
@@ -19,7 +19,6 @@ import pytest
 from qapm.plant import (
     MAX_STATE,
     DivergenceError,
-    ReferenceSignal,
     StateSpacePlant,
     TransferFunction,
     tf_to_state_space,
@@ -304,24 +303,3 @@ def test_construction_validation():
     n = MAX_STATE + 1
     with pytest.raises(ConfigurationError):
         StateSpacePlant([0.0] * (n * n), [0.0] * n, [0.0] * n)
-
-
-# --- reference signal -------------------------------------------------------
-
-def test_reference_square_wave():
-    ref = ReferenceSignal(interval_s=1.0, amplitude=1.0)
-    assert ref.value(0.0) == 1.0
-    assert ref.value(0.5) == 1.0
-    assert ref.value(1.0) == 0.0
-    assert ref.value(1.5) == 0.0
-    assert ref.value(2.0) == 1.0
-    assert ref.value(11.999) == 0.0
-
-
-def test_reference_rest_before_zero_and_amplitude():
-    ref = ReferenceSignal(interval_s=2.0, amplitude=0.5)
-    assert ref.value(-0.001) == 0.0
-    assert ref.value(0.0) == 0.5
-    assert ref.value(2.0) == 0.0
-    with pytest.raises(ConfigurationError):
-        ReferenceSignal(interval_s=0.0)

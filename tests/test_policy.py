@@ -17,7 +17,6 @@ from qapm.policy import (
     SchedulabilityError,
     TaskSpec,
     adapt_period,
-    check_feasible,
     cover_demand,
     fit_period,
     ideal_speed,
@@ -256,7 +255,6 @@ def test_policy_step_steady_state_ideal_cpu():
     d = policy_step(TASKS, 0, 0.01, base, IDEAL)
     assert d.alpha_ideal == pytest.approx(7.0 / 30.0, rel=1e-12)
     assert d.alpha == d.alpha_ideal
-    assert d.u_expected == pytest.approx(1.0)
     # at matched speed the reclaimed periods equal the adapted ones
     assert d.effective_periods == pytest.approx(d.base_periods, rel=1e-12)
 
@@ -272,7 +270,6 @@ def test_policy_step_steady_state_two_level_cpu():
     base = [t.h_max for t in TASKS]
     d = policy_step(TASKS, 0, 0.0, base, CPU1)
     assert d.alpha == 0.5
-    assert d.u_expected == pytest.approx((7.0 / 30.0) / 0.5)
     assert d.effective_periods == pytest.approx(
         (0.018666666666666668, 0.014, 0.014, 0.018666666666666668), rel=1e-12
     )
@@ -361,18 +358,6 @@ def test_fit_period_fills_the_free_capacity():
 
 
 # --- schedulability and construction checks --------------------------------
-
-def test_check_feasible_benchmark_set():
-    assert check_feasible(TASKS) == pytest.approx(NOMINAL_WORKLOAD)
-
-
-def test_check_feasible_rejects_overload():
-    heavy = tuple(
-        TaskSpec(i + 1, 0.006, 0.010, 0.040, ADAPT) for i in range(2)
-    )
-    with pytest.raises(ConfigurationError):
-        check_feasible(heavy)
-
 
 def test_adaptation_never_breaks_schedulability():
     # Period adaptation only stretches periods, so any feasible nominal

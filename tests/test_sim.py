@@ -1,9 +1,9 @@
 """Event-driven co-simulation: EDF dispatch, timing semantics, accounting.
 
-Beyond unit oracles, two post-hoc audits reconstruct the schedule from the
-recorded segments and released jobs and check that every dispatch decision
-was earliest-deadline-first and that the processor never idled while work
-was pending.
+Beyond unit oracles, post-hoc audits reconstruct the schedule from the
+recorded segments, released jobs and speed changes and check that every
+dispatch decision was earliest-deadline-first, that the processor never
+idled while work was pending, and that each job was served its work.
 """
 
 import bisect
@@ -12,13 +12,13 @@ import pytest
 
 from qapm.policy import CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
-from qapm.sim import Job, Simulator, edf_select, run_loop
+from qapm.sim import _RESIDUE_TICKS, Job, Simulator, edf_select, run_loop
 
 NOMINAL_WORKLOAD = 1207.0 / 1260.0
 
 
-def job(task_id, release, deadline, work=0.002, index=0):
-    return Job(task_id, index, release, deadline, work, 0.0)
+def job(task_id, release, deadline, work=0.002):
+    return Job(task_id, release, deadline, work, 0.0)
 
 
 # --- EDF selection -----------------------------------------------------------
@@ -152,6 +152,12 @@ def audit_run():
     return run_loop(sc)
 
 
+@pytest.fixture(scope="module")
+def audit_run_cpu2():
+    sc = builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0)
+    return run_loop(sc)
+
+
 def test_every_dispatch_is_edf(audit_run):
     segments, jobs, by_task = reconstruct(audit_run)
     releases = [j.release for j in jobs]
@@ -201,6 +207,44 @@ def test_segments_partition_busy_time(audit_run):
     assert all(s < e for s, e, _ in segments)
     assert all(a[1] <= b[0] for a, b in zip(segments, segments[1:]))
     assert sum(e - s for s, e, _ in segments) == audit_run.busy_ticks
+
+
+def speed_integral(changes, t0, t1):
+    """Integral of alpha dt in seconds over ticks [t0, t1]."""
+    total = 0.0
+    for (start, alpha), (end, _) in zip(changes, changes[1:] + [(t1, None)]):
+        lo, hi = max(start, t0), min(end, t1)
+        if lo < hi:
+            total += alpha * (hi - lo) * 1e-6
+    return total
+
+
+def test_each_job_is_served_its_work(audit_run, audit_run_cpu2):
+    # Rebuilt from the outputs alone: the service a job received is the
+    # speed integrated over its task's segments between its release and
+    # its completion.  That must be its nominal work, short by at most the
+    # residue a completion rounds away, the bound the simulator checks
+    # itself (no switch stalls here).
+    for res in (audit_run, audit_run_cpu2):
+        assert res.report.misses == 0  # so a task's segments are one job's
+        changes = res.report.speed_changes
+        c_nom = {lp.task.id: lp.task.c_nom for lp in builtin_table1().loops}
+        segments = {}
+        for s, e, tid in res.segments:
+            segments.setdefault(tid, []).append((s, e))
+        ticks = [t for t, _ in changes]
+        done = [j for j in res.jobs if j.completion is not None]
+        assert len(done) > 600
+        for j in done:
+            served = sum(speed_integral(changes, max(s, j.release),
+                                        min(e, j.completion))
+                         for s, e in segments[j.task_id]
+                         if s < j.completion and e > j.release)
+            alpha = changes[bisect.bisect_right(ticks, j.completion) - 1][1]
+            assert served == pytest.approx(
+                c_nom[j.task_id], abs=alpha * _RESIDUE_TICKS * 1e-6), (
+                f"{res.report.cpu}: job of task {j.task_id} released at "
+                f"{j.release} served {served!r}s")
 
 
 # --- timing invariants on the benchmark runs ------------------------------------
@@ -324,6 +368,19 @@ def test_report_iae_is_each_plants_running_sum():
         trace_iae = sum((t1 - t0) * (e0 + e1) / 2
                         for (t0, e0), (t1, e1) in zip(rows, rows[1:]))
         assert trace_iae == pytest.approx(j[lid], rel=1e-3)
+
+
+def test_reference_is_a_square_wave_from_one():
+    # r steps 0 -> 1 at t = 0 and toggles every perturbation_s = 1 s; a
+    # sample at a step instant already sees the new value.
+    res = run_loop(builtin_table1().with_(duration_s=2.5))
+    seen = {}
+    for t, _, r, *_ in res.trace.rows:
+        tick = round(t * 1e6)
+        seen.setdefault(tick, set()).add(r)
+    assert len(seen) == 2501
+    for tick, rs in seen.items():
+        assert rs == ({0.0} if 1_000_000 <= tick < 2_000_000 else {1.0}), tick
 
 
 def test_trace_row_counts(bench_runs):
