@@ -8,6 +8,8 @@ import os
 import sys
 
 from .metrics import line_chart_svg
+from .plant import DivergenceError
+from .policy import ConfigurationError
 from .scenario import (
     MODES,
     Scenario,
@@ -25,6 +27,7 @@ ENV_PREFIX = "QAPM_"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STRICT_MISS = 3
+EXIT_DIVERGED = 4
 
 SWEEP_CASES = (
     ("osdvs", "osdvs", "cpu-ideal"),
@@ -158,18 +161,24 @@ def _emit_run(out_dir: str, sc: Scenario, result, svg: bool) -> None:
                                    "t [s]", "h [ms]"))
 
 
+def _failed(exc: Exception, prefix: str) -> int:
+    """Report why ``run_loop`` failed, one ``prefix:`` line per problem, and
+    return the exit code: a diverged plant or a configuration error."""
+    for line in str(exc).splitlines():
+        print(f"{prefix}: {line}", file=sys.stderr)
+    return EXIT_DIVERGED if isinstance(exc, DivergenceError) else EXIT_CONFIG
+
+
 def _cmd_run(args) -> int:
     try:
         sc = _apply_overrides(_load(args), args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    errors = validate(sc)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    result = run_loop(sc)
+    try:
+        result = run_loop(sc)
+    except (ConfigurationError, DivergenceError) as exc:
+        return _failed(exc, "error")
     rep = result.report
     if args.out:
         _emit_run(args.out, sc, result, args.svg)
@@ -199,12 +208,10 @@ def _cmd_sweep(args) -> int:
             sc = sc.with_(duration_s=args.duration)
         if args.seed is not None:
             sc = sc.with_(seed=args.seed)
-        errors = validate(sc)
-        if errors:
-            for e in errors:
-                print(f"error [{label}]: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        result = run_loop(sc)
+        try:
+            result = run_loop(sc)
+        except (ConfigurationError, DivergenceError) as exc:
+            return _failed(exc, f"error [{label}]")
         reports[label] = result.report
         _emit_run(os.path.join(args.out, label), sc, result, svg=False)
         print(f"{label:10s} E_AVG={result.report.e_avg:.4f} "

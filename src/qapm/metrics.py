@@ -65,15 +65,6 @@ class EnergyAccumulator:
         self._last_tick = end_tick
         return self._integral
 
-    @staticmethod
-    def recompute(changes, end_tick: int) -> float:
-        """Re-integrate from a speed-change list, same operation order."""
-        total = 0.0
-        for i, (t0, a) in enumerate(changes):
-            t1 = changes[i + 1][0] if i + 1 < len(changes) else end_tick
-            total += a * a * (t1 - t0) * 1e-6
-        return total
-
 
 class TraceRecorder:
     """Buffers trace rows and writes the CSV file."""
@@ -88,8 +79,8 @@ class TraceRecorder:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(TRACE_COLUMNS)
-            for row in self.rows:
-                w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            # str() of a float is its shortest round-trip repr
+            w.writerows(self.rows)
 
 
 @dataclass

@@ -5,6 +5,9 @@ zero-order-hold actuator: the input ``u`` stays constant between `actuate`
 calls.  Integration is classical fixed-step RK4, applied as the exact
 per-step linear map it is for such a plant, and accumulates the integral
 of absolute error against the current reference at micro-step resolution.
+One kernel does all of it.  Its source is unrolled for the plant order n
+and compiled once per order, on the first plant of that order; each plant
+binds it to its own coefficients.
 """
 
 from __future__ import annotations
@@ -107,9 +110,11 @@ class StateSpacePlant:
     ``a`` is A flattened row-major.  State starts at rest (x = 0, u = 0).
 
     One classical RK4 step of length h is, for this linear system with u
-    held, exactly the affine map x <- M x + N u.  The plant builds (M, N)
-    for its micro step once and takes every full micro step with it; a
-    shorter final step is one plain RK4 step.  ``iae`` is the running
+    held, exactly the affine map x <- M x + N u.  Every advance goes
+    through one kernel, compiled once per plant order (see `_source`) and
+    bound to this plant's coefficients: it builds (M, N) for the micro
+    step with its own RK4 step, takes every full micro step with the map
+    and a shorter final step as one plain RK4 step.  ``iae`` is the running
     integral of |r - y| over everything integrated so far: each step adds
     its trapezoid term straight into it, so how a span is split at
     micro-step boundaries does not change the sum.
@@ -129,7 +134,6 @@ class StateSpacePlant:
                 f"{label}: micro step must be in [1, {MAX_MICRO_STEP_US}] us, "
                 f"got {micro_step_us}"
             )
-        self.n = n
         self.a = [float(v) for v in a]
         self.b = [float(v) for v in b]
         self.c = [float(v) for v in c]
@@ -138,58 +142,18 @@ class StateSpacePlant:
         self.iae = 0.0
         self.micro_step_us = int(micro_step_us)
         self.label = label
-        # Column j of M is one step from the unit vector e_j with u = 0;
-        # N is one step from x = 0 with u = 1.
-        h, idx = self.micro_step_us * 1e-6, range(n)
-        cols = [_rk4_step(self.a, self.b, [float(i == j) for i in idx], 0.0, h)
-                for j in idx]
-        self._m = [[col[i] for col in cols] for i in idx]
-        self._n = _rk4_step(self.a, self.b, [0.0] * n, 1.0, h)
-
-    def _march(self, span_us: int, r: float, iae: float):
-        """State and output ``span_us`` microseconds ahead of the current
-        state, and ``iae`` plus the trapezoid term of |r - y| of every step.
-
-        Full micro steps first, then one shorter step for the remainder.
-        """
-        if span_us < 0:
-            raise ValueError(f"{self.label}: negative span {span_us}")
-        idx = range(self.n)
-        c, u, x = self.c, self.u, self.x
-        y = _output(c, x)
-        full, rem = divmod(span_us, self.micro_step_us)
-        if full:
-            rows = self._m
-            g = [v * u for v in self._n]
-            half_h = self.micro_step_us * 0.5e-6
-            for _ in range(full):
-                nxt = []
-                for i in idx:
-                    acc = g[i]
-                    row = rows[i]
-                    for j in idx:
-                        acc += row[j] * x[j]
-                    nxt.append(acc)
-                x = nxt
-                y_prev = y
-                y = 0.0
-                for i in idx:
-                    y += c[i] * x[i]
-                iae += (abs(r - y_prev) + abs(r - y)) * half_h
-        if rem:
-            x = _rk4_step(self.a, self.b, x, u, rem * 1e-6)
-            y_prev, y = y, _output(c, x)
-            iae += (abs(r - y_prev) + abs(r - y)) * (rem * 0.5e-6)
-        return x, y, iae
+        self._advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us)
 
     def sample(self) -> float:
         """Current output y = C x."""
-        return _output(self.c, self.x)
+        return self._advance(self.x, self.u, 0.0, 0.0, 0)[1]
 
     def sample_after(self, span_us: int) -> float:
         """Output ``span_us`` microseconds ahead; the plant itself (state
         and ``iae``) does not move."""
-        return self._march(span_us, 0.0, 0.0)[1]
+        if span_us < 0:
+            raise ValueError(f"{self.label}: negative span {span_us}")
+        return self._advance(self.x, self.u, 0.0, 0.0, span_us)[1]
 
     def actuate(self, u: float) -> None:
         """Replace the held actuator value."""
@@ -199,35 +163,115 @@ class StateSpacePlant:
         """Advance the plant by ``span_us`` microseconds with the reference
         held at ``r``, adding the integral of |r - y(t)| over the span
         (trapezoid over the micro-step samples, in seconds) to ``iae``."""
-        self.x, y, self.iae = self._march(span_us, r, self.iae)
-        if not math.isfinite(y) or any(not math.isfinite(v) for v in self.x):
+        if span_us < 0:
+            raise ValueError(f"{self.label}: negative span {span_us}")
+        self.x, y, self.iae = self._advance(self.x, self.u, r, self.iae, span_us)
+        if not (math.isfinite(y) and all(map(math.isfinite, self.x))):
             raise DivergenceError(f"{self.label}: state diverged (non-finite)")
 
 
-def _output(c, x) -> float:
-    y = 0.0
-    for i in range(len(x)):
-        y += c[i] * x[i]
-    return y
+# Kernel factory per plant order, compiled on first use.
+_KERNELS: dict = {}
 
 
-def _rk4_step(a, b, x, u, h):
-    """One classical RK4 step of x' = A x + B u from ``x``; a new list."""
-    n = len(x)
+def _kernel(n: int):
+    """``make(a, b, c, micro_step_us)`` for plants of order ``n``; it returns
+    ``advance(x, u, r, iae, span_us) -> (x, y, iae)`` bound to the plant."""
+    make = _KERNELS.get(n)
+    if make is None:
+        namespace: dict = {}
+        exec(compile(_source(n), f"<qapm.plant kernel, order {n}>", "exec"),
+             namespace)
+        make = _KERNELS[n] = namespace["make"]
+    return make
 
-    def deriv(xs):
-        out = []
-        for i in range(n):
-            acc = b[i] * u
-            for j in range(n):
-                acc += a[i * n + j] * xs[j]
-            out.append(acc)
-        return out
 
-    hh, h6 = h * 0.5, h / 6.0
-    k1 = deriv(x)
-    k2 = deriv([xi + hh * k for xi, k in zip(x, k1)])
-    k3 = deriv([xi + hh * k for xi, k in zip(x, k2)])
-    k4 = deriv([xi + h * k for xi, k in zip(x, k3)])
-    return [xi + h6 * (p + 2.0 * q + 2.0 * s + t)
-            for xi, p, q, s, t in zip(x, k1, k2, k3, k4)]
+# Each placeholder is one line of source; ``{n}`` is the only input, and
+# coefficients arrive as arguments, never as source text.  Every sum keeps
+# the left-to-right order of a loop over the index, so results do not
+# depend on unrolling: row i of the map is g_i + m_i0*x0 + m_i1*x1 + ...,
+# the output 0.0 + c0*x0 + c1*x1 + ... (the 0.0 turns a -0.0 into +0.0),
+# each RK4 stage b_i*u + a_i0*s0 + a_i1*s1 + ...  All n*n terms are kept,
+# zero coefficients included, so inf and nan propagate as they would.
+_TEMPLATE = """\
+def make(a, b, c, step_us):
+    {a_vars}, = a
+    {b_vars}, = b
+    {c_vars}, = c
+
+    def rk4({x_vars}, u, h):
+        hh = h * 0.5
+        h6 = h / 6.0
+        {k1}
+        {s2}
+        {k2}
+        {s3}
+        {k3}
+        {s4}
+        {k4}
+        return {step},
+
+    # Column j of M is one step from the unit vector e_j with u = 0;
+    # N is one step from x = 0 with u = 1.
+    h = step_us * 1e-6
+    cols = [rk4(*[float(i == j) for i in range({n})], 0.0, h) for j in range({n})]
+    {m_vars}, = [col[i] for i in range({n}) for col in cols]
+    {n_vars}, = rk4(*[0.0] * {n}, 1.0, h)
+    half_h = step_us * 0.5e-6
+
+    def advance(x, u, r, iae, span):
+        {x_vars}, = x
+        y = {y}
+        e = abs(r - y)
+        full, rem = divmod(span, step_us)
+        if full:
+            {g}
+            for _ in range(full):
+                {x_vars}, = {map},
+                y = {y}
+                f = abs(r - y)
+                iae += (e + f) * half_h
+                e = f
+        if rem:
+            {x_vars}, = rk4({x_vars}, u, rem * 1e-6)
+            y = {y}
+            iae += (e + abs(r - y)) * (rem * 0.5e-6)
+        return [{x_vars}], y, iae
+
+    return advance
+"""
+
+
+def _source(n: int) -> str:
+    """Source of the kernel factory for order ``n``, fully unrolled."""
+    idx = range(n)
+
+    def vec(fmt):
+        return ", ".join(fmt.format(i=i) for i in idx)
+
+    def mat(name):
+        return ", ".join(f"{name}{i}_{j}" for i in idx for j in idx)
+
+    def row(first, coef, v, i):
+        return first + "".join(f" + {coef}{i}_{j} * {v}{j}" for j in idx)
+
+    def deriv(k, s):  # k = A s + B u, one tuple assignment
+        return (vec(k + "{i}") + ", = "
+                + ", ".join(row(f"b{i} * u", "a", s, i) for i in idx) + ",")
+
+    def stage(k, h):  # s = x + h k
+        return vec("s{i}") + ", = " + vec(f"x{{i}} + {h} * {k}{{i}}") + ","
+
+    return _TEMPLATE.format(
+        n=n,
+        a_vars=mat("a"), m_vars=mat("m"), b_vars=vec("b{i}"),
+        c_vars=vec("c{i}"), n_vars=vec("n{i}"), x_vars=vec("x{i}"),
+        k1=deriv("p", "x"), s2=stage("p", "hh"),
+        k2=deriv("q", "s"), s3=stage("q", "hh"),
+        k3=deriv("v", "s"), s4=stage("v", "h"),
+        k4=deriv("w", "s"),
+        step=vec("x{i} + h6 * (p{i} + 2.0 * q{i} + 2.0 * v{i} + w{i})"),
+        y="0.0" + "".join(f" + c{i} * x{i}" for i in idx),
+        g="; ".join(f"g{i} = n{i} * u" for i in idx),
+        map=", ".join(row(f"g{i}", "m", "x", i) for i in idx),
+    )

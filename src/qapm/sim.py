@@ -47,8 +47,9 @@ from dataclasses import dataclass, field
 
 from .metrics import EnergyAccumulator, RunReport, TraceRecorder
 from .pid import Pid
-from .plant import tf_to_state_space
+from .plant import DivergenceError, tf_to_state_space
 from .policy import (
+    ConfigurationError,
     PolicyDecision,
     SchedulabilityError,
     adapt_period,
@@ -59,7 +60,7 @@ from .policy import (
     policy_step,
     quantize_speed,
 )
-from .scenario import Scenario
+from .scenario import Scenario, validate
 
 __all__ = ["Job", "SimResult", "Simulator", "run_loop", "edf_select"]
 
@@ -190,11 +191,15 @@ class Simulator:
             return
         plant = lr.plant
         off = t % plant.micro_step_us
-        if off:  # a partial step back onto the grid first
-            t = min(t - off + plant.micro_step_us, tick)
-            plant.integrate(t - lr.plant_tick, self.r)
-        if tick > t:
-            plant.integrate(tick - t, self.r)
+        # A partial step back onto the grid first, then the rest.
+        end = min(t - off + plant.micro_step_us, tick) if off else tick
+        try:
+            plant.integrate(end - t, self.r)
+            if end < tick:
+                t, end = end, tick
+                plant.integrate(end - t, self.r)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} by t = {end * 1e-6:.6f} s") from None
         lr.plant_tick = tick
 
     def _advance_to(self, tick):
@@ -488,5 +493,14 @@ class Simulator:
 
 
 def run_loop(sc: Scenario) -> SimResult:
-    """Run one scenario start to finish."""
+    """Run one scenario start to finish.
+
+    Raises `ConfigurationError`, one line per problem `scenario.validate`
+    finds, before any event runs, and `DivergenceError`, naming the loop
+    and the simulated time it was found at, when a plant's state goes
+    non-finite.
+    """
+    errors = validate(sc)
+    if errors:
+        raise ConfigurationError("\n".join(errors))
     return Simulator(sc).run()

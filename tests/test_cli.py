@@ -1,18 +1,25 @@
 """Command line interface, exercised through real subprocesses."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
-from qapm.scenario import save_scenario
+from qapm.scenario import builtin_table1, save_scenario
 
 CLI = [sys.executable, "-m", "qapm"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    # the package under test, also when pytest alone put src/ on its path
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     env.pop("QAPM_MODE", None)
     env.pop("QAPM_CPU", None)
     if env_extra:
@@ -153,3 +160,23 @@ def test_malformed_numeric_env_variable_is_config_error():
         p = run_cli("run", "--builtin", "table1", env_extra={name: value})
         assert p.returncode == 2, (name, p.stderr)
         assert name in p.stderr and "Traceback" not in p.stderr
+
+
+def test_diverging_plant_exits_4_naming_loop_and_time(tmp_path):
+    # A proportional gain of 1e9 on loop 1 drives its plant to inf.
+    sc = builtin_table1()
+    lp = sc.loops[0]
+    loops = (dataclasses.replace(lp, gains=dataclasses.replace(lp.gains, kp=1.0e9)),
+             ) + sc.loops[1:]
+    path = tmp_path / "diverging.yaml"
+    save_scenario(sc.with_(loops=loops, duration_s=1.0), path)
+    runs = (("error: ", run_cli("run", "--scenario", str(path))),
+            ("error [osdvs]: ", run_cli("sweep", "--scenario", str(path),
+                                        "--all-cpus", "--out", str(tmp_path / "sw"))))
+    for prefix, p in runs:
+        assert p.returncode == 4, p.stderr
+        assert "Traceback" not in p.stderr
+        lines = p.stderr.splitlines()
+        assert len(lines) == 1, p.stderr
+        assert lines[0].startswith(prefix + "loop 1: state diverged"), p.stderr
+        assert re.search(r"by t = 0\.\d{6} s$", lines[0]), p.stderr

@@ -8,7 +8,8 @@ The second benchmark plant 1/(s^2 + 10 s + 20) has real poles at
 with c1 = 1 / (p1 (p1 - p2)) and c2 = 1 / (p2 (p2 - p1)).  That is the
 independent oracle the integrator is checked against.  Stepping with the
 per-plant transition map is checked against plain stepwise RK4 on random
-systems of every supported order.
+systems of every supported order, and the unrolled kernel against the
+same arithmetic written as loops over the order, for exact equality.
 """
 
 import math
@@ -246,6 +247,109 @@ def test_transition_map_matches_stepwise_rk4_for_every_order(micro):
                 iae += d
                 assert p.x == pytest.approx(x, rel=0.0, abs=1e-12), (n, span)
                 assert p.iae == pytest.approx(iae, rel=0.0, abs=1e-12), (n, span)
+
+
+def generic_rk4_step(a, b, x, u, h):
+    """One classical RK4 step of x' = A x + B u from ``x``, looping over the
+    order; the operation order the plant's kernel must reproduce."""
+    n = len(x)
+
+    def deriv(xs):
+        out = []
+        for i in range(n):
+            acc = b[i] * u
+            for j in range(n):
+                acc += a[i * n + j] * xs[j]
+            out.append(acc)
+        return out
+
+    hh, h6 = h * 0.5, h / 6.0
+    k1 = deriv(x)
+    k2 = deriv([xi + hh * k for xi, k in zip(x, k1)])
+    k3 = deriv([xi + hh * k for xi, k in zip(x, k2)])
+    k4 = deriv([xi + h * k for xi, k in zip(x, k3)])
+    return [xi + h6 * (p + 2.0 * q + 2.0 * s + t)
+            for xi, p, q, s, t in zip(x, k1, k2, k3, k4)]
+
+
+def generic_output(c, x):
+    y = 0.0
+    for i in range(len(x)):
+        y += c[i] * x[i]
+    return y
+
+
+def generic_march(a, b, c, x, u, r, iae, span_us, micro_step_us):
+    """(x, y, iae) after ``span_us``, with loops over the order: full micro
+    steps with the map (M, N) built from `generic_rk4_step`, then the
+    remainder as one RK4 step, each step adding its trapezoid IAE term."""
+    idx = range(len(x))
+    h = micro_step_us * 1e-6
+    cols = [generic_rk4_step(a, b, [float(i == j) for i in idx], 0.0, h)
+            for j in idx]
+    rows = [[col[i] for col in cols] for i in idx]
+    n_vec = generic_rk4_step(a, b, [0.0] * len(x), 1.0, h)
+    y = generic_output(c, x)
+    full, rem = divmod(span_us, micro_step_us)
+    if full:
+        g = [v * u for v in n_vec]
+        half_h = micro_step_us * 0.5e-6
+        for _ in range(full):
+            nxt = []
+            for i in idx:
+                acc = g[i]
+                for j in idx:
+                    acc += rows[i][j] * x[j]
+                nxt.append(acc)
+            x = nxt
+            y_prev, y = y, generic_output(c, x)
+            iae += (abs(r - y_prev) + abs(r - y)) * half_h
+    if rem:
+        x = generic_rk4_step(a, b, x, u, rem * 1e-6)
+        y_prev, y = y, generic_output(c, x)
+        iae += (abs(r - y_prev) + abs(r - y)) * (rem * 0.5e-6)
+    return x, y, iae
+
+
+def bits(values):
+    """Exact identity of floats, telling -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("micro", (37, 100, 1000))
+def test_kernel_equals_generic_loops_exactly(micro):
+    # The unrolled kernel must apply the same float operations in the same
+    # order as the loops, so state, IAE and look-ahead output are equal,
+    # not merely close.  Zero and negative coefficients, a plant at rest
+    # and a zero input exercise signed zeros.
+    rng = random.Random(7000 + micro)
+
+    def coef():
+        return rng.choice((0.0, -1.0, rng.uniform(-2.0, 2.0)))
+
+    for n in range(1, MAX_STATE + 1):
+        a = [rng.uniform(-8.0, 0.5) if i == j else coef()
+             for i in range(n) for j in range(n)]
+        b = [coef() for _ in range(n)]
+        c = [-1.0] + [coef() for _ in range(n - 1)]
+        p = StateSpacePlant(a, b, c, micro_step_us=micro)
+        x, iae = list(p.x), 0.0
+        for k in range(10):
+            full = rng.randint(1, 20) * micro
+            part = rng.randint(1, micro - 1)
+            # at rest first; then with a partial final step, whole steps
+            # only, or a partial step only
+            span = 0 if k == 0 else (full + part, full, part)[k % 3]
+            u = 0.0 if k < 2 else rng.choice((0.0, rng.uniform(-2.0, 2.0)))
+            r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
+            p.actuate(u)
+            ahead = rng.randint(0, 3 * micro)
+            assert bits([p.sample_after(ahead)]) == bits([generic_march(
+                a, b, c, x, u, 0.0, 0.0, ahead, micro)[1]]), (n, ahead)
+            p.integrate(span, r)
+            x, y, iae = generic_march(a, b, c, x, u, r, iae, span, micro)
+            assert bits(p.x) == bits(x), (n, span)
+            assert bits([p.iae, p.sample()]) == bits([iae, y]), (n, span)
 
 
 def test_partial_final_step_is_exact_decomposition():

@@ -10,7 +10,7 @@ import bisect
 
 import pytest
 
-from qapm.policy import CpuLevels
+from qapm.policy import ConfigurationError, CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
 from qapm.sim import _RESIDUE_TICKS, Job, Simulator, edf_select, run_loop
 
@@ -414,3 +414,16 @@ def test_empty_task_set_idles_at_full_speed():
     assert res.idle_ticks == 500_000
     assert res.report.e_avg == pytest.approx(1.0)
     assert res.report.j_sum == 0.0
+
+
+@pytest.mark.parametrize("field, changes", (
+    # rounds to 0 ticks; a zero-length run, so that without the check the
+    # run returns at once instead of sampling the trace forever
+    ("trace_cadence_ms", {"trace_cadence_ms": 1e-4, "duration_s": 0.0}),
+    ("perturbation_s", {"perturbation_s": 0.0}),
+    ("perturbation_s", {"perturbation_s": 1e-7}),  # rounds to 0 ticks
+))
+def test_run_loop_rejects_an_invalid_scenario(field, changes):
+    sc = builtin_table1().with_(**changes)
+    with pytest.raises(ConfigurationError, match=f"^{field}: "):
+        run_loop(sc)
