@@ -8,7 +8,6 @@ integral is a finite sum over the recorded speed-change list.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -76,11 +75,28 @@ class TraceRecorder:
         self.rows.append((time_s, loop, r, y, e, u, h_eff_ms, alpha, energy_inst))
 
     def write_csv(self, path) -> None:
+        """The rows as `csv.writer` writes them: each float in its shortest
+        round-trip form, CRLF line ends, no quoting (no field needs it)."""
+        # t, r, alpha and the energy draw repeat across the loops of a
+        # sample tick, u and h_eff across ticks; y and e rarely repeat.
+        text = _FloatText()
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRACE_COLUMNS)
-            # str() of a float is its shortest round-trip repr
-            w.writerows(self.rows)
+            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+            fh.writelines(
+                f"{text[t]},{loop},{text[r]},{y!r},{e!r},{text[u]},"
+                f"{text[h]},{text[alpha]},{text[energy]}\r\n"
+                for t, loop, r, y, e, u, h, alpha, energy in self.rows)
+
+
+class _FloatText(dict):
+    """repr of a float, each nonzero value formatted once.  Zeros are not
+    kept: 0.0 and -0.0 are equal keys but print differently."""
+
+    def __missing__(self, v):
+        text = repr(v)
+        if v:
+            self[v] = text
+        return text
 
 
 @dataclass

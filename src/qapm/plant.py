@@ -5,9 +5,10 @@ zero-order-hold actuator: the input ``u`` stays constant between `actuate`
 calls.  Integration is classical fixed-step RK4, applied as the exact
 per-step linear map it is for such a plant, and accumulates the integral
 of absolute error against the current reference at micro-step resolution.
-One kernel does all of it.  Its source is unrolled for the plant order n
-and compiled once per order, on the first plant of that order; each plant
-binds it to its own coefficients.
+A plant given a sample cadence also writes its output at every multiple of
+that cadence it integrates across.  One kernel does all of it.  Its source
+is unrolled for the plant order n and compiled once per order, on the first
+plant of that order; each plant binds it to its own coefficients.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ def tf_to_state_space(
     tf: TransferFunction,
     micro_step_us: int = DEFAULT_MICRO_STEP_US,
     label: str = "plant",
+    sample_every_us: int | None = None,
 ) -> "StateSpacePlant":
     """Controllable-canonical realization of a strictly proper tf.
 
@@ -101,7 +103,8 @@ def tf_to_state_space(
     c = [0.0] * n
     for j, v in enumerate(tf.num):
         c[j] = v / lead
-    return StateSpacePlant(a, b, c, micro_step_us=micro_step_us, label=label)
+    return StateSpacePlant(a, b, c, micro_step_us=micro_step_us, label=label,
+                           sample_every_us=sample_every_us)
 
 
 class StateSpacePlant:
@@ -118,10 +121,15 @@ class StateSpacePlant:
     integral of |r - y| over everything integrated so far: each step adds
     its trapezoid term straight into it, so how a span is split at
     micro-step boundaries does not change the sum.
+
+    With ``sample_every_us`` set, ``samples[k]`` is y at k * sample_every_us
+    from the start, appended while a span crosses that instant: the y of
+    the micro step that ends there, or else one RK4 step on temporaries
+    from the last point the span computed, its start or a micro step's end.
     """
 
     def __init__(self, a, b, c, micro_step_us: int = DEFAULT_MICRO_STEP_US,
-                 label: str = "plant"):
+                 label: str = "plant", sample_every_us: int | None = None):
         n = len(b)
         if len(c) != n or len(a) != n * n:
             raise ConfigurationError(f"{label}: inconsistent matrix dimensions")
@@ -137,23 +145,20 @@ class StateSpacePlant:
         self.a = [float(v) for v in a]
         self.b = [float(v) for v in b]
         self.c = [float(v) for v in c]
-        self.x = [0.0] * n
         self.u = 0.0
-        self.iae = 0.0
         self.micro_step_us = int(micro_step_us)
         self.label = label
+        self.samples: list[float] = []
+        self._sample_every = sample_every_us
+        # Offset of the next sample instant from the current one.
+        self._sample_in = 0 if sample_every_us else math.inf
         self._advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us)
+        self.x, self.y, self.iae, _ = self._advance(
+            [0.0] * n, 0.0, 0.0, 0.0, 0, math.inf, None, None)
 
     def sample(self) -> float:
-        """Current output y = C x."""
-        return self._advance(self.x, self.u, 0.0, 0.0, 0)[1]
-
-    def sample_after(self, span_us: int) -> float:
-        """Output ``span_us`` microseconds ahead; the plant itself (state
-        and ``iae``) does not move."""
-        if span_us < 0:
-            raise ValueError(f"{self.label}: negative span {span_us}")
-        return self._advance(self.x, self.u, 0.0, 0.0, span_us)[1]
+        """Output y = C x as of the last advance; `actuate` leaves it valid."""
+        return self.y
 
     def actuate(self, u: float) -> None:
         """Replace the held actuator value."""
@@ -162,11 +167,14 @@ class StateSpacePlant:
     def integrate(self, span_us: int, r: float = 0.0) -> None:
         """Advance the plant by ``span_us`` microseconds with the reference
         held at ``r``, adding the integral of |r - y(t)| over the span
-        (trapezoid over the micro-step samples, in seconds) to ``iae``."""
+        (trapezoid over the micro-step samples, in seconds) to ``iae`` and
+        appending y at each sample instant in the span to ``samples``."""
         if span_us < 0:
             raise ValueError(f"{self.label}: negative span {span_us}")
-        self.x, y, self.iae = self._advance(self.x, self.u, r, self.iae, span_us)
-        if not (math.isfinite(y) and all(map(math.isfinite, self.x))):
+        self.x, self.y, self.iae, self._sample_in = self._advance(
+            self.x, self.u, r, self.iae, span_us, self._sample_in,
+            self._sample_every, self.samples)
+        if not (math.isfinite(self.y) and all(map(math.isfinite, self.x))):
             raise DivergenceError(f"{self.label}: state diverged (non-finite)")
 
 
@@ -176,7 +184,10 @@ _KERNELS: dict = {}
 
 def _kernel(n: int):
     """``make(a, b, c, micro_step_us)`` for plants of order ``n``; it returns
-    ``advance(x, u, r, iae, span_us) -> (x, y, iae)`` bound to the plant."""
+    ``advance(x, u, r, iae, span_us, at, every, out) -> (x, y, iae, at)``
+    bound to the plant.  It appends to ``out`` y at the offsets ``at``,
+    ``at + every``, ... that lie within the span, and returns the offset of
+    the next one from the span's end."""
     make = _KERNELS.get(n)
     if make is None:
         namespace: dict = {}
@@ -219,24 +230,42 @@ def make(a, b, c, step_us):
     {n_vars}, = rk4(*[0.0] * {n}, 1.0, h)
     half_h = step_us * 0.5e-6
 
-    def advance(x, u, r, iae, span):
+    def advance(x, u, r, iae, span, at, every, out):
         {x_vars}, = x
         y = {y}
         e = abs(r - y)
         full, rem = divmod(span, step_us)
-        if full:
-            {g}
-            for _ in range(full):
+        {g}
+        done = 0
+        while True:
+            # Micro steps up to the sample at ``at``; all of them if none.
+            if at > span:
+                upto = full
+            else:
+                upto = at // step_us
+                if upto > full:
+                    upto = full
+            for _ in range(upto - done):
                 {x_vars}, = {map},
                 y = {y}
                 f = abs(r - y)
                 iae += (e + f) * half_h
                 e = f
+            if at > span:
+                break
+            done = upto
+            part = at - upto * step_us
+            if part:
+                {s_vars}, = rk4({x_vars}, u, part * 1e-6)
+                out.append({y_s})
+            else:
+                out.append(y)
+            at += every
         if rem:
             {x_vars}, = rk4({x_vars}, u, rem * 1e-6)
             y = {y}
             iae += (e + abs(r - y)) * (rem * 0.5e-6)
-        return [{x_vars}], y, iae
+        return [{x_vars}], y, iae, at - span
 
     return advance
 """
@@ -266,12 +295,14 @@ def _source(n: int) -> str:
         n=n,
         a_vars=mat("a"), m_vars=mat("m"), b_vars=vec("b{i}"),
         c_vars=vec("c{i}"), n_vars=vec("n{i}"), x_vars=vec("x{i}"),
+        s_vars=vec("s{i}"),
         k1=deriv("p", "x"), s2=stage("p", "hh"),
         k2=deriv("q", "s"), s3=stage("q", "hh"),
         k3=deriv("v", "s"), s4=stage("v", "h"),
         k4=deriv("w", "s"),
         step=vec("x{i} + h6 * (p{i} + 2.0 * q{i} + 2.0 * v{i} + w{i})"),
         y="0.0" + "".join(f" + c{i} * x{i}" for i in idx),
+        y_s="0.0" + "".join(f" + c{i} * s{i}" for i in idx),
         g="; ".join(f"g{i} = n{i} * u" for i in idx),
         map=", ".join(row(f"g{i}", "m", "x", i) for i in idx),
     )

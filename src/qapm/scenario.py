@@ -59,7 +59,8 @@ class Scenario:
     duration_s: float = 12.0
     perturbation_s: float = 1.0
     micro_step_us: int = 100
-    trace_cadence_ms: float = 1.0
+    # None records no trace.
+    trace_cadence_ms: float | None = 1.0
     seed: int = 0
     # Per-job execution time factor drawn uniformly from
     # [1 - c_jitter, 1 + c_jitter]; 0 disables the draw entirely.
@@ -163,10 +164,12 @@ def validate(sc: Scenario) -> list[str]:
         )
     if not 1 <= sc.micro_step_us <= 1000:
         errors.append(f"micro_step_us: must be in [1, 1000], got {sc.micro_step_us}")
-    if sc.trace_cadence_ms <= 0 or not _tick_exact(sc.trace_cadence_ms / 1000.0):
+    if sc.trace_cadence_ms is not None and (
+            sc.trace_cadence_ms <= 0
+            or not _tick_exact(sc.trace_cadence_ms / 1000.0)):
         errors.append(
-            f"trace_cadence_ms: must be a positive whole number of microseconds, "
-            f"got {sc.trace_cadence_ms}"
+            f"trace_cadence_ms: must be null or a positive whole number of "
+            f"microseconds, got {sc.trace_cadence_ms}"
         )
     if not isinstance(sc.seed, int) or sc.seed < 0:
         errors.append(f"seed: must be a non-negative integer, got {sc.seed!r}")
@@ -286,7 +289,9 @@ def from_mapping(m: dict) -> Scenario:
     duration_s = r.get(m, "", "duration_s", float, default=12.0)
     perturbation_s = r.get(m, "", "perturbation_s", float, default=1.0)
     micro_step_us = r.get(m, "", "micro_step_us", int, default=100)
-    trace_cadence_ms = r.get(m, "", "trace_cadence_ms", float, default=1.0)
+    trace_cadence_ms = (
+        None if m.get("trace_cadence_ms", 1.0) is None
+        else r.get(m, "", "trace_cadence_ms", float, default=1.0))
     seed = r.get(m, "", "seed", int, default=0)
     c_jitter = r.get(m, "", "c_jitter", float, default=0.0)
     switch_overhead_us = r.get(m, "", "switch_overhead_us", int, default=0)

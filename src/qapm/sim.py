@@ -14,12 +14,17 @@ Each plant integrates its dynamics, with the held actuator value, on the
 grid of micro-step instants k * micro_step_us counted from t = 0, and
 splits a step only where its own loop samples (release) or actuates
 (completion) and at reference steps.  It is advanced lazily, when one of
-those events or a trace sample needs its state; other loops' events do
-not touch it.  A trace sample at tick t advances the plants to the last
-grid instant at or before t and reads y(t) from a copy of the state
-integrated the remaining partial step.  It touches neither the step
-partition nor the job accounting nor the dispatcher, so every result but
-the trace itself is the same at any trace cadence.
+those events needs its state; other loops' events do not touch it.
+
+The trace has one row per loop at every multiple of ``trace_cadence_ms``
+up to the end of the run.  A trace visit at tick t records what the
+simulator holds then (r, u, h_eff, alpha and the energy draw) and advances
+no plant.  Each plant writes its own y(t) while it integrates across t (see
+`plant.StateSpacePlant`), and the rows, with e = r - y, are assembled when
+the run ends.  The trace therefore touches neither the step partition nor
+the job accounting nor the dispatcher, so every result but the trace
+itself is the same at any trace cadence.  A cadence of None records no
+trace at all.
 
 Under ``qapm`` each decision also checks the job windows it leaves in
 force: the trigger's new job at its new period, rounded to the tick, and
@@ -44,6 +49,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import sub
 
 from .metrics import EnergyAccumulator, RunReport, TraceRecorder
 from .pid import Pid
@@ -112,7 +119,7 @@ def edf_select(ready):
 class _LoopRuntime:
     __slots__ = (
         "task", "plant", "pid", "eff_period", "plant_tick", "next_release",
-        "current_work", "period_series",
+        "current_work", "period_series", "trace_u", "trace_h_ms",
     )
 
     def __init__(self, task, plant, pid):
@@ -124,6 +131,8 @@ class _LoopRuntime:
         self.next_release = 0           # tick
         self.current_work = task.c_nom  # last drawn execution time (jitter hook)
         self.period_series = []         # (tick, eff_period_s, period_ticks)
+        self.trace_u = []               # u and h_eff at each trace visit
+        self.trace_h_ms = []
 
 
 @dataclass
@@ -142,11 +151,14 @@ class Simulator:
     def __init__(self, sc: Scenario):
         self.sc = sc
         self.end_tick = round(sc.duration_s * 1e6)
+        self.trace_step = (None if sc.trace_cadence_ms is None
+                           else round(sc.trace_cadence_ms * 1000))
         self.loops = [
             _LoopRuntime(
                 lp.task,
                 tf_to_state_space(lp.plant, sc.micro_step_us,
-                                  label=f"loop {lp.task.id}"),
+                                  label=f"loop {lp.task.id}",
+                                  sample_every_us=self.trace_step),
                 Pid(lp.gains),
             )
             for lp in sc.loops
@@ -162,8 +174,7 @@ class Simulator:
         # The next instant of each event source (releases: per loop).
         self.ref_step = round(sc.perturbation_s * 1e6)
         self.next_ref = 0
-        self.trace_step = round(sc.trace_cadence_ms * 1000)
-        self.next_trace = 0
+        self.next_trace = _NEVER if self.trace_step is None else 0
         self.done_at = _NEVER           # completion tick of the running job
         self.ready: list[Job] = []
         self.running: Job | None = None
@@ -174,7 +185,8 @@ class Simulator:
         self.seg_start = 0
 
         self.energy = EnergyAccumulator(alpha0=1.0)
-        self.trace = TraceRecorder()
+        # (time_s, r, alpha, energy draw) per trace visit
+        self.trace_visits: list[tuple] = []
         self.utilization: list[tuple[int, float, float]] = []
         self.jobs: list[Job] = []
         self.segments: list[tuple[int, int, int]] = []
@@ -384,17 +396,13 @@ class Simulator:
             self.next_ref = _NEVER
 
     def _on_trace(self, tick):
-        # Runs at or after self.now and before the next event: the state in
-        # force is the state at ``tick``.
-        t_s = tick * 1e-6
+        # Runs at or after self.now and before the next event: the values
+        # in force are the values at ``tick``.
         alpha = self.energy.alpha
-        e_inst = alpha * alpha
+        self.trace_visits.append((tick * 1e-6, self.r, alpha, alpha * alpha))
         for lr in self.loops:
-            self._advance_plant(lr, tick - tick % lr.plant.micro_step_us)
-            rest = tick - lr.plant_tick
-            y = lr.plant.sample_after(rest) if rest else lr.plant.sample()
-            self.trace.add(t_s, lr.task.id, self.r, y, self.r - y, lr.plant.u,
-                           lr.eff_period * 1000.0, alpha, e_inst)
+            lr.trace_u.append(lr.plant.u)
+            lr.trace_h_ms.append(lr.eff_period * 1000.0)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -448,6 +456,27 @@ class Simulator:
             self._advance_plant(lr, self.end_tick)
         return self._finalize()
 
+    def _trace_rows(self) -> list[tuple]:
+        """One row per visit and loop, the visit's values with the y the
+        loop's plant wrote at that instant and e = r - y."""
+        visits = self.trace_visits
+        for lr in self.loops:
+            if len(lr.plant.samples) != len(visits):
+                raise RuntimeError(
+                    f"{lr.plant.label}: {len(lr.plant.samples)} trace samples "
+                    f"for {len(visits)} visits")
+        if not visits:
+            return []
+        t_s, r, alpha, e_inst = zip(*visits)
+        per_loop = [
+            zip(t_s, repeat(lr.task.id), r, lr.plant.samples,
+                map(sub, r, lr.plant.samples), lr.trace_u, lr.trace_h_ms,
+                alpha, e_inst)
+            for lr in self.loops
+        ]
+        # in order of tick, then loop
+        return list(chain.from_iterable(zip(*per_loop)))
+
     def _finalize(self) -> SimResult:
         if self.running is not None and self.seg_start < self.now:
             self.segments.append((self.seg_start, self.now, self.running.task_id))
@@ -467,6 +496,8 @@ class Simulator:
                     "min": 0.0, "max": 0.0, "mean": 0.0, "count": 0,
                 }
         j = {lr.task.id: lr.plant.iae for lr in self.loops}
+        trace = TraceRecorder()
+        trace.rows = self._trace_rows()
         report = RunReport(
             scenario=self.sc.name,
             mode=self.sc.mode,
@@ -484,7 +515,7 @@ class Simulator:
         )
         return SimResult(
             report=report,
-            trace=self.trace,
+            trace=trace,
             jobs=self.jobs,
             segments=self.segments,
             busy_ticks=self.busy_ticks,

@@ -8,7 +8,9 @@ import re
 import subprocess
 import sys
 
+from qapm import cli
 from qapm.scenario import builtin_table1, save_scenario
+from qapm.sim import run_loop
 
 CLI = [sys.executable, "-m", "qapm"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -49,6 +51,25 @@ def test_run_without_out_prints_summary_only(tmp_path):
     assert p.returncode == 0, p.stderr
     assert len(p.stdout.strip().splitlines()) == 1
     assert "mode=dvs-only" in p.stdout
+
+
+def test_run_without_out_records_no_trace(tmp_path, monkeypatch, capsys):
+    # Nothing would write the trace, so none is recorded; the summary line
+    # is the one a run with --out prints.
+    results = []
+
+    def spy(sc):
+        results.append(run_loop(sc))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_loop", spy)
+    args = ["run", "--builtin", "table1", "--cpu", "cpu-2", "--duration", "1"]
+    lines = []
+    for extra in (["--out", str(tmp_path / "run")], []):
+        assert cli.main(args + extra) == 0
+        lines.append(capsys.readouterr().out)
+    assert [len(r.trace.rows) for r in results] == [1001 * 4, 0]
+    assert lines[0] == lines[1]
 
 
 def test_run_svg_charts(tmp_path):
@@ -134,6 +155,13 @@ def test_validate_rejects_broken_file(tmp_path):
     bad.write_text("loops: 3")
     p = run_cli("validate", "--scenario", str(bad))
     assert p.returncode == 2
+    assert p.stderr.startswith("error: loops: expected list"), p.stderr
+    # a file that parses but breaks a cross-field check
+    sc = builtin_table1().with_(trace_cadence_ms=0.0)
+    save_scenario(sc, bad)
+    p = run_cli("validate", "--scenario", str(bad))
+    assert p.returncode == 2
+    assert p.stderr.startswith("error: trace_cadence_ms: "), p.stderr
 
 
 def test_sweep_emits_summary_table(tmp_path):

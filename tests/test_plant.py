@@ -152,14 +152,16 @@ def test_homogeneous_response_decays():
 
 
 def test_zero_span_is_a_no_op():
-    p = loop2_plant()
+    p = tf_to_state_space(LOOP2_TF, sample_every_us=25_000)
     p.actuate(1.0)
     p.integrate(50_000, r=1.0)
     x_before, iae_before, y_before = list(p.x), p.iae, p.sample()
-    assert p.sample_after(0) == y_before
+    assert p.samples[-1] == y_before  # the sample due at 50 ms
     p.integrate(0, r=1.0)
     assert list(p.x) == x_before
     assert p.iae == iae_before
+    assert p.sample() == y_before
+    assert len(p.samples) == 3
 
 
 def test_span_shorter_than_micro_step_is_one_partial_step():
@@ -177,21 +179,25 @@ def test_negative_span_raises():
     p = loop2_plant()
     with pytest.raises(ValueError):
         p.integrate(-1)
-    with pytest.raises(ValueError):
-        p.sample_after(-1)
     assert p.x == [0.0, 0.0]
 
 
-def test_sample_after_leaves_the_plant_where_it_was():
-    a = loop2_plant()
+def test_samples_leave_the_plant_where_it_was():
+    # Samples off the grid take their partial step on temporaries: the
+    # plant ends the span as one that samples nothing does, and each sample
+    # is the output of a plant integrated to that instant in one span.
+    a = tf_to_state_space(LOOP2_TF, sample_every_us=1_234)
     b = loop2_plant()
     for p in (a, b):
         p.actuate(1.0)
-        p.integrate(20_000, r=1.0)
-    y = a.sample_after(1_234)
-    assert (a.x, a.iae) == (b.x, b.iae)
-    b.integrate(1_234, r=1.0)
-    assert y == b.sample()
+        p.integrate(5_000, r=1.0)
+    assert (a.x, a.iae, a.sample()) == (b.x, b.iae, b.sample())
+    assert len(a.samples) == 5
+    for k, y in enumerate(a.samples):
+        c = loop2_plant()
+        c.actuate(1.0)
+        c.integrate(k * 1_234, r=1.0)
+        assert y == c.sample(), k
 
 
 # --- transition map against stepwise RK4 ----------------------------------------
@@ -319,9 +325,11 @@ def bits(values):
 @pytest.mark.parametrize("micro", (37, 100, 1000))
 def test_kernel_equals_generic_loops_exactly(micro):
     # The unrolled kernel must apply the same float operations in the same
-    # order as the loops, so state, IAE and look-ahead output are equal,
-    # not merely close.  Zero and negative coefficients, a plant at rest
-    # and a zero input exercise signed zeros.
+    # order as the loops, so state, IAE and samples are equal, not merely
+    # close.  A sample is the output at the last point the span computed
+    # (its start or a micro step's end), advanced by one RK4 step when it
+    # lies past that point.  Zero and negative coefficients, a plant at
+    # rest and a zero input exercise signed zeros.
     rng = random.Random(7000 + micro)
 
     def coef():
@@ -332,8 +340,10 @@ def test_kernel_equals_generic_loops_exactly(micro):
              for i in range(n) for j in range(n)]
         b = [coef() for _ in range(n)]
         c = [-1.0] + [coef() for _ in range(n - 1)]
-        p = StateSpacePlant(a, b, c, micro_step_us=micro)
-        x, iae = list(p.x), 0.0
+        # every micro step, or at a cadence off the grid
+        every = (micro, rng.randint(1, 3 * micro))[n % 2]
+        p = StateSpacePlant(a, b, c, micro_step_us=micro, sample_every_us=every)
+        x, iae, now, samples = list(p.x), 0.0, 0, []
         for k in range(10):
             full = rng.randint(1, 20) * micro
             part = rng.randint(1, micro - 1)
@@ -343,11 +353,18 @@ def test_kernel_equals_generic_loops_exactly(micro):
             u = 0.0 if k < 2 else rng.choice((0.0, rng.uniform(-2.0, 2.0)))
             r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
             p.actuate(u)
-            ahead = rng.randint(0, 3 * micro)
-            assert bits([p.sample_after(ahead)]) == bits([generic_march(
-                a, b, c, x, u, 0.0, 0.0, ahead, micro)[1]]), (n, ahead)
             p.integrate(span, r)
+            full = span // micro
+            for at in range(len(samples) * every, now + span + 1, every):
+                done = min((at - now) // micro, full) * micro
+                x_done = generic_march(a, b, c, x, u, r, 0.0, done, micro)[0]
+                part = at - now - done
+                if part:
+                    x_done = generic_rk4_step(a, b, x_done, u, part * 1e-6)
+                samples.append(generic_output(c, x_done))
+            assert bits(p.samples) == bits(samples), (n, span)
             x, y, iae = generic_march(a, b, c, x, u, r, iae, span, micro)
+            now += span
             assert bits(p.x) == bits(x), (n, span)
             assert bits([p.iae, p.sample()]) == bits([iae, y]), (n, span)
 

@@ -144,6 +144,17 @@ def test_yaml_round_trip_with_overrides(tmp_path):
     assert load_scenario(path) == sc
 
 
+def test_null_trace_cadence_round_trips(tmp_path):
+    sc = builtin_table1().with_(trace_cadence_ms=None)
+    assert validate(sc) == []
+    assert to_mapping(sc)["trace_cadence_ms"] is None
+    assert from_mapping(to_mapping(sc)) == sc
+    path = tmp_path / "s.yaml"
+    save_scenario(sc, path)
+    assert "trace_cadence_ms: null" in path.read_text()
+    assert load_scenario(path) == sc
+
+
 def test_from_mapping_reports_field_paths():
     m = to_mapping(builtin_table1())
     m["loops"][0]["c_nom_ms"] = 8.0

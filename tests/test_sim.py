@@ -10,6 +10,7 @@ import bisect
 
 import pytest
 
+from qapm.plant import StateSpacePlant
 from qapm.policy import ConfigurationError, CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
 from qapm.sim import _RESIDUE_TICKS, Job, Simulator, edf_select, run_loop
@@ -332,14 +333,26 @@ def test_period_stats_match_job_counts(bench_runs):
 
 
 @pytest.mark.parametrize("cpu", ["cpu-1", "cpu-2", "cpu-ideal"])
-def test_results_do_not_depend_on_trace_cadence(cpu):
-    # A trace sample observes the run and changes nothing in it.
+def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
+    # A trace sample observes the run and changes nothing in it; not even
+    # how the plants' spans are cut, so the integrate calls are the same.
+    calls = []
+    integrate = StateSpacePlant.integrate
+
+    def counted(plant, *args):
+        calls.append(plant)
+        return integrate(plant, *args)
+
+    monkeypatch.setattr(StateSpacePlant, "integrate", counted)
     sc = builtin_table1(cpu=resolve_cpu(cpu)).with_(duration_s=2.0)
     first = None
-    for cadence in (0.25, 0.5, 1.0, 2.0, 10.0):
+    for cadence in (0.25, 0.5, 1.0, 2.0, 10.0, None):
+        calls.clear()
         res = run_loop(sc.with_(trace_cadence_ms=cadence))
-        assert len(res.trace.rows) == (round(2000 / cadence) + 1) * 4
+        assert len(res.trace.rows) == (
+            0 if cadence is None else (round(2000 / cadence) + 1) * 4)
         seen = (
+            len(calls),
             [(j.task_id, j.release, j.deadline, j.completion, j.missed)
              for j in res.jobs],
             res.report.speed_changes,
@@ -352,6 +365,16 @@ def test_results_do_not_depend_on_trace_cadence(cpu):
             first = seen
         else:
             assert seen == first, f"{cpu}: trace cadence {cadence} ms differs"
+
+
+def test_trace_rows_do_not_depend_on_cadence():
+    # Each row is the same bit for bit whichever cadence samples its tick.
+    sc = builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0)
+    fine = run_loop(sc.with_(trace_cadence_ms=0.25)).trace.rows
+    rows = run_loop(sc).trace.rows
+    assert len(rows) == 2001 * 4
+    every_4th_tick = [row for i, row in enumerate(fine) if i // 4 % 4 == 0]
+    assert [repr(r) for r in rows] == [repr(r) for r in every_4th_tick]
 
 
 def test_report_iae_is_each_plants_running_sum():
