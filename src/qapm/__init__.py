@@ -18,13 +18,12 @@ from .policy import (
     AdaptationParams,
     ConfigurationError,
     CpuLevels,
-    PolicyDecision,
     SchedulabilityError,
     TaskSpec,
     adapt_period,
+    decide,
     ideal_speed,
     period_scale_factor,
-    policy_step,
     quantize_speed,
     reclaim_periods,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "MODES",
     "Pid",
     "PidGains",
-    "PolicyDecision",
     "RunReport",
     "Scenario",
     "SchedulabilityError",
@@ -67,11 +65,11 @@ __all__ = [
     "adapt_period",
     "builtin_cpus",
     "builtin_table1",
+    "decide",
     "edf_select",
     "ideal_speed",
     "load_scenario",
     "period_scale_factor",
-    "policy_step",
     "quantize_speed",
     "reclaim_periods",
     "resolve_cpu",

@@ -66,13 +66,11 @@ class EnergyAccumulator:
 
 
 class TraceRecorder:
-    """Buffers trace rows and writes the CSV file."""
+    """Holds trace rows, tuples in `TRACE_COLUMNS` order, and writes the
+    CSV file."""
 
     def __init__(self):
         self.rows: list[tuple] = []
-
-    def add(self, time_s, loop, r, y, e, u, h_eff_ms, alpha, energy_inst):
-        self.rows.append((time_s, loop, r, y, e, u, h_eff_ms, alpha, energy_inst))
 
     def write_csv(self, path) -> None:
         """The rows as `csv.writer` writes them: each float in its shortest

@@ -116,16 +116,19 @@ class StateSpacePlant:
     held, exactly the affine map x <- M x + N u.  Every advance goes
     through one kernel, compiled once per plant order (see `_source`) and
     bound to this plant's coefficients: it builds (M, N) for the micro
-    step with its own RK4 step, takes every full micro step with the map
-    and a shorter final step as one plain RK4 step.  ``iae`` is the running
-    integral of |r - y| over everything integrated so far: each step adds
-    its trapezoid term straight into it, so how a span is split at
-    micro-step boundaries does not change the sum.
+    step with its own RK4 step.  The plant steps on the grid of multiples
+    of the micro step from its start, and ``time_us`` is how far it has
+    integrated.  A span that starts off the grid first takes one plain RK4
+    step back onto it, then every full micro step with the map, and a
+    shorter final step as one plain RK4 step; all in one kernel call.
+    ``iae`` is the running integral of |r - y| over everything integrated
+    so far: each step adds its trapezoid term straight into it, so how a
+    span is split at micro-step boundaries does not change the sum.
 
     With ``sample_every_us`` set, ``samples[k]`` is y at k * sample_every_us
     from the start, appended while a span crosses that instant: the y of
-    the micro step that ends there, or else one RK4 step on temporaries
-    from the last point the span computed, its start or a micro step's end.
+    the step that ends there, or else one RK4 step on temporaries from the
+    last point the span computed, its start or a grid instant.
     """
 
     def __init__(self, a, b, c, micro_step_us: int = DEFAULT_MICRO_STEP_US,
@@ -147,6 +150,7 @@ class StateSpacePlant:
         self.c = [float(v) for v in c]
         self.u = 0.0
         self.micro_step_us = int(micro_step_us)
+        self.time_us = 0                # integrated up to, from the start
         self.label = label
         self.samples: list[float] = []
         self._sample_every = sample_every_us
@@ -154,7 +158,7 @@ class StateSpacePlant:
         self._sample_in = 0 if sample_every_us else math.inf
         self._advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us)
         self.x, self.y, self.iae, _ = self._advance(
-            [0.0] * n, 0.0, 0.0, 0.0, 0, math.inf, None, None)
+            [0.0] * n, 0.0, 0.0, 0.0, 0, 0, math.inf, None, None)
 
     def sample(self) -> float:
         """Output y = C x as of the last advance; `actuate` leaves it valid."""
@@ -166,16 +170,21 @@ class StateSpacePlant:
 
     def integrate(self, span_us: int, r: float = 0.0) -> None:
         """Advance the plant by ``span_us`` microseconds with the reference
-        held at ``r``, adding the integral of |r - y(t)| over the span
-        (trapezoid over the micro-step samples, in seconds) to ``iae`` and
-        appending y at each sample instant in the span to ``samples``."""
+        held at ``r``, in one kernel call, adding the integral of |r - y(t)|
+        over the span (trapezoid over the steps, in seconds) to ``iae`` and
+        appending y at each sample instant in the span to ``samples``.
+        Raises `DivergenceError`, naming the plant and the time, when the
+        state is no longer finite."""
         if span_us < 0:
             raise ValueError(f"{self.label}: negative span {span_us}")
         self.x, self.y, self.iae, self._sample_in = self._advance(
-            self.x, self.u, r, self.iae, span_us, self._sample_in,
-            self._sample_every, self.samples)
+            self.x, self.u, r, self.iae, self.time_us, span_us,
+            self._sample_in, self._sample_every, self.samples)
+        self.time_us += span_us
         if not (math.isfinite(self.y) and all(map(math.isfinite, self.x))):
-            raise DivergenceError(f"{self.label}: state diverged (non-finite)")
+            raise DivergenceError(
+                f"{self.label}: state diverged (non-finite) "
+                f"by t = {self.time_us * 1e-6:.6f} s")
 
 
 # Kernel factory per plant order, compiled on first use.
@@ -184,10 +193,11 @@ _KERNELS: dict = {}
 
 def _kernel(n: int):
     """``make(a, b, c, micro_step_us)`` for plants of order ``n``; it returns
-    ``advance(x, u, r, iae, span_us, at, every, out) -> (x, y, iae, at)``
-    bound to the plant.  It appends to ``out`` y at the offsets ``at``,
-    ``at + every``, ... that lie within the span, and returns the offset of
-    the next one from the span's end."""
+    ``advance(x, u, r, iae, t, span_us, at, every, out) -> (x, y, iae, at)``
+    bound to the plant, which integrates from time ``t`` on the grid of
+    multiples of the micro step.  It appends to ``out`` y at the offsets
+    ``at``, ``at + every``, ... that lie within the span, and returns the
+    offset of the next one from the span's end."""
     make = _KERNELS.get(n)
     if make is None:
         namespace: dict = {}
@@ -230,28 +240,49 @@ def make(a, b, c, step_us):
     {n_vars}, = rk4(*[0.0] * {n}, 1.0, h)
     half_h = step_us * 0.5e-6
 
-    def advance(x, u, r, iae, span, at, every, out):
+    def advance(x, u, r, iae, t, span, at, every, out):
         {x_vars}, = x
         y = {y}
         e = abs(r - y)
+        # Off the grid, a partial step back onto it first, or across the
+        # whole span if that ends sooner.
+        lead = -t % step_us
+        if lead > span:
+            lead = span
+        if lead:
+            while at < lead:
+                if at:
+                    {s_vars}, = rk4({x_vars}, u, at * 1e-6)
+                    out.append({y_s})
+                else:
+                    out.append(y)
+                at += every
+            {x_vars}, = rk4({x_vars}, u, lead * 1e-6)
+            y = {y}
+            f = abs(r - y)
+            iae += (e + f) * (lead * 0.5e-6)
+            e = f
+            if at == lead:
+                out.append(y)
+                at += every
+            span -= lead
+            at -= lead
         full, rem = divmod(span, step_us)
         {g}
+        # Samples up to ``last`` are read in the loop; one at the end of a
+        # final partial step reads that step's y, below.
+        last = span - 1 if rem else span
         done = 0
         while True:
             # Micro steps up to the sample at ``at``; all of them if none.
-            if at > span:
-                upto = full
-            else:
-                upto = at // step_us
-                if upto > full:
-                    upto = full
+            upto = full if at > last else at // step_us
             for _ in range(upto - done):
                 {x_vars}, = {map},
                 y = {y}
                 f = abs(r - y)
                 iae += (e + f) * half_h
                 e = f
-            if at > span:
+            if at > last:
                 break
             done = upto
             part = at - upto * step_us
@@ -265,6 +296,9 @@ def make(a, b, c, step_us):
             {x_vars}, = rk4({x_vars}, u, rem * 1e-6)
             y = {y}
             iae += (e + abs(r - y)) * (rem * 0.5e-6)
+            if at == span:
+                out.append(y)
+                at += every
         return [{x_vars}], y, iae, at - span
 
     return advance

@@ -1,11 +1,13 @@
 """Three-stage power manager: period adaptation, voltage scaling, reclaiming.
 
-The manager runs every time a control task releases a new job.  It first
-stretches or shrinks the sampling period of the triggering loop according to
-how large its control error currently is (small error -> long period -> less
-work).  It then picks the lowest discrete CPU speed that still fits the total
-workload, and finally shrinks *all* sampling periods by the resulting
-workload/speed ratio so the CPU ends up exactly 100% utilized.
+The manager runs every time a control task releases a new job, as one
+call of `decide`.  It first stretches or shrinks the sampling period of the
+triggering loop according to how large its control error currently is
+(small error -> long period -> less work).  It then picks the lowest
+discrete CPU speed that still fits the total workload, and shrinks *all*
+sampling periods by the resulting workload/speed ratio so the CPU ends up
+exactly 100% utilized.  Last, it raises the speed where the jobs already in
+flight need more, so EDF meets every deadline.
 
 Everything in this module is a pure function over value types; no shared
 mutable state, safe to call concurrently.
@@ -21,7 +23,6 @@ __all__ = [
     "AdaptationParams",
     "TaskSpec",
     "CpuLevels",
-    "PolicyDecision",
     "ConfigurationError",
     "SchedulabilityError",
     "period_scale_factor",
@@ -29,10 +30,7 @@ __all__ = [
     "ideal_speed",
     "quantize_speed",
     "reclaim_periods",
-    "policy_step",
-    "in_flight_demand",
-    "cover_demand",
-    "fit_period",
+    "decide",
 ]
 
 # |alpha_ideal - level| below this counts as an exact level match.
@@ -131,20 +129,6 @@ class CpuLevels:
         return 0.0 if self.ideal else self.levels[0]
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    """Outputs of one power-manager invocation.
-
-    ``base_periods`` are the error-adapted periods before reclaiming;
-    ``effective_periods`` are the reclaimed periods actually applied.
-    """
-
-    alpha_ideal: float
-    alpha: float
-    base_periods: tuple[float, ...]
-    effective_periods: tuple[float, ...]
-
-
 def period_scale_factor(e: float, spec: TaskSpec) -> float:
     """Period scale factor (>= 1) for absolute control error ``e``.
 
@@ -236,84 +220,92 @@ def reclaim_periods(
     return tuple(h * scale for h in base_periods)
 
 
-def policy_step(
+def _ticks(seconds: float) -> int:
+    """``seconds`` rounded half-up to whole microsecond ticks."""
+    return int(seconds * 1e6 + 0.5)
+
+
+def decide(
     specs: Sequence[TaskSpec],
     trigger: int,
     error: float,
     base_periods: Sequence[float],
+    in_flight: Sequence[int | None],
+    work: Sequence[float],
     levels: CpuLevels,
-    work: Sequence[float] | None = None,
-) -> PolicyDecision:
-    """One full power-manager invocation at a job release.
+    mode: str = "qapm",
+) -> tuple[list[float], list[float], int, float, float]:
+    """One power-manager decision at a release of loop ``trigger``.
 
-    ``trigger`` indexes the loop whose job was just released; only its base
-    period is re-adapted from ``error``, the others keep their current base
-    periods.  The speed and the reclaimed periods are then recomputed over
-    the whole set.  ``work`` optionally overrides the nominal execution
-    times (execution-time variation hook); defaults to each spec's c_nom.
+    Returns ``(base_periods, periods, ticks, alpha_ideal, alpha)``: the
+    error-adapted periods before reclaiming and the periods in force, both
+    in seconds; the trigger's period in whole microsecond ticks, which
+    ``periods[trigger]`` equals; the workload and the speed to run at.
+    ``work`` is each loop's execution time at full speed (the trigger's
+    for the job being released), and ``in_flight[j]`` the period, in
+    ticks, that loop j's job in flight was released with, or None before
+    its first release.
 
-    Deterministic: identical inputs produce identical decisions.
+    Under ``qapm`` only the trigger's base period is re-adapted from
+    ``error``.  The speed is the lowest level that fits the workload and
+    every period is reclaimed by alpha_ideal / alpha; a workload above
+    full speed runs at full speed and reclaims nothing.  The speed then
+    also covers the job windows in force until the next decision: the
+    trigger's new job at its new period and every other job in flight at
+    the period it was released with,
+
+        D = w_i/h'_i + sum_{j != i} w_j/P_j
+
+    Deadlines equal next releases, so while the speed stays at or above D
+    a fluid schedule meets every window, and so does EDF
+    (processor-demand criterion).  The reclaimed periods are not shrunk
+    again for a speed raised this way.  When D exceeds full speed, the CPU
+    runs at full speed and the trigger's period becomes the shortest
+    whole tick at which its job fits beside the others, up to its
+    ``h_max``.
+
+    ``osdvs`` and ``dvs-only`` keep the nominal periods; osDVS runs at the
+    workload itself, DVS-only at its quantized level.  Pure: the inputs
+    are not modified.
     """
     if not 0 <= trigger < len(specs):
         raise ValueError(f"trigger index {trigger} out of range")
     if len(base_periods) != len(specs):
         raise ValueError("base_periods and specs length mismatch")
-    if work is None:
-        work = [s.c_nom for s in specs]
+    spec = specs[trigger]
+    if mode != "qapm":
+        base = [s.h0 for s in specs]
+        alpha_ideal = ideal_speed(zip(work, base))
+        if mode == "osdvs":
+            alpha = min(alpha_ideal, 1.0)
+        elif alpha_ideal > 1.0 + _ONE_SLACK:
+            alpha = 1.0
+        else:
+            alpha = quantize_speed(alpha_ideal, levels)
+        return base, base, _ticks(spec.h0), alpha_ideal, alpha
     base = list(base_periods)
-    base[trigger] = adapt_period(error, specs[trigger])
+    base[trigger] = adapt_period(error, spec)
     alpha_ideal = ideal_speed(zip(work, base))
-    alpha = quantize_speed(alpha_ideal, levels)
-    return PolicyDecision(
-        alpha_ideal=alpha_ideal,
-        alpha=alpha,
-        base_periods=tuple(base),
-        effective_periods=reclaim_periods(base, alpha_ideal, alpha),
-    )
-
-
-def in_flight_demand(
-    work: Sequence[float],
-    trigger: int,
-    periods: Sequence[float],
-    in_flight: Sequence[float | None],
-) -> float:
-    """Speed EDF needs for the job windows in force after a decision.
-
-    The decision at a release of loop ``trigger`` releases one job, of work
-    ``work[trigger]`` and period ``periods[trigger]``.  Every other loop j
-    keeps its job in flight, released with period ``in_flight[j]``, until
-    its own next release re-decides; a loop that has not released yet counts
-    at ``periods[j]``.  Returns the summed rate of these windows,
-
-        D = w_i/h'_i + sum_{j != i} w_j/P_j
-
-    Deadlines equal next releases, so these windows cover the time up to
-    the next decision, one per loop.  While the speed stays at or above D
-    from one decision to the next, a fluid schedule meets every window, and
-    so does EDF (processor-demand criterion).
-    """
-    total = 0.0
-    for j, (w, h, p) in enumerate(zip(work, periods, in_flight)):
-        total += w / (h if j == trigger or p is None else p)
-    return total
-
-
-def cover_demand(alpha: float, demand: float, levels: CpuLevels) -> float:
-    """Lowest available speed that is at least ``alpha`` and covers ``demand``.
-
-    Raises SchedulabilityError when the demand exceeds full speed.
-    """
-    if demand <= alpha + EXACT_LEVEL_TOL:
-        return alpha
-    return quantize_speed(demand, levels)
-
-
-def fit_period(c_nom: float, others: float, h_max: float) -> float:
-    """Shortest period at which a task of work ``c_nom`` fits at full speed
-    beside the demand ``others`` of the rest of the set, capped at ``h_max``.
-    """
-    free = 1.0 - others
-    if free * h_max <= c_nom:
-        return h_max
-    return c_nom / free
+    if alpha_ideal > 1.0 + _ONE_SLACK:
+        alpha = 1.0
+        periods = base[:]
+    else:
+        alpha = quantize_speed(alpha_ideal, levels)
+        periods = list(reclaim_periods(base, alpha_ideal, alpha))
+    ticks = _ticks(periods[trigger])
+    periods[trigger] = ticks * 1e-6
+    demand = 0.0
+    for j, w in enumerate(work):
+        p = in_flight[j]
+        demand += w / (periods[j] if j == trigger or p is None else p * 1e-6)
+    if demand > alpha + EXACT_LEVEL_TOL:
+        if demand <= 1.0 + _ONE_SLACK:
+            alpha = quantize_speed(demand, levels)
+        else:
+            w = work[trigger]
+            free = 1.0 - (demand - w / periods[trigger])
+            fit = spec.h_max if free * spec.h_max <= w else w / free
+            ticks = min(math.ceil(fit * 1e6), _ticks(spec.h_max))
+            periods[trigger] = ticks * 1e-6
+            alpha = 1.0
+    return base, periods, ticks, alpha_ideal, alpha

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import yaml
-
 from .pid import PidGains
 from .plant import TransferFunction
 from .policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec
@@ -395,6 +393,8 @@ def from_mapping(m: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    import yaml  # on use: a builtin run never loads the YAML parser
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
@@ -408,5 +408,7 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path) -> None:
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(to_mapping(sc), fh, sort_keys=False)

@@ -14,7 +14,9 @@ Each plant integrates its dynamics, with the held actuator value, on the
 grid of micro-step instants k * micro_step_us counted from t = 0, and
 splits a step only where its own loop samples (release) or actuates
 (completion) and at reference steps.  It is advanced lazily, when one of
-those events needs its state; other loops' events do not touch it.
+those events needs its state, by one `StateSpacePlant.integrate` call to
+that event's tick; other loops' events do not touch it.  The plant keeps
+its own place on the grid (see `plant.StateSpacePlant`).
 
 The trace has one row per loop at every multiple of ``trace_cadence_ms``
 up to the end of the run.  A trace visit at tick t records what the
@@ -26,17 +28,17 @@ the job accounting nor the dispatcher, so every result but the trace
 itself is the same at any trace cadence.  A cadence of None records no
 trace at all.
 
-Under ``qapm`` each decision also checks the job windows it leaves in
-force: the trigger's new job at its new period, rounded to the tick, and
-every other loop's job in flight at the period it was released with (see
-`policy.in_flight_demand`).  The speed is raised to the lowest level that
-covers this demand, so EDF meets every deadline.  The reclaimed periods are
-not shrunk again for the higher speed; the spare capacity drains any
-backlog.  When the demand exceeds full speed, the CPU runs at full speed
-and the trigger's new period is lengthened just enough to fit, up to its
+Each release makes one power-manager decision, `policy.decide`, from the
+simulator's plain lists: the adapted base periods, each loop's last drawn
+execution time and the period, in ticks, of each loop's job in flight.
+Under ``qapm`` the decision also covers the job windows it leaves in
+force, so EDF meets every deadline; when even full speed falls short, the
+trigger's new period is lengthened just enough to fit, up to its
 ``h_max``.  Without execution-time jitter that always fits, since the
 loop's previous window fitted; with jitter, or with speed-switch stalls
-(which the check does not count), deadlines may be missed.
+(which the decision does not count), deadlines may be missed.  A speed
+decrease is held here, not in the decision, until the jobs in flight at
+decision time have completed (the slow-down guard).
 
 Time is integer microsecond ticks.  Event order at equal ticks is fixed:
 completions, then reference steps, then releases, then trace samples, then
@@ -54,19 +56,8 @@ from operator import sub
 
 from .metrics import EnergyAccumulator, RunReport, TraceRecorder
 from .pid import Pid
-from .plant import DivergenceError, tf_to_state_space
-from .policy import (
-    ConfigurationError,
-    PolicyDecision,
-    SchedulabilityError,
-    adapt_period,
-    cover_demand,
-    fit_period,
-    ideal_speed,
-    in_flight_demand,
-    policy_step,
-    quantize_speed,
-)
+from .plant import tf_to_state_space
+from .policy import ConfigurationError, decide
 from .scenario import Scenario, validate
 
 __all__ = ["Job", "SimResult", "Simulator", "run_loop", "edf_select"]
@@ -81,11 +72,6 @@ _NEVER = math.inf  # tick of an event source with nothing pending
 # A completion may round down to the previous tick, leaving at most one
 # tick of service unconsumed; anything larger is an accounting bug.
 _RESIDUE_TICKS = 2.5
-
-
-def _ticks(seconds: float) -> int:
-    """Period in seconds rounded half-up to the tick grid."""
-    return int(seconds * 1e6 + 0.5)
 
 
 class Job:
@@ -110,16 +96,17 @@ def edf_select(ready):
     """Job with the earliest absolute deadline; ties by release, then task id."""
     best = None
     for job in ready:
-        if best is None or (job.deadline, job.release, job.task_id) < (
-                best.deadline, best.release, best.task_id):
+        if best is None or job.deadline < best.deadline or (
+                job.deadline == best.deadline
+                and (job.release, job.task_id) < (best.release, best.task_id)):
             best = job
     return best
 
 
 class _LoopRuntime:
     __slots__ = (
-        "task", "plant", "pid", "eff_period", "plant_tick", "next_release",
-        "current_work", "period_series", "trace_u", "trace_h_ms",
+        "task", "plant", "pid", "eff_period", "next_release", "periods",
+        "trace_u", "trace_h_ms",
     )
 
     def __init__(self, task, plant, pid):
@@ -127,10 +114,8 @@ class _LoopRuntime:
         self.plant = plant
         self.pid = pid
         self.eff_period = task.h0       # seconds; governs this loop's next release
-        self.plant_tick = 0             # tick the plant has integrated to
         self.next_release = 0           # tick
-        self.current_work = task.c_nom  # last drawn execution time (jitter hook)
-        self.period_series = []         # (tick, eff_period_s, period_ticks)
+        self.periods = []               # eff_period of each release, seconds
         self.trace_u = []               # u and h_eff at each trace visit
         self.trace_h_ms = []
 
@@ -166,7 +151,13 @@ class Simulator:
         self.by_id = {lr.task.id: lr for lr in self.loops}
         self.specs = [lr.task for lr in self.loops]
         self.index_of = {lr.task.id: i for i, lr in enumerate(self.loops)}
+        self.by_task_id = sorted(self.loops, key=lambda lr: lr.task.id)
+        # The power manager's inputs: adapted periods, the last drawn
+        # execution time of each loop (jitter hook) and the period, in
+        # ticks, each loop's job in flight was released with.
         self.base_periods = [t.h0 for t in self.specs]
+        self.work = [t.c_nom for t in self.specs]
+        self.in_flight = [None] * len(self.specs)
         self.r = 0.0
         self.rng = random.Random(sc.seed)
 
@@ -197,22 +188,10 @@ class Simulator:
     # -- time advance ----------------------------------------------------
 
     def _advance_plant(self, lr, tick):
-        """Integrate ``lr``'s plant up to ``tick`` on the micro-step grid."""
-        t = lr.plant_tick
-        if tick <= t:
-            return
-        plant = lr.plant
-        off = t % plant.micro_step_us
-        # A partial step back onto the grid first, then the rest.
-        end = min(t - off + plant.micro_step_us, tick) if off else tick
-        try:
-            plant.integrate(end - t, self.r)
-            if end < tick:
-                t, end = end, tick
-                plant.integrate(end - t, self.r)
-        except DivergenceError as exc:
-            raise DivergenceError(f"{exc} by t = {end * 1e-6:.6f} s") from None
-        lr.plant_tick = tick
+        """Integrate ``lr``'s plant up to ``tick``."""
+        span = tick - lr.plant.time_us
+        if span > 0:
+            lr.plant.integrate(span, self.r)
 
     def _advance_to(self, tick):
         span = tick - self.now
@@ -256,61 +235,6 @@ class Simulator:
 
     # -- policy ----------------------------------------------------------
 
-    def _invoke_policy(self, trigger_id: int, error: float):
-        sc = self.sc
-        work = [lr.current_work for lr in self.loops]
-        idx = self.index_of[trigger_id]
-        if sc.mode == "qapm":
-            try:
-                dec = policy_step(self.specs, idx, error, self.base_periods,
-                                  sc.cpu, work=work)
-            except SchedulabilityError:
-                # Demand exceeds capacity (only reachable with execution
-                # time jitter or deliberately infeasible sets): saturate at
-                # full speed and skip reclaiming.
-                base = list(self.base_periods)
-                base[idx] = adapt_period(error, self.specs[idx])
-                ai = ideal_speed(zip(work, base))
-                dec = PolicyDecision(
-                    alpha_ideal=ai, alpha=1.0,
-                    base_periods=tuple(base), effective_periods=tuple(base),
-                )
-            periods = list(dec.effective_periods)
-            alpha_ideal = dec.alpha_ideal
-            alpha = self._cover_in_flight(idx, work, periods, dec.alpha)
-            self.base_periods = list(dec.base_periods)
-            for lr, h in zip(self.loops, periods):
-                lr.eff_period = h
-        elif sc.mode == "osdvs":
-            alpha_ideal = ideal_speed(zip(work, (t.h0 for t in self.specs)))
-            alpha = min(alpha_ideal, 1.0)
-        else:  # dvs-only
-            alpha_ideal = ideal_speed(zip(work, (t.h0 for t in self.specs)))
-            try:
-                alpha = quantize_speed(alpha_ideal, sc.cpu)
-            except SchedulabilityError:
-                alpha = 1.0
-        self.utilization.append((self.now, alpha_ideal, alpha))
-        self._request_alpha(alpha)
-
-    def _cover_in_flight(self, idx, work, periods, alpha):
-        """Speed at or above ``alpha`` at which EDF meets the jobs in flight
-        and the trigger's new one.  Sets ``periods[idx]`` to the trigger's
-        period on the tick grid, lengthened when even full speed falls short.
-        """
-        periods[idx] = _ticks(periods[idx]) * 1e-6
-        in_flight = [lr.period_series[-1][2] * 1e-6 if lr.period_series
-                     else None for lr in self.loops]
-        demand = in_flight_demand(work, idx, periods, in_flight)
-        try:
-            return cover_demand(alpha, demand, self.sc.cpu)
-        except SchedulabilityError:
-            spec = self.specs[idx]
-            others = demand - work[idx] / periods[idx]
-            fit = fit_period(work[idx], others, spec.h_max)
-            periods[idx] = min(math.ceil(fit * 1e6), _ticks(spec.h_max)) * 1e-6
-            return 1.0
-
     def _request_alpha(self, alpha: float):
         # Speed increases take effect at once.  A decrease is held until
         # every job in flight at decision time has completed: those jobs'
@@ -341,24 +265,31 @@ class Simulator:
     # -- event handlers ----------------------------------------------------
 
     def _on_release(self, lr: _LoopRuntime):
+        sc = self.sc
         self._advance_plant(lr, self.now)
-        y = lr.plant.sample()
-        e = self.r - y
+        e = self.r - lr.plant.sample()
 
         work = lr.task.c_nom
-        if self.sc.c_jitter > 0.0:
-            work *= 1.0 + self.sc.c_jitter * (2.0 * self.rng.random() - 1.0)
-        lr.current_work = work
+        if sc.c_jitter > 0.0:
+            work *= 1.0 + sc.c_jitter * (2.0 * self.rng.random() - 1.0)
+        idx = self.index_of[lr.task.id]
+        self.work[idx] = work
 
-        self._invoke_policy(lr.task.id, abs(e))
         # The manager re-decides the period before the control computation
         # runs, so the controller sees the period now in force.
+        self.base_periods, periods, ticks, alpha_ideal, alpha = decide(
+            self.specs, idx, abs(e), self.base_periods, self.in_flight,
+            self.work, sc.cpu, sc.mode)
+        for other, h in zip(self.loops, periods):
+            other.eff_period = h
+        self.utilization.append((self.now, alpha_ideal, alpha))
+        self._request_alpha(alpha)
         u = lr.pid.compute(e, lr.eff_period)
 
-        period_ticks = _ticks(lr.eff_period)
-        lr.next_release = self.now + period_ticks
+        self.in_flight[idx] = ticks
+        lr.next_release = self.now + ticks
+        lr.periods.append(lr.eff_period)
         job = Job(lr.task.id, self.now, lr.next_release, work, u)
-        lr.period_series.append((self.now, lr.eff_period, period_ticks))
         self.ready.append(job)
         self.jobs.append(job)
 
@@ -420,19 +351,22 @@ class Simulator:
     # -- main loop -----------------------------------------------------------
 
     def _next_event(self):
-        """(tick, kind, task id, loop) of the earliest pending event other
-        than a trace sample; no two pending events share a kind and id."""
-        return min(
-            [(self.done_at, PRI_COMPLETION, 0, None),
-             (self.next_ref, PRI_REF_STEP, 0, None)]
-            + [(lr.next_release, PRI_RELEASE, lr.task.id, lr)
-               for lr in self.loops])
+        """(tick, kind, loop) of the earliest pending event other than a
+        trace sample, scanned in priority order so a tie goes to the first:
+        the completion, the reference step, then releases by task id."""
+        tick, kind, loop = self.done_at, PRI_COMPLETION, None
+        if self.next_ref < tick:
+            tick, kind = self.next_ref, PRI_REF_STEP
+        for lr in self.by_task_id:
+            if lr.next_release < tick:
+                tick, kind, loop = lr.next_release, PRI_RELEASE, lr
+        return tick, kind, loop
 
     def run(self) -> SimResult:
         if self.end_tick == 0:
             return self._finalize()
         while True:
-            tick, kind, _, lr = self._next_event()
+            tick, kind, lr = self._next_event()
             # Trace samples rank last at equal ticks.
             while self.next_trace < tick and self.next_trace <= self.end_tick:
                 self._on_trace(self.next_trace)
@@ -484,9 +418,8 @@ class Simulator:
         duration_s = self.end_tick * 1e-6
         period_stats = {}
         for lr in self.loops:
-            series = lr.period_series
-            if series:
-                ms = [h * 1000.0 for _, h, _ in series]
+            if lr.periods:
+                ms = [h * 1000.0 for h in lr.periods]
                 period_stats[lr.task.id] = {
                     "min": min(ms), "max": max(ms),
                     "mean": sum(ms) / len(ms), "count": len(ms),

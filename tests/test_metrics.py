@@ -101,8 +101,10 @@ def test_sig6():
 
 def test_trace_csv_round_trip(tmp_path):
     rec = TraceRecorder()
-    rec.add(0.001, 1, 1.0, 0.25, 0.75, 12.5, 10.0, 0.5, 0.25)
-    rec.add(0.002, 2, 1.0, 0.3333333333333333, 2.0 / 3.0, -1.0, 7.0, 1.0, 1.0)
+    rec.rows = [
+        (0.001, 1, 1.0, 0.25, 0.75, 12.5, 10.0, 0.5, 0.25),
+        (0.002, 2, 1.0, 0.3333333333333333, 2.0 / 3.0, -1.0, 7.0, 1.0, 1.0),
+    ]
     path = tmp_path / "trace.csv"
     rec.write_csv(path)
     with open(path, newline="") as fh:

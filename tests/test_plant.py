@@ -202,9 +202,11 @@ def test_samples_leave_the_plant_where_it_was():
 
 # --- transition map against stepwise RK4 ----------------------------------------
 
-def rk4_reference(a, b, c, x, u, r, span_us, micro_step_us):
-    """Plain stepwise RK4 over ``span_us``: full steps, then the remainder.
-    Returns the final state and the trapezoid integral of |r - y|."""
+def rk4_reference(a, b, c, x, u, r, span_us, micro_step_us, start_us=0):
+    """Plain stepwise RK4 over ``span_us`` from ``start_us``: a partial step
+    to the next multiple of the micro step (or the span's end, if sooner),
+    full steps, then the remainder.  Returns the final state and the
+    trapezoid integral of |r - y|."""
     n = len(x)
 
     def f(xs):
@@ -214,9 +216,10 @@ def rk4_reference(a, b, c, x, u, r, span_us, micro_step_us):
     def out(xs):
         return sum(ci * xi for ci, xi in zip(c, xs))
 
-    full, rem = divmod(span_us, micro_step_us)
+    lead = min(-start_us % micro_step_us, span_us)
+    full, rem = divmod(span_us - lead, micro_step_us)
     iae = 0.0
-    for h_us in [micro_step_us] * full + ([rem] if rem else []):
+    for h_us in [lead] * bool(lead) + [micro_step_us] * full + [rem] * bool(rem):
         h = h_us * 1e-6
         k1 = f(x)
         k2 = f([xi + h / 2 * k for xi, k in zip(x, k1)])
@@ -246,11 +249,12 @@ def test_transition_map_matches_stepwise_rk4_for_every_order(micro):
             p = StateSpacePlant(a, b, c, micro_step_us=micro)
             p.x = list(x0)
             p.actuate(u)
-            x, iae = x0, 0.0
+            x, iae, now = x0, 0.0, 0
             for span in spans:
                 p.integrate(span, r)
-                x, d = rk4_reference(a, b, c, x, u, r, span, micro)
+                x, d = rk4_reference(a, b, c, x, u, r, span, micro, now)
                 iae += d
+                now += span
                 assert p.x == pytest.approx(x, rel=0.0, abs=1e-12), (n, span)
                 assert p.iae == pytest.approx(iae, rel=0.0, abs=1e-12), (n, span)
 
@@ -285,10 +289,12 @@ def generic_output(c, x):
     return y
 
 
-def generic_march(a, b, c, x, u, r, iae, span_us, micro_step_us):
-    """(x, y, iae) after ``span_us``, with loops over the order: full micro
-    steps with the map (M, N) built from `generic_rk4_step`, then the
-    remainder as one RK4 step, each step adding its trapezoid IAE term."""
+def generic_march(a, b, c, x, u, r, iae, span_us, micro_step_us, start_us):
+    """(x, y, iae) after ``span_us`` from ``start_us``, with loops over the
+    order: one RK4 step to the next multiple of the micro step (or the
+    span's end, if sooner), full micro steps with the map (M, N) built from
+    `generic_rk4_step`, then the remainder as one RK4 step, each step
+    adding its trapezoid IAE term."""
     idx = range(len(x))
     h = micro_step_us * 1e-6
     cols = [generic_rk4_step(a, b, [float(i == j) for i in idx], 0.0, h)
@@ -296,7 +302,12 @@ def generic_march(a, b, c, x, u, r, iae, span_us, micro_step_us):
     rows = [[col[i] for col in cols] for i in idx]
     n_vec = generic_rk4_step(a, b, [0.0] * len(x), 1.0, h)
     y = generic_output(c, x)
-    full, rem = divmod(span_us, micro_step_us)
+    lead = min(-start_us % micro_step_us, span_us)
+    if lead:
+        x = generic_rk4_step(a, b, x, u, lead * 1e-6)
+        y_prev, y = y, generic_output(c, x)
+        iae += (abs(r - y_prev) + abs(r - y)) * (lead * 0.5e-6)
+    full, rem = divmod(span_us - lead, micro_step_us)
     if full:
         g = [v * u for v in n_vec]
         half_h = micro_step_us * 0.5e-6
@@ -326,10 +337,11 @@ def bits(values):
 def test_kernel_equals_generic_loops_exactly(micro):
     # The unrolled kernel must apply the same float operations in the same
     # order as the loops, so state, IAE and samples are equal, not merely
-    # close.  A sample is the output at the last point the span computed
-    # (its start or a micro step's end), advanced by one RK4 step when it
-    # lies past that point.  Zero and negative coefficients, a plant at
-    # rest and a zero input exercise signed zeros.
+    # close.  Spans that end off the micro-step grid leave the next span to
+    # step back onto it first.  A sample is the output at the last point
+    # the span computed (its start or a grid instant), advanced by one RK4
+    # step when it lies past that point.  Zero and negative coefficients,
+    # a plant at rest and a zero input exercise signed zeros.
     rng = random.Random(7000 + micro)
 
     def coef():
@@ -354,19 +366,36 @@ def test_kernel_equals_generic_loops_exactly(micro):
             r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
             p.actuate(u)
             p.integrate(span, r)
-            full = span // micro
             for at in range(len(samples) * every, now + span + 1, every):
-                done = min((at - now) // micro, full) * micro
-                x_done = generic_march(a, b, c, x, u, r, 0.0, done, micro)[0]
-                part = at - now - done
-                if part:
-                    x_done = generic_rk4_step(a, b, x_done, u, part * 1e-6)
+                done = max(now, at // micro * micro)
+                x_done = generic_march(a, b, c, x, u, r, 0.0, done - now,
+                                       micro, now)[0]
+                if at > done:
+                    x_done = generic_rk4_step(a, b, x_done, u,
+                                              (at - done) * 1e-6)
                 samples.append(generic_output(c, x_done))
             assert bits(p.samples) == bits(samples), (n, span)
-            x, y, iae = generic_march(a, b, c, x, u, r, iae, span, micro)
+            x, y, iae = generic_march(a, b, c, x, u, r, iae, span, micro, now)
             now += span
             assert bits(p.x) == bits(x), (n, span)
             assert bits([p.iae, p.sample()]) == bits([iae, y]), (n, span)
+
+
+def test_sample_at_a_step_end_is_the_output_there():
+    # A sample at the end of a span's final partial step, or at the end of
+    # the partial step back onto the grid, is the y that step computed.
+    p = tf_to_state_space(LOOP2_TF, sample_every_us=150)
+    p.actuate(1.0)
+    p.integrate(150, r=1.0)  # 100 + 50, sample at 150
+    assert p.samples[-1] == p.sample()
+    q = tf_to_state_space(LOOP2_TF, sample_every_us=200)
+    q.actuate(1.0)
+    q.integrate(150, r=1.0)
+    q.integrate(50, r=1.0)  # 50 back onto the grid, sample at 200
+    assert q.samples[-1] == q.sample()
+    q.integrate(230, r=1.0)  # 200 + 30 after the grid step at 400
+    assert len(q.samples) == 3
+    assert q.samples[-1] != q.sample()
 
 
 def test_partial_final_step_is_exact_decomposition():

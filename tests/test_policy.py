@@ -17,12 +17,9 @@ from qapm.policy import (
     SchedulabilityError,
     TaskSpec,
     adapt_period,
-    cover_demand,
-    fit_period,
+    decide,
     ideal_speed,
-    in_flight_demand,
     period_scale_factor,
-    policy_step,
     quantize_speed,
     reclaim_periods,
 )
@@ -248,47 +245,57 @@ def test_reclaim_restores_full_utilization_randomized():
         assert abs(u / alpha - 1.0) <= 1e-9
 
 
-# --- full policy step -----------------------------------------------------
+# --- one full decision ------------------------------------------------------
+
+C_NOM = [t.c_nom for t in TASKS]
+NOT_RELEASED = [None] * len(TASKS)
+
 
 def test_policy_step_steady_state_ideal_cpu():
     base = [t.h_max for t in TASKS]
-    d = policy_step(TASKS, 0, 0.01, base, IDEAL)
-    assert d.alpha_ideal == pytest.approx(7.0 / 30.0, rel=1e-12)
-    assert d.alpha == d.alpha_ideal
+    b, periods, ticks, ai, alpha = decide(TASKS, 0, 0.01, base, NOT_RELEASED,
+                                          C_NOM, IDEAL)
+    assert ai == pytest.approx(7.0 / 30.0, rel=1e-12)
+    assert alpha == ai
     # at matched speed the reclaimed periods equal the adapted ones
-    assert d.effective_periods == pytest.approx(d.base_periods, rel=1e-12)
+    assert periods == pytest.approx(b, rel=1e-12)
+    assert ticks == 40_000
 
 
 def test_policy_step_transient_ideal_cpu():
     base = [t.h0 for t in TASKS]
-    d = policy_step(TASKS, 0, 0.5, base, IDEAL)
-    assert d.base_periods[0] == TASKS[0].h0
-    assert d.alpha == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
+    b, _, _, _, alpha = decide(TASKS, 0, 0.5, base, NOT_RELEASED, C_NOM, IDEAL)
+    assert b[0] == TASKS[0].h0
+    assert alpha == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
 
 
 def test_policy_step_steady_state_two_level_cpu():
     base = [t.h_max for t in TASKS]
-    d = policy_step(TASKS, 0, 0.0, base, CPU1)
-    assert d.alpha == 0.5
-    assert d.effective_periods == pytest.approx(
-        (0.018666666666666668, 0.014, 0.014, 0.018666666666666668), rel=1e-12
-    )
+    _, periods, ticks, _, alpha = decide(TASKS, 0, 0.0, base, NOT_RELEASED,
+                                         C_NOM, CPU1)
+    assert alpha == 0.5
+    assert periods[1:] == pytest.approx(
+        [0.014, 0.014, 0.018666666666666668], rel=1e-12)
+    # the trigger's reclaimed period, rounded half-up to the tick
+    assert ticks == 18_667
+    assert periods[0] == 18_667 * 1e-6
 
 
 def test_policy_step_only_trigger_period_readapted():
     base = [0.020, 0.010, 0.012, 0.030]
-    d = policy_step(TASKS, 2, 0.0, base, IDEAL)
-    assert d.base_periods[0] == base[0]
-    assert d.base_periods[1] == base[1]
-    assert d.base_periods[3] == base[3]
-    assert d.base_periods[2] == TASKS[2].h_max
+    b = decide(TASKS, 2, 0.0, base, NOT_RELEASED, C_NOM, IDEAL)[0]
+    assert b[0] == base[0]
+    assert b[1] == base[1]
+    assert b[3] == base[3]
+    assert b[2] == TASKS[2].h_max
 
 
 def test_policy_step_work_override():
     base = [t.h0 for t in TASKS]
-    d = policy_step(TASKS, 0, 0.01, base, IDEAL, work=[0.004, 0.002, 0.002, 0.002])
-    # trigger parks at h_max; the overridden work doubles its share
-    assert d.alpha_ideal == pytest.approx(
+    ai = decide(TASKS, 0, 0.01, base, NOT_RELEASED,
+                [0.004, 0.002, 0.002, 0.002], IDEAL)[3]
+    # trigger parks at h_max; the drawn work doubles its share
+    assert ai == pytest.approx(
         0.004 / 0.040 + 0.002 / 0.007 + 0.002 / 0.008 + 0.002 / 0.009
     )
 
@@ -296,65 +303,122 @@ def test_policy_step_work_override():
 def test_policy_step_validates_arguments():
     base = [t.h0 for t in TASKS]
     with pytest.raises(ValueError):
-        policy_step(TASKS, 4, 0.1, base, IDEAL)
+        decide(TASKS, 4, 0.1, base, NOT_RELEASED, C_NOM, IDEAL)
     with pytest.raises(ValueError):
-        policy_step(TASKS, -1, 0.1, base, IDEAL)
+        decide(TASKS, -1, 0.1, base, NOT_RELEASED, C_NOM, IDEAL)
     with pytest.raises(ValueError):
-        policy_step(TASKS, 0, 0.1, base[:3], IDEAL)
+        decide(TASKS, 0, 0.1, base[:3], NOT_RELEASED, C_NOM, IDEAL)
 
 
 def test_policy_step_deterministic():
+    # Identical inputs give identical decisions, and the inputs are kept.
     base = [t.h0 for t in TASKS]
-    a = policy_step(TASKS, 1, 0.123, base, CPU2)
-    b = policy_step(TASKS, 1, 0.123, base, CPU2)
+    in_flight = [10_000, 7_000, None, 9_000]
+    work = [0.0021, 0.002, 0.0019, 0.002]
+    a = decide(TASKS, 1, 0.123, base, in_flight, work, CPU2)
+    b = decide(TASKS, 1, 0.123, base, in_flight, work, CPU2)
     assert a == b
+    assert base == [t.h0 for t in TASKS]
+    assert in_flight == [10_000, 7_000, None, 9_000]
+    assert work == [0.0021, 0.002, 0.0019, 0.002]
 
 
-# --- demand of the job windows in flight ------------------------------------
+# --- covering the job windows in flight -------------------------------------
+
+def fixed(tid, c_nom, h0, h_max=None):
+    """A task whose period adapts only when ``h_max`` is given."""
+    return TaskSpec(tid, c_nom, h0, h0 if h_max is None else h_max, ADAPT)
+
 
 def test_in_flight_demand_counts_old_period_of_jobs_in_flight():
     # Loop 1 is released at 10 ms; loop 2's job in flight has a 4 ms window
-    # although its planned period is 8 ms, so it counts at 2/4.
-    work = [0.002, 0.002]
-    assert in_flight_demand(work, 0, [0.010, 0.008], [0.020, 0.004]) == \
-        pytest.approx(0.2 + 0.5)
-    # a longer window in flight counts as it is: its job is already released
-    assert in_flight_demand(work, 0, [0.010, 0.008], [0.020, 0.016]) == \
-        pytest.approx(0.2 + 0.125)
+    # although its planned period is 8 ms, so it counts at 2/4 and the
+    # ideal CPU runs at 0.2 + 0.5 instead of the workload 0.2 + 0.25.  The
+    # trigger's own job in flight does not count.
+    specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.008))
+    base, work = [0.010, 0.008], [0.002, 0.002]
+    _, periods, _, ai, alpha = decide(specs, 0, 0.5, base, [20_000, 4_000],
+                                      work, IDEAL)
+    assert ai == pytest.approx(0.2 + 0.25)
+    assert alpha == pytest.approx(0.2 + 0.5)
+    assert periods == base  # a raised speed reclaims nothing more
+    # a longer window in flight counts as it is and raises nothing
+    alpha = decide(specs, 0, 0.5, base, [None, 16_000], work, IDEAL)[4]
+    assert alpha == pytest.approx(0.2 + 0.25)
 
 
 def test_in_flight_demand_unreleased_loop_counts_at_new_period():
-    work = [0.002, 0.002]
-    assert in_flight_demand(work, 0, [0.010, 0.008], [None, None]) == \
-        pytest.approx(0.2 + 0.25)
+    # On cpu-1 the workload 0.45 runs at 0.5 with both periods reclaimed
+    # by 0.9; a loop not released yet counts at its reclaimed period, so
+    # the demand is exactly the level.
+    specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.008))
+    _, periods, ticks, _, alpha = decide(specs, 0, 0.5, [0.010, 0.008],
+                                         [None, None], [0.002, 0.002], CPU1)
+    assert alpha == 0.5
+    assert ticks == 9_000
+    assert periods == pytest.approx([0.009, 0.0072], rel=1e-12)
 
 
 def test_in_flight_demand_equals_workload_when_nothing_changed():
-    periods = [t.h0 for t in TASKS]
-    work = [t.c_nom for t in TASKS]
-    assert in_flight_demand(work, 2, periods, periods) == \
-        pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
+    base = [t.h0 for t in TASKS]
+    in_flight = [round(t.h0 * 1e6) for t in TASKS]
+    _, _, _, ai, alpha = decide(TASKS, 2, 1.0, base, in_flight, C_NOM, IDEAL)
+    assert alpha == ai == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
 
 
 def test_cover_demand_keeps_speed_that_already_covers():
-    assert cover_demand(0.64, 0.60, CPU2) == 0.64
-    assert cover_demand(0.64, 0.64 + 1e-13, CPU2) == 0.64
-    assert cover_demand(0.5, 0.4, IDEAL) == 0.5
+    # Workload 0.4 runs at 0.45 on cpu-2; the demand 0.225 + 0.2 fits.
+    specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.010))
+    alpha = decide(specs, 0, 0.5, [0.010, 0.010], [None, 10_000],
+                   [0.002, 0.002], CPU2)[4]
+    assert alpha == 0.45
 
 
 def test_cover_demand_raises_to_lowest_covering_level():
-    assert cover_demand(0.45, 0.70, CPU2) == 0.92
-    assert cover_demand(0.5, 0.7, IDEAL) == 0.7
-    with pytest.raises(SchedulabilityError):
-        cover_demand(1.0, 1.01, CPU2)
+    # The same set with loop 2's 4 ms window in flight: 0.225 + 0.5 needs
+    # 0.92; a 2 ms window needs more than full speed.
+    specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.010))
+    base, work = [0.010, 0.010], [0.002, 0.002]
+    assert decide(specs, 0, 0.5, base, [None, 4_000], work, CPU2)[4] == 0.92
+    assert decide(specs, 0, 0.5, base, [None, 2_000], work, CPU2)[4] == 1.0
 
 
 def test_fit_period_fills_the_free_capacity():
-    # 2 ms of work beside a demand of 0.75 needs 8 ms
-    assert fit_period(0.002, 0.75, 0.040) == pytest.approx(0.008)
+    # Loop 1's 2 ms at 4 ms beside loop 2's window of 3 ms in 4 ms is 1.25
+    # of full speed: loop 1's period is lengthened to 8 ms, where its job
+    # fits the free quarter.
+    specs = (fixed(1, 0.002, 0.004, 0.040), fixed(2, 0.003, 0.012))
+    base, work = [0.004, 0.012], [0.002, 0.003]
+    _, periods, ticks, _, alpha = decide(specs, 0, 0.5, base, [None, 4_000],
+                                         work, IDEAL)
+    assert (ticks, periods[0], alpha) == (8_000, 0.008, 1.0)
     # capped at h_max when even that does not fit
-    assert fit_period(0.002, 0.99, 0.040) == 0.040
-    assert fit_period(0.002, 1.2, 0.040) == 0.040
+    for window in (3_100, 2_000):
+        _, periods, ticks, _, alpha = decide(specs, 0, 0.5, base,
+                                             [None, window], work, IDEAL)
+        assert (ticks, periods[0], alpha) == (40_000, 0.040, 1.0)
+
+
+def test_saturated_workload_runs_at_full_speed_without_reclaiming():
+    specs = (fixed(1, 0.006, 0.010), fixed(2, 0.006, 0.010))
+    base = [0.010, 0.010]
+    b, periods, ticks, ai, alpha = decide(specs, 1, 0.5, base, [None, None],
+                                          [0.006, 0.006], CPU2)
+    assert ai == pytest.approx(1.2)
+    assert alpha == 1.0
+    assert ticks == 10_000
+    assert periods == b == base
+
+
+def test_fixed_period_modes_keep_nominal_periods():
+    base = [t.h_max for t in TASKS]
+    for mode, expect in (("osdvs", NOMINAL_WORKLOAD), ("dvs-only", 1.0)):
+        b, periods, ticks, ai, alpha = decide(TASKS, 0, 0.0, base, NOT_RELEASED,
+                                              C_NOM, CPU1, mode)
+        assert b == periods == [t.h0 for t in TASKS]
+        assert ticks == 10_000
+        assert ai == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
+        assert alpha == pytest.approx(expect, rel=1e-12)
 
 
 # --- schedulability and construction checks --------------------------------

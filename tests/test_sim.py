@@ -7,6 +7,7 @@ idled while work was pending, and that each job was served its work.
 """
 
 import bisect
+import hashlib
 
 import pytest
 
@@ -415,6 +416,68 @@ def test_trace_row_counts(bench_runs):
 def test_all_loops_release_at_time_zero(bench_runs):
     for res in bench_runs.values():
         assert {j.task_id for j in res.jobs if j.release == 0} == {1, 2, 3, 4}
+
+
+def test_releases_at_one_tick_run_in_task_id_order():
+    sc = builtin_table1().with_(duration_s=0.1)
+    res = run_loop(sc.with_(loops=sc.loops[::-1]))
+    assert [j.task_id for j in res.jobs if j.release == 0] == [1, 2, 3, 4]
+
+
+# --- frozen outputs and work counters ----------------------------------------
+
+# SHA-256 of report.to_json(), the bytes of report.json.  Re-pin only where
+# a change to the model's numerics is the cause, and log old -> new.
+REPORT_SHA256 = {
+    "osdvs": "36fe312f6b212cc1916febb1cc492c842e70fef14b5d9841996fd825f2b7ffdb",
+    "cpu-1": "23bc157fef04ac525e4f86e1157ece9be9ee953283f1fce8c7fe5fd0f6c22c0a",
+    "cpu-2": "8a11d51a6adb3bd0c96e0b69eb2c2b9bec9b2cd0bc6a73203e6952edabf7a25a",
+    "cpu-3": "d95f87d9e925b43e4aba581907d7905c2268e7e1d0a48801b9ee36eaa290e06c",
+    "cpu-4": "a49f5d21a3621d2b685060228a2e39aa404bdc13526489ec9b2d1ea011fcd4f1",
+    "cpu-ideal": "13b66b063904555a8eb18524cb1a6ff57ea1ace530ff7eae289bf240dc01e17e",
+    "overload": "ead8a5eefbf34accaa9709ddf41553206eb2f03ce75cea8815e6e8707b44bd14",
+    "jitter-cpu4": "baeca7c9bbfac385ed89db55655d6d252111ea4beb6e54b6f9b413aaa151c8f4",
+}
+
+
+def report_sha256(res):
+    return hashlib.sha256(res.report.to_json().encode()).hexdigest()
+
+
+def test_reports_are_pinned(bench_runs, overload_scenario):
+    # The six canonical 12 s runs, the overload fixture, and a table1 run
+    # on cpu-4 with seeded jitter, switch stalls, 1 ms micro steps and a
+    # 10 ms trace.
+    jitter = builtin_table1(cpu=resolve_cpu("cpu-4")).with_(
+        c_jitter=0.2, seed=1, switch_overhead_us=50, micro_step_us=1000,
+        trace_cadence_ms=10.0)
+    got = {key: report_sha256(res) for key, res in bench_runs.items()}
+    got["overload"] = report_sha256(run_loop(overload_scenario))
+    got["jitter-cpu4"] = report_sha256(run_loop(jitter))
+    assert got == REPORT_SHA256
+
+
+def test_one_integrate_call_per_plant_advance(monkeypatch):
+    # Each advance is one kernel call that ends at the instant of the event
+    # that needs the plant: its own loop's release or completion, a
+    # reference step, or the end of the run.
+    calls = []
+    integrate = StateSpacePlant.integrate
+
+    def counted(plant, span_us, r=0.0):
+        integrate(plant, span_us, r)
+        calls.append((plant.label, span_us, plant.time_us))
+
+    monkeypatch.setattr(StateSpacePlant, "integrate", counted)
+    sc = builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0)
+    res = run_loop(sc)
+    common = {0, 1_000_000, 2_000_000}  # reference steps and the end
+    instants = {f"loop {lp.task.id}": set(common) for lp in sc.loops}
+    for j in res.jobs:
+        instants[f"loop {j.task_id}"].update((j.release, j.completion))
+    assert all(span > 0 and t in instants[label] for label, span, t in calls)
+    assert len(set((label, t) for label, _, t in calls)) == len(calls)
+    assert len(calls) == 1_348
 
 
 # --- degenerate scenarios --------------------------------------------------------
