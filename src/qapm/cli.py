@@ -21,8 +21,6 @@ from .scenario import (
 )
 from .sim import run_loop
 
-ENV_PREFIX = "QAPM_"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STRICT_MISS = 3
@@ -37,24 +35,15 @@ SWEEP_CASES = (
     ("cpu-ideal", "qapm", "cpu-ideal"),
 )
 
-
-class _EnvError(ValueError):
-    """A numeric ``QAPM_*`` variable that does not parse."""
-
-
-def _env(name: str, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
-
-
-def _env_num(name: str, kind):
-    v = _env(name)
-    if v is None:
-        return None
-    try:
-        return kind(v)
-    except ValueError:
-        raise _EnvError(f"{ENV_PREFIX}{name}: expected {kind.__name__}, "
-                        f"got {v!r}") from None
+# (command line attribute, scenario field) of each flag that overrides the
+# scenario's value when given
+_OVERRIDES = (
+    ("mode", "mode"),
+    ("duration", "duration_s"),
+    ("seed", "seed"),
+    ("trace_cadence", "trace_cadence_ms"),
+    ("micro_step", "micro_step_us"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,30 +60,25 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--scenario", help="scenario file (YAML)")
     src.add_argument("--builtin", choices=["table1"],
                      help="use the built-in four-loop benchmark")
-    run.add_argument("--cpu", default=_env("CPU"),
+    run.add_argument("--cpu",
                      help="CPU level set, a built-in name: "
                           f"{', '.join(sorted(builtin_cpus()))} "
                           "(default: scenario's)")
-    run.add_argument("--mode", choices=MODES, default=_env("MODE"),
+    run.add_argument("--mode", choices=MODES,
                      help="power management mode (default: scenario's)")
     run.add_argument("--duration", type=float,
-                     default=_env_num("DURATION", float),
                      help="run length in seconds")
-    run.add_argument("--seed", type=int, default=_env_num("SEED", int),
+    run.add_argument("--seed", type=int,
                      help="RNG seed for the execution-time jitter hook")
-    run.add_argument("--out", default=_env("OUT"),
+    run.add_argument("--out",
                      help="output directory (default: report to stdout only)")
     run.add_argument("--trace-cadence", type=float,
-                     default=_env_num("TRACE_CADENCE", float),
                      help="trace sample spacing in ms")
     run.add_argument("--micro-step", type=int,
-                     default=_env_num("MICRO_STEP", int),
                      help="plant integration micro step in us")
     run.add_argument("--svg", action="store_true",
-                     default=_env("SVG", "") not in ("", "0"),
                      help="also emit SVG charts of E(t) and h_i(t)")
     run.add_argument("--strict", action="store_true",
-                     default=_env("STRICT", "") not in ("", "0"),
                      help="exit with status 3 if any deadline is missed")
 
     sweep = sub.add_parser(
@@ -104,11 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ssrc.add_argument("--builtin", choices=["table1"])
     sweep.add_argument("--all-cpus", action="store_true", required=True,
                        help="osdvs plus the full scheme on each CPU set")
-    sweep.add_argument("--out", default=_env("OUT"), required=False,
-                       help="output directory (required)")
-    sweep.add_argument("--duration", type=float,
-                       default=_env_num("DURATION", float))
-    sweep.add_argument("--seed", type=int, default=_env_num("SEED", int))
+    sweep.add_argument("--out", required=True, help="output directory")
+    sweep.add_argument("--duration", type=float)
+    sweep.add_argument("--seed", type=int)
 
     val = sub.add_parser("validate", help="check a scenario file")
     val.add_argument("--scenario", required=True)
@@ -116,28 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Scenario:
-    if args.scenario:
-        sc = load_scenario(args.scenario)
-    else:
-        sc = builtin_table1()
-    return sc
-
-
-def _apply_overrides(sc: Scenario, args) -> Scenario:
-    kw = {}
+    """The scenario file or builtin with the settings given on the command
+    line; ``sweep`` has no flags for cpu, mode, trace cadence or micro step."""
+    sc = load_scenario(args.scenario) if args.scenario else builtin_table1()
+    kw = {field: getattr(args, flag, None) for flag, field in _OVERRIDES}
+    kw = {k: v for k, v in kw.items() if v is not None}
     if getattr(args, "cpu", None):
         kw["cpu"] = resolve_cpu(args.cpu)
-    if getattr(args, "mode", None):
-        kw["mode"] = args.mode
-    if getattr(args, "duration", None) is not None:
-        kw["duration_s"] = args.duration
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "trace_cadence", None) is not None:
-        kw["trace_cadence_ms"] = args.trace_cadence
-    if getattr(args, "micro_step", None) is not None:
-        kw["micro_step_us"] = args.micro_step
-    return sc.with_(**kw) if kw else sc
+    return sc.with_(**kw)
 
 
 def _emit_run(out_dir: str, sc: Scenario, result, svg: bool) -> None:
@@ -170,7 +138,7 @@ def _failed(exc: Exception, prefix: str) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        sc = _apply_overrides(_load(args), args)
+        sc = _load(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -193,9 +161,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.out:
-        print("error: sweep requires --out", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         base = _load(args)
     except (OSError, ValueError) as exc:
@@ -205,10 +170,6 @@ def _cmd_sweep(args) -> int:
     reports = {}
     for label, mode, cpu_name in SWEEP_CASES:
         sc = base.with_(mode=mode, cpu=cpus[cpu_name])
-        if args.duration is not None:
-            sc = sc.with_(duration_s=args.duration)
-        if args.seed is not None:
-            sc = sc.with_(seed=args.seed)
         try:
             result = run_loop(sc)
         except (ConfigurationError, DivergenceError) as exc:
@@ -246,12 +207,7 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = _build_parser()
-    except _EnvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "sweep":

@@ -13,10 +13,10 @@ reproduces ``s`` exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .pid import PidGains
-from .plant import TransferFunction
+from .plant import MAX_MICRO_STEP_US, TransferFunction
 from .policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec
 
 __all__ = [
@@ -160,8 +160,9 @@ def validate(sc: Scenario) -> list[str]:
             f"perturbation_s: must be a positive whole number of microseconds, "
             f"got {sc.perturbation_s}"
         )
-    if not 1 <= sc.micro_step_us <= 1000:
-        errors.append(f"micro_step_us: must be in [1, 1000], got {sc.micro_step_us}")
+    if not 1 <= sc.micro_step_us <= MAX_MICRO_STEP_US:
+        errors.append(f"micro_step_us: must be in [1, {MAX_MICRO_STEP_US}], "
+                      f"got {sc.micro_step_us}")
     if sc.trace_cadence_ms is not None and (
             sc.trace_cadence_ms <= 0
             or not _tick_exact(sc.trace_cadence_ms / 1000.0)):
@@ -231,6 +232,18 @@ def to_mapping(sc: Scenario) -> dict:
     }
 
 
+# The types each kind of field accepts.  An int is accepted, and converted,
+# where a float is expected; a bool, though an int, is no number here.
+_ACCEPTS = {
+    float: (int, float),
+    int: (int,),
+    bool: (bool,),
+    str: (str,),
+    list: (list,),
+    dict: (dict,),
+}
+
+
 class _MappingReader:
     """Pulls typed fields out of a nested dict, collecting path-tagged errors."""
 
@@ -243,35 +256,27 @@ class _MappingReader:
                 self.errors.append(f"{path}{key}: missing")
             return default
         v = m[key]
-        try:
-            if kind is float:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise TypeError
-                return float(v)
-            if kind is int:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise TypeError
-                return v
-            if kind is bool:
-                if not isinstance(v, bool):
-                    raise TypeError
-                return v
-            if kind is str:
-                if not isinstance(v, str):
-                    raise TypeError
-                return v
-            if kind is list:
-                if not isinstance(v, list):
-                    raise TypeError
-                return v
-            if kind is dict:
-                if not isinstance(v, dict):
-                    raise TypeError
-                return v
-        except TypeError:
+        if not isinstance(v, _ACCEPTS[kind]) or (
+                isinstance(v, bool) and kind is not bool):
             self.errors.append(f"{path}{key}: expected {kind.__name__}, got {v!r}")
             return default
-        raise AssertionError(kind)
+        return float(v) if kind is float else v
+
+
+# The top-level scalar fields of a scenario file, in reading order, and the
+# kind each holds; a missing one takes the `Scenario` default.
+_SCALARS = (
+    ("mode", str),
+    ("duration_s", float),
+    ("perturbation_s", float),
+    ("micro_step_us", int),
+    ("trace_cadence_ms", float),
+    ("seed", int),
+    ("c_jitter", float),
+    ("switch_overhead_us", int),
+)
+_DEFAULTS = {f.name: f.default for f in fields(Scenario)
+             if f.default is not MISSING}
 
 
 def from_mapping(m: dict) -> Scenario:
@@ -283,16 +288,12 @@ def from_mapping(m: dict) -> Scenario:
     r = _MappingReader(errors)
 
     name = r.get(m, "", "name", str, default="scenario")
-    mode = r.get(m, "", "mode", str, default="qapm")
-    duration_s = r.get(m, "", "duration_s", float, default=12.0)
-    perturbation_s = r.get(m, "", "perturbation_s", float, default=1.0)
-    micro_step_us = r.get(m, "", "micro_step_us", int, default=100)
-    trace_cadence_ms = (
-        None if m.get("trace_cadence_ms", 1.0) is None
-        else r.get(m, "", "trace_cadence_ms", float, default=1.0))
-    seed = r.get(m, "", "seed", int, default=0)
-    c_jitter = r.get(m, "", "c_jitter", float, default=0.0)
-    switch_overhead_us = r.get(m, "", "switch_overhead_us", int, default=0)
+    scalars = {}
+    for key, kind in _SCALARS:
+        if key == "trace_cadence_ms" and key in m and m[key] is None:
+            scalars[key] = None  # records no trace
+        else:
+            scalars[key] = r.get(m, "", key, kind, default=_DEFAULTS[key])
 
     cpu = resolve_cpu("cpu-ideal")
     cpu_field = m.get("cpu", "cpu-ideal")
@@ -315,7 +316,7 @@ def from_mapping(m: dict) -> Scenario:
     else:
         errors.append(f"cpu: expected name or mapping, got {cpu_field!r}")
 
-    default_adapt = {"beta": 40.0, "e_min": 0.02, "e_max": 0.3}
+    default_adapt = asdict(_ADAPT)
     adapt_m = r.get(m, "", "adaptation", dict, default=None)
     if adapt_m is not None:
         for k in default_adapt:
@@ -373,19 +374,7 @@ def from_mapping(m: dict) -> Scenario:
     if errors:
         raise ConfigurationError("; ".join(errors))
 
-    sc = Scenario(
-        name=name,
-        loops=tuple(loops),
-        cpu=cpu,
-        mode=mode,
-        duration_s=duration_s,
-        perturbation_s=perturbation_s,
-        micro_step_us=micro_step_us,
-        trace_cadence_ms=trace_cadence_ms,
-        seed=seed,
-        c_jitter=c_jitter,
-        switch_overhead_us=switch_overhead_us,
-    )
+    sc = Scenario(name=name, loops=tuple(loops), cpu=cpu, **scalars)
     problems = validate(sc)
     if problems:
         raise ConfigurationError("; ".join(problems))

@@ -227,12 +227,6 @@ class Simulator:
         # floor; the sub-tick residue is forgiven
         self.done_at = base + int(job.remaining / self.energy.alpha * 1e6)
 
-    def _check_deadlines(self):
-        for job in self.ready:
-            if not job.missed and job.deadline < self.now and job.remaining > 0.0:
-                job.missed = True
-                self.misses += 1
-
     # -- policy ----------------------------------------------------------
 
     def _request_alpha(self, alpha: float):
@@ -304,7 +298,7 @@ class Simulator:
             )
         job.remaining = 0.0
         job.completion = self.now
-        if not job.missed and self.now > job.deadline:
+        if self.now > job.deadline:
             job.missed = True
             self.misses += 1
         self.ready.remove(job)
@@ -375,7 +369,6 @@ class Simulator:
                 break
             if tick > self.now:
                 self._advance_to(tick)
-                self._check_deadlines()
             if kind == PRI_COMPLETION:
                 self._on_completion()
             elif kind == PRI_REF_STEP:
@@ -385,7 +378,12 @@ class Simulator:
             self._dispatch()
         if self.now < self.end_tick:
             self._advance_to(self.end_tick)
-            self._check_deadlines()
+        # jobs left unfinished past their deadline; the rest were counted
+        # when they completed
+        for job in self.ready:
+            if job.deadline < self.end_tick and job.remaining > 0.0:
+                job.missed = True
+                self.misses += 1
         for lr in self.loops:
             self._advance_plant(lr, self.end_tick)
         return self._finalize()

@@ -118,7 +118,7 @@ def test_criterion_5_zero_deadline_misses(bench_runs, capsys):
         f"{total} deadline misses over the six 12 s runs"
         + (f" ({offenders}); a miss means the demand released into some "
            f"interval exceeded the speed there, which the power manager's "
-           f"in-flight demand check (qapm.policy.in_flight_demand, applied "
+           f"in-flight demand check (qapm.policy.decide, applied "
            f"in qapm.sim) is meant to rule out"
            if total else "")
     )

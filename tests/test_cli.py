@@ -17,15 +17,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     # the package under test, also when pytest alone put src/ on its path
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    env.pop("QAPM_MODE", None)
-    env.pop("QAPM_CPU", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           env=env)
 
@@ -134,14 +130,6 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def test_env_variable_overrides_mode(tmp_path):
-    out = tmp_path / "env"
-    p = run_cli("run", "--builtin", "table1", "--duration", "1",
-                "--out", str(out), env_extra={"QAPM_MODE": "osdvs"})
-    assert p.returncode == 0, p.stderr
-    assert json.loads((out / "report.json").read_text())["mode"] == "osdvs"
-
-
 def test_validate_ok(tmp_path):
     out = tmp_path / "run"
     run_cli("run", "--builtin", "table1", "--duration", "1", "--out", str(out))
@@ -183,11 +171,11 @@ def test_sweep_emits_summary_table(tmp_path):
     assert set(summary) == set(cases)
 
 
-def test_malformed_numeric_env_variable_is_config_error():
-    for name, value in (("QAPM_DURATION", "abc"), ("QAPM_SEED", "1.5")):
-        p = run_cli("run", "--builtin", "table1", env_extra={name: value})
-        assert p.returncode == 2, (name, p.stderr)
-        assert name in p.stderr and "Traceback" not in p.stderr
+def test_sweep_without_out_is_usage_error():
+    p = run_cli("sweep", "--builtin", "table1", "--all-cpus")
+    assert p.returncode == 2
+    assert "--out" in p.stderr
+    assert p.stdout == ""
 
 
 def test_diverging_plant_exits_4_naming_loop_and_time(tmp_path):
