@@ -114,12 +114,11 @@ def _emit_run(out_dir: str, sc: Scenario, result, svg: bool) -> None:
     result.trace.write_csv(os.path.join(out_dir, "trace.csv"))
     result.report.write_json(os.path.join(out_dir, "report.json"))
     if svg:
-        rows = result.trace.rows
-        energy = {"E(t)": [(r[0], r[8]) for r in rows if r[1] == sc.loops[0].task.id]}
-        periods = {}
-        for lp in sc.loops:
-            periods[f"h{lp.task.id}"] = [
-                (r[0], r[6]) for r in rows if r[1] == lp.task.id]
+        visits = result.trace.visits
+        times = [v[0] for v in visits]
+        energy = {"E(t)": [(v[0], v[3]) for v in visits]}
+        periods = {f"h{lid}": list(zip(times, h))
+                   for lid, _, _, h in result.trace.loops}
         with open(os.path.join(out_dir, "energy.svg"), "w") as f:
             f.write(line_chart_svg(energy, "instantaneous energy draw",
                                    "t [s]", "alpha^2"))

@@ -3,13 +3,17 @@
 IAE is accumulated by each plant at micro-step resolution (see
 `plant.StateSpacePlant`) and read into the report.  Energy is integrated
 exactly: the speed is piecewise constant between policy decisions, so the
-integral is a finite sum over the recorded speed-change list.
+integral is a finite sum over the recorded speed-change list.  The trace
+is held by column, as the simulator recorded it, and written to CSV from
+the columns; its rows are built only when asked for.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import sub
 
 __all__ = [
     "EnergyAccumulator",
@@ -66,24 +70,52 @@ class EnergyAccumulator:
 
 
 class TraceRecorder:
-    """Holds trace rows, tuples in `TRACE_COLUMNS` order, and writes the
-    CSV file."""
+    """The trace of a run by column, rows in `TRACE_COLUMNS` order.
 
-    def __init__(self):
-        self.rows: list[tuple] = []
+    ``visits`` holds (time_s, r, alpha, energy draw) per trace visit, and
+    ``loops`` holds (loop id, y, u, h_eff_ms) per loop, each of the three
+    lists one value per visit.  Row k * len(loops) + i is loop i's at visit
+    k, with e = r - y.
+    """
+
+    def __init__(self, visits, loops):
+        self.visits = visits
+        self.loops = loops
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The rows as tuples, built on each read."""
+        if not self.visits:
+            return []
+        t, r, alpha, energy = zip(*self.visits)
+        per_loop = [
+            zip(t, repeat(lid), r, y, map(sub, r, y), u, h, alpha, energy)
+            for lid, y, u, h in self.loops
+        ]
+        return list(chain.from_iterable(zip(*per_loop)))
 
     def write_csv(self, path) -> None:
         """The rows as `csv.writer` writes them: each float in its shortest
         round-trip form, CRLF line ends, no quoting (no field needs it)."""
-        # t, r, alpha and the energy draw repeat across the loops of a
-        # sample tick, u and h_eff across ticks; y and e rarely repeat.
+        # t, r, alpha and the energy draw are formatted once per visit, u
+        # and h_eff once per distinct value; y and e rarely repeat.
         text = _FloatText()
+        r = [v[1] for v in self.visits]
+        heads = [repr(v[0]) for v in self.visits]
+        mids = [repr(x) for x in r]
+        tails = [f"{text[v[2]]},{text[v[3]]}\r\n" for v in self.visits]
+        # One lazy line stream per loop, so no list of lines is held; the
+        # loop id goes in through zip, which binds it when the stream is made.
+        per_loop = [
+            (f"{t},{i},{rt},{yk!r},{rk - yk!r},{text[uk]},{text[hk]},{tail}"
+             for t, i, rt, rk, yk, uk, hk, tail
+             in zip(heads, repeat(lid), mids, r, y, u, h, tails))
+            for lid, y, u, h in self.loops
+        ]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-            fh.writelines(
-                f"{text[t]},{loop},{text[r]},{y!r},{e!r},{text[u]},"
-                f"{text[h]},{text[alpha]},{text[energy]}\r\n"
-                for t, loop, r, y, e, u, h, alpha, energy in self.rows)
+            # in order of visit, then loop
+            fh.writelines(chain.from_iterable(zip(*per_loop)))
 
 
 class _FloatText(dict):

@@ -68,6 +68,10 @@ class AdaptationParams:
             raise ConfigurationError(
                 f"need 0 <= e_min < e_max, got e_min={self.e_min} e_max={self.e_max}"
             )
+        # The ends of the exponential interpolation, fixed per parameter
+        # set; not fields, so not in repr, eq or the constructor.
+        object.__setattr__(self, "_exp_lo", math.exp(-self.beta * self.e_max))
+        object.__setattr__(self, "_exp_hi", math.exp(-self.beta * self.e_min))
 
 
 @dataclass(frozen=True)
@@ -145,9 +149,8 @@ def period_scale_factor(e: float, spec: TaskSpec) -> float:
         return ratio
     if e >= p.e_max:
         return 1.0
-    lo = math.exp(-p.beta * p.e_max)
-    hi = math.exp(-p.beta * p.e_min)
-    w = (math.exp(-p.beta * e) - lo) / (hi - lo)
+    lo = p._exp_lo
+    w = (math.exp(-p.beta * e) - lo) / (p._exp_hi - lo)
     return w * (ratio - 1.0) + 1.0
 
 

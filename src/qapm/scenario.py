@@ -13,6 +13,7 @@ reproduces ``s`` exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .pid import PidGains
@@ -260,7 +261,13 @@ class _MappingReader:
                 isinstance(v, bool) and kind is not bool):
             self.errors.append(f"{path}{key}: expected {kind.__name__}, got {v!r}")
             return default
-        return float(v) if kind is float else v
+        if kind is float:
+            try:
+                return float(v)
+            except OverflowError:
+                self.errors.append(f"{path}{key}: integer out of float range")
+                return default
+        return v
 
 
 # The top-level scalar fields of a scenario file, in reading order, and the
@@ -311,7 +318,7 @@ def from_mapping(m: dict) -> Scenario:
                 ideal=r.get(cm, "cpu.", "ideal", bool, default=False),
                 name=r.get(cm, "cpu.", "name", str, default="custom"),
             )
-        except (ConfigurationError, TypeError, ValueError) as exc:
+        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
             errors.append(f"cpu.levels: {exc}")
     else:
         errors.append(f"cpu: expected name or mapping, got {cpu_field!r}")
@@ -350,7 +357,7 @@ def from_mapping(m: dict) -> Scenario:
                 den=tuple(float(v) for v in r.get(plant_m, path + "plant.", "den",
                                                   list, default=[], required=True)),
             )
-        except (ConfigurationError, TypeError, ValueError) as exc:
+        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
             errors.append(f"{path}plant: {exc}")
             continue
         try:
@@ -397,7 +404,73 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path) -> None:
-    import yaml
+    """Write ``to_mapping(sc)`` as ``yaml.safe_dump(m, sort_keys=False)``
+    writes it; PyYAML is imported only for a string it would quote."""
+    m = to_mapping(sc)
+    try:
+        text = "".join(_block(m, ""))
+    except _NeedsYaml:
+        import yaml
 
+        text = yaml.safe_dump(m, sort_keys=False)
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(to_mapping(sc), fh, sort_keys=False)
+        fh.write(text)
+
+
+# --- the block-style YAML writer ------------------------------------------
+#
+# It writes what `to_mapping` holds: mappings, lists of scalars or of
+# mappings, None, bools, ints, floats and plain strings.  A string is plain
+# when it is an identifier-like word that YAML 1.1 does not read as a bool
+# or null.  Any other value raises `_NeedsYaml` and PyYAML writes the file.
+
+_PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+_YAML11_WORDS = frozenset(("yes", "no", "on", "off", "true", "false", "null"))
+
+
+class _NeedsYaml(Exception):
+    """A value the block writer does not cover."""
+
+
+def _scalar(v) -> str:
+    kind = type(v)
+    if v is None:
+        return "null"
+    if kind is bool:
+        return "true" if v else "false"
+    if kind is int:
+        return str(v)
+    if kind is float:
+        if v != v:
+            return ".nan"
+        if v in (math.inf, -math.inf):
+            return ".inf" if v > 0 else "-.inf"
+        text = repr(v).lower()
+        if "." not in text and "e" in text:
+            text = text.replace("e", ".0e", 1)  # 1e17 -> 1.0e17
+        return text
+    if kind is str and _PLAIN.fullmatch(v) and v.lower() not in _YAML11_WORDS:
+        return v
+    if kind is list and not v:
+        return "[]"
+    raise _NeedsYaml(v)
+
+
+def _block(m: dict, pad: str):
+    """Lines of the non-empty mapping ``m``, its keys at indent ``pad``."""
+    for k, v in m.items():
+        if type(v) is dict and v:
+            yield f"{pad}{k}:\n"
+            yield from _block(v, pad + "  ")
+        elif type(v) is list and v:
+            yield f"{pad}{k}:\n"
+            for item in v:
+                if type(item) is dict and item:
+                    # the first key goes on the dash's line
+                    lines = _block(item, pad + "  ")
+                    yield pad + "- " + next(lines)[len(pad) + 2:]
+                    yield from lines
+                else:
+                    yield f"{pad}- {_scalar(item)}\n"
+        else:
+            yield f"{pad}{k}: {_scalar(v)}\n"

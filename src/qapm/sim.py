@@ -22,11 +22,12 @@ The trace has one row per loop at every multiple of ``trace_cadence_ms``
 up to the end of the run.  A trace visit at tick t records what the
 simulator holds then (r, u, h_eff, alpha and the energy draw) and advances
 no plant.  Each plant writes its own y(t) while it integrates across t (see
-`plant.StateSpacePlant`), and the rows, with e = r - y, are assembled when
-the run ends.  The trace therefore touches neither the step partition nor
-the job accounting nor the dispatcher, so every result but the trace
-itself is the same at any trace cadence.  A cadence of None records no
-trace at all.
+`plant.StateSpacePlant`).  The run hands these lists, uncopied, to a
+`metrics.TraceRecorder` as columns; rows, with e = r - y, are formed only
+when the trace is written or read.  The trace therefore touches neither
+the step partition nor the job accounting nor the dispatcher, so every
+result but the trace itself is the same at any trace cadence.  A cadence
+of None records no trace at all.
 
 Each release makes one power-manager decision, `policy.decide`, from the
 simulator's plain lists: the adapted base periods, each loop's last drawn
@@ -51,8 +52,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import sub
 
 from .metrics import EnergyAccumulator, RunReport, TraceRecorder
 from .pid import Pid
@@ -388,27 +387,6 @@ class Simulator:
             self._advance_plant(lr, self.end_tick)
         return self._finalize()
 
-    def _trace_rows(self) -> list[tuple]:
-        """One row per visit and loop, the visit's values with the y the
-        loop's plant wrote at that instant and e = r - y."""
-        visits = self.trace_visits
-        for lr in self.loops:
-            if len(lr.plant.samples) != len(visits):
-                raise RuntimeError(
-                    f"{lr.plant.label}: {len(lr.plant.samples)} trace samples "
-                    f"for {len(visits)} visits")
-        if not visits:
-            return []
-        t_s, r, alpha, e_inst = zip(*visits)
-        per_loop = [
-            zip(t_s, repeat(lr.task.id), r, lr.plant.samples,
-                map(sub, r, lr.plant.samples), lr.trace_u, lr.trace_h_ms,
-                alpha, e_inst)
-            for lr in self.loops
-        ]
-        # in order of tick, then loop
-        return list(chain.from_iterable(zip(*per_loop)))
-
     def _finalize(self) -> SimResult:
         if self.running is not None and self.seg_start < self.now:
             self.segments.append((self.seg_start, self.now, self.running.task_id))
@@ -427,8 +405,15 @@ class Simulator:
                     "min": 0.0, "max": 0.0, "mean": 0.0, "count": 0,
                 }
         j = {lr.task.id: lr.plant.iae for lr in self.loops}
-        trace = TraceRecorder()
-        trace.rows = self._trace_rows()
+        visits = self.trace_visits
+        for lr in self.loops:
+            if len(lr.plant.samples) != len(visits):
+                raise RuntimeError(
+                    f"{lr.plant.label}: {len(lr.plant.samples)} trace samples "
+                    f"for {len(visits)} visits")
+        trace = TraceRecorder(visits, [
+            (lr.task.id, lr.plant.samples, lr.trace_u, lr.trace_h_ms)
+            for lr in self.loops])
         report = RunReport(
             scenario=self.sc.name,
             mode=self.sc.mode,

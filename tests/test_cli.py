@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -150,6 +151,61 @@ def test_validate_rejects_broken_file(tmp_path):
     p = run_cli("validate", "--scenario", str(bad))
     assert p.returncode == 2
     assert p.stderr.startswith("error: trace_cadence_ms: "), p.stderr
+
+
+def test_out_of_range_integer_is_config_error(tmp_path):
+    # An integer too large for a float, where a float is read, is a
+    # configuration error tagged with its field, not a traceback.
+    big = "1" * 401
+    path = tmp_path / "big.yaml"
+    save_scenario(builtin_table1(), path)
+    text = path.read_text()
+    for old, new, field in (
+            ("duration_s: 12.0", f"duration_s: {big}", "duration_s: "),
+            ("    kp: 10000.0", f"    kp: {big}", "loops[0].gains.kp: "),
+            ("    - 1000.0", f"    - {big}", "loops[0].plant: "),
+            ("  levels:\n  - 1.0", f"  levels:\n  - {big}", "cpu.levels: ")):
+        path.write_text(text.replace(old, new, 1))
+        p = run_cli("validate", "--scenario", str(path))
+        assert p.returncode == 2, p.stderr
+        assert p.stderr.startswith("error: " + field), p.stderr
+        assert "Traceback" not in p.stderr
+
+
+# SHA-256 of the files `run --builtin table1 --cpu cpu-2 --duration 2 --out`
+# writes.  Re-pin only where a change to the model's numerics or to the file
+# layout is the cause, and log old -> new.
+RUN_FILES_SHA256 = {
+    "scenario.yaml": "0e8bfb62a2affba757237a7b297bc0c9de1683639fdbb8463646c17d080856f8",
+    "trace.csv": "65242a2f28ad91b225a57d38ac7bcf2e25266916c86f230565f38c6d95ea563d",
+}
+
+
+def test_run_files_are_pinned(tmp_path):
+    out = tmp_path / "run"
+    p = run_cli("run", "--builtin", "table1", "--cpu", "cpu-2",
+                "--duration", "2", "--out", str(out))
+    assert p.returncode == 0, p.stderr
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in RUN_FILES_SHA256}
+    assert got == RUN_FILES_SHA256
+
+
+def test_builtin_runs_do_not_import_yaml(tmp_path):
+    # Writing scenario.yaml for a builtin scenario needs no YAML library.
+    for args in (["run", "--builtin", "table1", "--duration", "0.1",
+                  "--out", str(tmp_path / "run")],
+                 ["sweep", "--builtin", "table1", "--all-cpus",
+                  "--duration", "0.1", "--out", str(tmp_path / "sweep")]):
+        code = ("import sys; from qapm.cli import main; rc = main(sys.argv[1:]); "
+                "print('yaml' in sys.modules); sys.exit(rc)")
+        p = subprocess.run([sys.executable, "-c", code, *args],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=SRC))
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.splitlines()[-1] == "False", args
+    assert (tmp_path / "run" / "scenario.yaml").is_file()
+    assert (tmp_path / "sweep" / "cpu-4" / "scenario.yaml").is_file()
 
 
 def test_sweep_emits_summary_table(tmp_path):

@@ -100,19 +100,30 @@ def test_sig6():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    rec = TraceRecorder()
-    rec.rows = [
-        (0.001, 1, 1.0, 0.25, 0.75, 12.5, 10.0, 0.5, 0.25),
-        (0.002, 2, 1.0, 0.3333333333333333, 2.0 / 3.0, -1.0, 7.0, 1.0, 1.0),
-    ]
+    # two visits of two loops: (time_s, r, alpha, energy draw) per visit,
+    # (loop id, y, u, h_eff_ms) per loop
+    rec = TraceRecorder(
+        [(0.001, 1.0, 0.5, 0.25), (0.002, 0.0, 1.0, 1.0)],
+        [(1, [0.25, -0.0], [12.5, 12.5], [10.0, 10.0]),
+         (2, [0.3333333333333333, 0.1], [-1.0, 0.0], [7.0, 8.0])],
+    )
     path = tmp_path / "trace.csv"
     rec.write_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(TRACE_COLUMNS)
-    assert len(rows) == 3
-    # floats are written with repr, so they parse back exactly
+    assert len(rows) == 5
+    # rows in order of visit, then loop, e = r - y; floats are written
+    # with repr, so they parse back exactly
+    assert [(float(t), int(loop)) for t, loop, *_ in rows[1:]] == [
+        (0.001, 1), (0.001, 2), (0.002, 1), (0.002, 2)]
     assert float(rows[2][3]) == 0.3333333333333333
+    assert rows[3][3:5] == ["-0.0", "0.0"]
+    parsed = [(float(row[0]), int(row[1]), *map(float, row[2:]))
+              for row in rows[1:]]
+    assert parsed == rec.rows
+    assert rec.rows[1][4] == 1.0 - 0.3333333333333333
+    assert TraceRecorder([], [(1, [], [], [])]).rows == []
 
 
 def make_report():

@@ -66,6 +66,23 @@ def test_scale_factor_interior_oracle():
     )
 
 
+def test_scale_factor_equals_the_formula_bit_for_bit():
+    # The interpolation's ends are computed once per parameter set, from
+    # the same expressions as the factor's own, so the result is the same
+    # float as the formula written out in full.
+    rng = random.Random(9)
+    for _ in range(2_000):
+        p = AdaptationParams(rng.uniform(0.5, 120.0), rng.uniform(0.0, 0.2),
+                             rng.uniform(0.25, 0.6))
+        spec = TaskSpec(1, 1.0, 10.0, 10.0 * rng.uniform(1.0, 12.0), p)
+        e = rng.uniform(p.e_min, p.e_max)
+        lo, hi = math.exp(-p.beta * p.e_max), math.exp(-p.beta * p.e_min)
+        w = (math.exp(-p.beta * e) - lo) / (hi - lo)
+        assert period_scale_factor(e, spec) == w * (spec.stretch_limit - 1.0) + 1.0
+    assert repr(ADAPT) == "AdaptationParams(beta=40.0, e_min=0.02, e_max=0.3)"
+    assert ADAPT == AdaptationParams(40.0, 0.02, 0.3)
+
+
 def test_adapt_period_scales_h0_and_stays_in_range():
     assert adapt_period(0.10, TASKS[0]) == pytest.approx(0.011222472609799167)
     assert adapt_period(0.0, TASKS[0]) == 0.040

@@ -1,8 +1,13 @@
 """Scenario assembly, builtin benchmark, validation, YAML persistence."""
 
-import pytest
+import dataclasses
+import math
 
-from qapm.policy import ConfigurationError
+import pytest
+import yaml
+
+from qapm.pid import PidGains
+from qapm.policy import ConfigurationError, CpuLevels
 from qapm.scenario import (
     MODES,
     builtin_cpus,
@@ -153,6 +158,40 @@ def test_null_trace_cadence_round_trips(tmp_path):
     save_scenario(sc, path)
     assert "trace_cadence_ms: null" in path.read_text()
     assert load_scenario(path) == sc
+
+
+def _writer_cases():
+    """(label, scenario) pairs covering every value kind `to_mapping` holds."""
+    for cpu in builtin_cpus().values():
+        for mode in MODES:
+            yield f"{cpu.name}/{mode}", builtin_table1(cpu=cpu, mode=mode)
+    sc = builtin_table1(cpu=resolve_cpu("cpu-4"))
+    yield "jitter-cpu4", sc.with_(
+        name="table1-jitter", c_jitter=0.2, seed=1, switch_overhead_us=50,
+        micro_step_us=1000, trace_cadence_ms=10.0)
+    yield "null cadence", sc.with_(trace_cadence_ms=None)
+    yield "ints in float fields", sc.with_(
+        duration_s=2, perturbation_s=1, c_jitter=0,
+        cpu=CpuLevels((0.5, 1), name="two-level"))
+    lp = sc.loops[0]
+    odd = dataclasses.replace(
+        lp, gains=PidGains(kp=1e17, ki=math.inf, kd=-math.inf))
+    yield "odd floats", sc.with_(
+        c_jitter=1e-05, duration_s=1e17, perturbation_s=math.inf,
+        trace_cadence_ms=math.nan, loops=(odd,) + sc.loops[1:])
+    yield "no loops", sc.with_(loops=())
+    for name in ("yes", "a: b", "\u00e9", "Off", "NULL", "1x", "x y", ""):
+        yield f"name {name!r}", sc.with_(name=name)
+        yield f"cpu name {name!r}", sc.with_(
+            cpu=CpuLevels((0.5, 1.0), name=name))
+
+
+def test_saved_file_is_what_pyyaml_writes(tmp_path):
+    path = tmp_path / "s.yaml"
+    for label, sc in _writer_cases():
+        save_scenario(sc, path)
+        expected = yaml.safe_dump(to_mapping(sc), sort_keys=False)
+        assert path.read_text(encoding="utf-8") == expected, label
 
 
 def test_from_mapping_reports_field_paths():
