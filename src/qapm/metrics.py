@@ -11,7 +11,6 @@ the columns; its rows are built only when asked for.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import sub
 
@@ -129,25 +128,30 @@ class _FloatText(dict):
         return text
 
 
-@dataclass
 class RunReport:
     """Everything measured over one run; immutable once built."""
 
-    scenario: str
-    mode: str
-    cpu: str
-    duration_s: float
-    seed: int
-    j: dict[int, float]
-    j_sum: float
-    e_avg: float | None
-    energy_integral: float
-    misses: int
-    period_stats_ms: dict[int, dict[str, float]]
-    # (time_s, alpha_ideal, alpha) per policy invocation
-    utilization: list[tuple[float, float, float]] = field(default_factory=list)
-    # (tick, alpha) per actual speed change, tick 0 included
-    speed_changes: list[tuple[int, float]] = field(default_factory=list)
+    def __init__(self, scenario: str, mode: str, cpu: str, duration_s: float,
+                 seed: int, j: dict[int, float], j_sum: float,
+                 e_avg: float | None, energy_integral: float, misses: int,
+                 period_stats_ms: dict[int, dict[str, float]],
+                 utilization: list[tuple[float, float, float]] | None = None,
+                 speed_changes: list[tuple[int, float]] | None = None):
+        self.scenario = scenario
+        self.mode = mode
+        self.cpu = cpu
+        self.duration_s = duration_s
+        self.seed = seed
+        self.j = j
+        self.j_sum = j_sum
+        self.e_avg = e_avg
+        self.energy_integral = energy_integral
+        self.misses = misses
+        self.period_stats_ms = period_stats_ms
+        # (time_s, alpha_ideal, alpha) per policy invocation
+        self.utilization = [] if utilization is None else utilization
+        # (tick, alpha) per actual speed change, tick 0 included
+        self.speed_changes = [] if speed_changes is None else speed_changes
 
     def to_json_dict(self) -> dict:
         return {

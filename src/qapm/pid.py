@@ -7,24 +7,19 @@ integral and derivative weights on the very next job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .policy import ConfigurationError
+from .policy import ConfigurationError, Value
 
 __all__ = ["PidGains", "Pid"]
 
 
-@dataclass(frozen=True)
-class PidGains:
-    kp: float
-    ki: float
-    kd: float
+class PidGains(Value):
+    _fields = ("kp", "ki", "kd")
 
-    def __post_init__(self):
-        for name in ("kp", "ki", "kd"):
-            v = getattr(self, name)
+    def __init__(self, kp: float, ki: float, kd: float):
+        for name, v in zip(self._fields, (kp, ki, kd)):
             if not isinstance(v, (int, float)) or v != v:
                 raise ConfigurationError(f"gain {name} must be a number, got {v!r}")
+        self._set(kp=kp, ki=ki, kd=kd)
 
 
 class Pid:

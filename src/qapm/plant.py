@@ -14,9 +14,8 @@ plant of that order; each plant binds it to its own coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .policy import ConfigurationError
+from .policy import ConfigurationError, Value
 
 __all__ = [
     "TransferFunction",
@@ -35,30 +34,26 @@ class DivergenceError(ArithmeticError):
     """Plant state became non-finite during integration."""
 
 
-@dataclass(frozen=True)
-class TransferFunction:
+class TransferFunction(Value):
     """SISO transfer function, coefficients in ascending powers of s.
 
     Must be strictly proper: numerator degree below denominator degree.
     """
 
-    num: tuple[float, ...]
-    den: tuple[float, ...]
+    _fields = ("num", "den")
 
-    def __post_init__(self):
-        num = _strip(self.num)
-        den = _strip(self.den)
-        if not den or len(den) < 2:
-            raise ConfigurationError(f"denominator degree must be >= 1: {self.den}")
-        if not num:
+    def __init__(self, num, den):
+        n, d = _strip(num), _strip(den)
+        if len(d) < 2:
+            raise ConfigurationError(f"denominator degree must be >= 1: {den}")
+        if not n:
             raise ConfigurationError("numerator is zero")
-        if len(num) >= len(den):
+        if len(n) >= len(d):
             raise ConfigurationError(
                 f"transfer function not strictly proper: num degree "
-                f"{len(num) - 1} >= den degree {len(den) - 1}"
+                f"{len(n) - 1} >= den degree {len(d) - 1}"
             )
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(num=n, den=d)
 
     @property
     def order(self) -> int:

@@ -16,10 +16,10 @@ mutable state, safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
+    "Value",
     "AdaptationParams",
     "TaskSpec",
     "CpuLevels",
@@ -48,8 +48,48 @@ class SchedulabilityError(ValueError):
     """The requested workload cannot be scheduled at any available speed."""
 
 
-@dataclass(frozen=True)
-class AdaptationParams:
+class Value:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in ``_fields``, in the order its
+    ``__init__`` takes them, and stores them with ``_set``.  Equality,
+    hashing, repr, `with_`, copy and pickle go by type and those fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({args})"
+
+    def with_(self, **changes):
+        """A copy with ``changes`` applied, checked as a new value is."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AdaptationParams(Value):
     """Error thresholds and exponent gain for period adaptation.
 
     Below ``e_min`` the period jumps to its maximum, above ``e_max`` it is
@@ -57,25 +97,23 @@ class AdaptationParams:
     exponentially with steepness ``beta``.
     """
 
-    beta: float
-    e_min: float
-    e_max: float
+    _fields = ("beta", "e_min", "e_max")
 
-    def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
-        if not (0 <= self.e_min < self.e_max):
+    def __init__(self, beta: float, e_min: float, e_max: float):
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ConfigurationError(f"beta must be positive, got {beta}")
+        if not (0 <= e_min < e_max):
             raise ConfigurationError(
-                f"need 0 <= e_min < e_max, got e_min={self.e_min} e_max={self.e_max}"
+                f"need 0 <= e_min < e_max, got e_min={e_min} e_max={e_max}"
             )
         # The ends of the exponential interpolation, fixed per parameter
         # set; not fields, so not in repr, eq or the constructor.
-        object.__setattr__(self, "_exp_lo", math.exp(-self.beta * self.e_max))
-        object.__setattr__(self, "_exp_hi", math.exp(-self.beta * self.e_min))
+        self._set(beta=beta, e_min=e_min, e_max=e_max,
+                  _exp_lo=math.exp(-beta * e_max),
+                  _exp_hi=math.exp(-beta * e_min))
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Value):
     """Static timing attributes of one control task.
 
     Time values are unit-agnostic; callers must just be consistent (the
@@ -83,18 +121,16 @@ class TaskSpec:
     speed; at speed ``alpha`` the task takes ``c_nom / alpha``.
     """
 
-    id: int
-    c_nom: float
-    h0: float
-    h_max: float
-    adaptation: AdaptationParams
+    _fields = ("id", "c_nom", "h0", "h_max", "adaptation")
 
-    def __post_init__(self):
-        if not (0 < self.c_nom <= self.h0 <= self.h_max):
+    def __init__(self, id: int, c_nom: float, h0: float, h_max: float,
+                 adaptation: AdaptationParams):
+        if not (0 < c_nom <= h0 <= h_max):
             raise ConfigurationError(
-                f"task {self.id}: need 0 < c_nom <= h0 <= h_max, "
-                f"got c_nom={self.c_nom} h0={self.h0} h_max={self.h_max}"
+                f"task {id}: need 0 < c_nom <= h0 <= h_max, "
+                f"got c_nom={c_nom} h0={h0} h_max={h_max}"
             )
+        self._set(id=id, c_nom=c_nom, h0=h0, h_max=h_max, adaptation=adaptation)
 
     @property
     def stretch_limit(self) -> float:
@@ -102,30 +138,27 @@ class TaskSpec:
         return self.h_max / self.h0
 
 
-@dataclass(frozen=True)
-class CpuLevels:
+class CpuLevels(Value):
     """The discrete set of normalized CPU speeds, highest always 1.0.
 
     With ``ideal=True`` the processor scales continuously over (0, 1] and
     ``levels`` is ignored by quantization.
     """
 
-    levels: tuple[float, ...]
-    ideal: bool = False
-    name: str = ""
+    _fields = ("levels", "ideal", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if self.ideal:
-            return
-        if not self.levels:
-            raise ConfigurationError("level set is empty")
-        if self.levels[0] <= 0:
-            raise ConfigurationError(f"levels must be positive, got {self.levels[0]}")
-        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
-            raise ConfigurationError(f"levels not strictly ascending: {self.levels}")
-        if self.levels[-1] != 1.0:
-            raise ConfigurationError(f"highest level must be 1.0, got {self.levels[-1]}")
+    def __init__(self, levels: Iterable[float], ideal: bool = False, name: str = ""):
+        levels = tuple(levels)
+        if not ideal:
+            if not levels:
+                raise ConfigurationError("level set is empty")
+            if levels[0] <= 0:
+                raise ConfigurationError(f"levels must be positive, got {levels[0]}")
+            if any(a >= b for a, b in zip(levels, levels[1:])):
+                raise ConfigurationError(f"levels not strictly ascending: {levels}")
+            if levels[-1] != 1.0:
+                raise ConfigurationError(f"highest level must be 1.0, got {levels[-1]}")
+        self._set(levels=levels, ideal=ideal, name=name)
 
     @property
     def floor(self) -> float:

@@ -7,18 +7,21 @@ never mutates them.
 
 File format is YAML with millisecond/microsecond-suffixed keys; see
 ``to_mapping`` for the exact layout.  ``load_scenario(save_scenario(s))``
-reproduces ``s`` exactly.
+reproduces ``s`` exactly.  Both directions handle the block layout that
+``yaml.safe_dump(m, sort_keys=False)`` writes themselves, so saving or
+loading such a file never imports PyYAML.  PyYAML reads every other file
+(comments, quotes, flow collections, other scalar forms or indents) and
+writes a name that needs quoting.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .pid import PidGains
 from .plant import MAX_MICRO_STEP_US, TransferFunction
-from .policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec
+from .policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec, Value
 
 __all__ = [
     "MODES",
@@ -40,37 +43,35 @@ MODES = ("qapm", "osdvs", "dvs-only")
 _ADAPT = AdaptationParams(beta=40.0, e_min=0.02, e_max=0.3)
 
 
-@dataclass(frozen=True)
-class LoopSpec:
+class LoopSpec(Value):
     """One control loop: timing spec, plant model, controller gains."""
 
-    task: TaskSpec
-    plant: TransferFunction
-    gains: PidGains
+    _fields = ("task", "plant", "gains")
+
+    def __init__(self, task: TaskSpec, plant: TransferFunction, gains: PidGains):
+        self._set(task=task, plant=plant, gains=gains)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    loops: tuple[LoopSpec, ...]
-    cpu: CpuLevels
-    mode: str = "qapm"
-    duration_s: float = 12.0
-    perturbation_s: float = 1.0
-    micro_step_us: int = 100
-    # None records no trace.
-    trace_cadence_ms: float | None = 1.0
-    seed: int = 0
-    # Per-job execution time factor drawn uniformly from
-    # [1 - c_jitter, 1 + c_jitter]; 0 disables the draw entirely.
-    c_jitter: float = 0.0
-    switch_overhead_us: int = 0
+class Scenario(Value):
+    _fields = ("name", "loops", "cpu", "mode", "duration_s", "perturbation_s",
+               "micro_step_us", "trace_cadence_ms", "seed", "c_jitter",
+               "switch_overhead_us")
 
-    def __post_init__(self):
-        object.__setattr__(self, "loops", tuple(self.loops))
-
-    def with_(self, **changes) -> "Scenario":
-        return replace(self, **changes)
+    def __init__(self, name: str, loops, cpu: CpuLevels, mode: str = "qapm",
+                 duration_s: float = 12.0, perturbation_s: float = 1.0,
+                 micro_step_us: int = 100,
+                 # None records no trace.
+                 trace_cadence_ms: float | None = 1.0,
+                 seed: int = 0,
+                 # Per-job execution time factor drawn uniformly from
+                 # [1 - c_jitter, 1 + c_jitter]; 0 disables the draw entirely.
+                 c_jitter: float = 0.0,
+                 switch_overhead_us: int = 0):
+        self._set(name=name, loops=tuple(loops), cpu=cpu, mode=mode,
+                  duration_s=duration_s, perturbation_s=perturbation_s,
+                  micro_step_us=micro_step_us,
+                  trace_cadence_ms=trace_cadence_ms, seed=seed,
+                  c_jitter=c_jitter, switch_overhead_us=switch_overhead_us)
 
 
 def builtin_cpus() -> dict[str, CpuLevels]:
@@ -282,8 +283,8 @@ _SCALARS = (
     ("c_jitter", float),
     ("switch_overhead_us", int),
 )
-_DEFAULTS = {f.name: f.default for f in fields(Scenario)
-             if f.default is not MISSING}
+# Every field after name, loops and cpu has a default.
+_DEFAULTS = dict(zip(Scenario._fields[3:], Scenario.__init__.__defaults__))
 
 
 def from_mapping(m: dict) -> Scenario:
@@ -323,7 +324,8 @@ def from_mapping(m: dict) -> Scenario:
     else:
         errors.append(f"cpu: expected name or mapping, got {cpu_field!r}")
 
-    default_adapt = asdict(_ADAPT)
+    default_adapt = {"beta": _ADAPT.beta, "e_min": _ADAPT.e_min,
+                     "e_max": _ADAPT.e_max}
     adapt_m = r.get(m, "", "adaptation", dict, default=None)
     if adapt_m is not None:
         for k in default_adapt:
@@ -389,18 +391,30 @@ def from_mapping(m: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    import yaml  # on use: a builtin run never loads the YAML parser
-
+    """Read a scenario file: one in the layout `save_scenario` writes by the
+    reader below, any other through PyYAML."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            raise ConfigurationError(f"{path}: parse error{where}: {exc}") from exc
+            data = _read_block(fh.read())
+        except _NeedsYaml:
+            fh.seek(0)
+            data = _yaml_load(fh, path)
     if data is None:
         raise ConfigurationError(f"{path}: empty scenario file")
     return from_mapping(data)
+
+
+def _yaml_load(fh, path):
+    import yaml  # on use: a file in the saved layout never loads it
+
+    try:
+        return yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigurationError(f"{path}: parse error{where}: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def save_scenario(sc: Scenario, path) -> None:
@@ -417,19 +431,21 @@ def save_scenario(sc: Scenario, path) -> None:
         fh.write(text)
 
 
-# --- the block-style YAML writer ------------------------------------------
+# --- the block-style YAML layout: writer and reader ------------------------
 #
-# It writes what `to_mapping` holds: mappings, lists of scalars or of
-# mappings, None, bools, ints, floats and plain strings.  A string is plain
-# when it is an identifier-like word that YAML 1.1 does not read as a bool
-# or null.  Any other value raises `_NeedsYaml` and PyYAML writes the file.
+# The writer writes what `to_mapping` holds: mappings, lists of scalars or
+# of mappings, None, bools, ints, floats and plain strings.  A string is
+# plain when it is an identifier-like word that YAML 1.1 does not read as a
+# bool or null.  Any other value raises `_NeedsYaml` and PyYAML writes the
+# file.  The reader reads that layout back, byte form by byte form, and
+# raises `_NeedsYaml` on anything else, which PyYAML then reads.
 
 _PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _YAML11_WORDS = frozenset(("yes", "no", "on", "off", "true", "false", "null"))
 
 
 class _NeedsYaml(Exception):
-    """A value the block writer does not cover."""
+    """A value or line outside the block layout."""
 
 
 def _scalar(v) -> str:
@@ -474,3 +490,95 @@ def _block(m: dict, pad: str):
                     yield f"{pad}- {_scalar(item)}\n"
         else:
             yield f"{pad}{k}: {_scalar(v)}\n"
+
+
+# One line of the layout: its indent, an optional "- ", then "key:" with an
+# optional " scalar", or, after a dash, a scalar alone.
+_LINE = re.compile(r"( *)(- )?(?:([A-Za-z][A-Za-z0-9_-]*):(?: (.+))?|(.+))")
+_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?")
+_CONSTANTS = {"null": None, "true": True, "false": False,
+              ".inf": math.inf, "-.inf": -math.inf, ".nan": math.nan}
+
+
+def _value(text: str, path: str, errors: list[str]):
+    """The value of a scalar as `_scalar` writes it; ``path`` names its field
+    in the error an int past Python's digit limit adds to ``errors``."""
+    if text in _CONSTANTS:
+        return _CONSTANTS[text]
+    if text == "[]":
+        return []
+    if _FLOAT.fullmatch(text):
+        return float(text)
+    if _INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError as exc:
+            errors.append(f"{path}: {exc}")
+            return None
+    if _PLAIN.fullmatch(text) and text.lower() not in _YAML11_WORDS:
+        return text
+    raise _NeedsYaml(text)
+
+
+def _read_block(text: str) -> dict:
+    """The non-empty mapping ``text`` holds in the layout `_block` writes:
+    a nested mapping two spaces in, a list at its key's indent, and a
+    list item's mapping two spaces in from its dash."""
+    entries = []  # (indent, key or None for a dash, scalar text or None)
+    errors: list[str] = []
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for line in lines:
+        m = _LINE.fullmatch(line)
+        if m is None or (m[5] is not None and m[2] is None):
+            raise _NeedsYaml(line)
+        pad, dash, key, value, item = m.groups()
+        indent = len(pad)
+        if dash:
+            entries.append((indent, None, item))
+            indent += 2  # the item's first key
+        if key is not None:
+            if key.lower() in _YAML11_WORDS:
+                raise _NeedsYaml(key)
+            entries.append((indent, key, value))
+    pos = 0
+
+    def at(indent, dash):
+        return (pos < len(entries) and entries[pos][0] == indent
+                and (entries[pos][1] is None) == dash)
+
+    def mapping(indent, path):
+        nonlocal pos
+        out = {}
+        while at(indent, False):
+            _, key, value = entries[pos]
+            pos += 1
+            if value is not None:
+                out[key] = _value(value, path + key, errors)
+            elif at(indent, True):
+                out[key] = sequence(indent, path + key)
+            elif at(indent + 2, False):
+                out[key] = mapping(indent + 2, path + key + ".")
+            else:
+                raise _NeedsYaml(key)
+        return out
+
+    def sequence(indent, path):
+        nonlocal pos
+        out = []
+        while at(indent, True):
+            item = entries[pos][2]
+            pos += 1
+            sub = f"{path}[{len(out)}]"
+            out.append(_value(item, sub, errors) if item is not None
+                       else mapping(indent + 2, sub + "."))
+        return out
+
+    data = mapping(0, "")
+    if not data or pos < len(entries):
+        raise _NeedsYaml(text)
+    if errors:
+        raise ConfigurationError("; ".join(errors))
+    return data

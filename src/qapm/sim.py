@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .metrics import EnergyAccumulator, RunReport, TraceRecorder
 from .pid import Pid
@@ -119,14 +118,17 @@ class _LoopRuntime:
         self.trace_h_ms = []
 
 
-@dataclass
 class SimResult:
-    report: RunReport
-    trace: TraceRecorder
-    jobs: list = field(default_factory=list)
-    segments: list = field(default_factory=list)  # (start_tick, end_tick, task_id)
-    busy_ticks: int = 0
-    idle_ticks: int = 0
+    def __init__(self, report: RunReport, trace: TraceRecorder,
+                 jobs: list | None = None, segments: list | None = None,
+                 busy_ticks: int = 0, idle_ticks: int = 0):
+        self.report = report
+        self.trace = trace
+        self.jobs = [] if jobs is None else jobs
+        # (start_tick, end_tick, task_id)
+        self.segments = [] if segments is None else segments
+        self.busy_ticks = busy_ticks
+        self.idle_ticks = idle_ticks
 
 
 class Simulator:

@@ -5,8 +5,6 @@ under the full scheme) are expensive enough to run once per session and
 share between the simulator tests and the acceptance gate.
 """
 
-import dataclasses
-
 import pytest
 
 from qapm.scenario import builtin_table1, resolve_cpu
@@ -43,8 +41,7 @@ def overload_scenario():
     """
     sc = builtin_table1(cpu=resolve_cpu("cpu-2"))
     loops = tuple(
-        dataclasses.replace(
-            lp, task=dataclasses.replace(lp.task, h_max=lp.task.h0))
+        lp.with_(task=lp.task.with_(h_max=lp.task.h0))
         for lp in sc.loops
     )
     return sc.with_(loops=loops, c_jitter=0.5, seed=3, duration_s=2.0)

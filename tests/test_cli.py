@@ -1,7 +1,6 @@
 """Command line interface, exercised through real subprocesses."""
 
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -155,17 +154,24 @@ def test_validate_rejects_broken_file(tmp_path):
 
 def test_out_of_range_integer_is_config_error(tmp_path):
     # An integer too large for a float, where a float is read, is a
-    # configuration error tagged with its field, not a traceback.
-    big = "1" * 401
+    # configuration error tagged with its field, not a traceback.  So is
+    # one past Python's limit on the digits of an int: tagged with its
+    # field in the saved layout, and with the file when PyYAML reads it.
+    big, huge = "1" * 401, "1" * 5000
     path = tmp_path / "big.yaml"
     save_scenario(builtin_table1(), path)
     text = path.read_text()
-    for old, new, field in (
-            ("duration_s: 12.0", f"duration_s: {big}", "duration_s: "),
-            ("    kp: 10000.0", f"    kp: {big}", "loops[0].gains.kp: "),
-            ("    - 1000.0", f"    - {big}", "loops[0].plant: "),
-            ("  levels:\n  - 1.0", f"  levels:\n  - {big}", "cpu.levels: ")):
-        path.write_text(text.replace(old, new, 1))
+    comment = "# read by PyYAML\n"
+    for head, old, new, field in (
+            ("", "duration_s: 12.0", f"duration_s: {big}", "duration_s: "),
+            ("", "    kp: 10000.0", f"    kp: {big}", "loops[0].gains.kp: "),
+            ("", "    - 1000.0", f"    - {big}", "loops[0].plant: "),
+            ("", "  levels:\n  - 1.0", f"  levels:\n  - {big}", "cpu.levels: "),
+            ("", "seed: 0", f"seed: {huge}", "seed: "),
+            ("", "duration_s: 12.0", f"duration_s: {huge}", "duration_s: "),
+            (comment, "seed: 0", f"seed: {huge}", f"{path}: "),
+            (comment, "duration_s: 12.0", f"duration_s: {huge}", f"{path}: ")):
+        path.write_text(head + text.replace(old, new, 1))
         p = run_cli("validate", "--scenario", str(path))
         assert p.returncode == 2, p.stderr
         assert p.stderr.startswith("error: " + field), p.stderr
@@ -192,18 +198,25 @@ def test_run_files_are_pinned(tmp_path):
 
 
 def test_builtin_runs_do_not_import_yaml(tmp_path):
-    # Writing scenario.yaml for a builtin scenario needs no YAML library.
+    # Writing scenario.yaml for a builtin scenario, and reading a file in
+    # the layout save_scenario writes, needs no YAML library; no command
+    # loads dataclasses or inspect either.
+    saved = tmp_path / "saved.yaml"
+    save_scenario(builtin_table1().with_(duration_s=0.1), saved)
     for args in (["run", "--builtin", "table1", "--duration", "0.1",
                   "--out", str(tmp_path / "run")],
                  ["sweep", "--builtin", "table1", "--all-cpus",
-                  "--duration", "0.1", "--out", str(tmp_path / "sweep")]):
+                  "--duration", "0.1", "--out", str(tmp_path / "sweep")],
+                 ["run", "--scenario", str(saved)],
+                 ["validate", "--scenario", str(saved)]):
         code = ("import sys; from qapm.cli import main; rc = main(sys.argv[1:]); "
-                "print('yaml' in sys.modules); sys.exit(rc)")
+                "print(sorted({'yaml', 'dataclasses', 'inspect'} & set(sys.modules))); "
+                "sys.exit(rc)")
         p = subprocess.run([sys.executable, "-c", code, *args],
                            capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=SRC))
         assert p.returncode == 0, p.stderr
-        assert p.stdout.splitlines()[-1] == "False", args
+        assert p.stdout.splitlines()[-1] == "[]", args
     assert (tmp_path / "run" / "scenario.yaml").is_file()
     assert (tmp_path / "sweep" / "cpu-4" / "scenario.yaml").is_file()
 
@@ -238,8 +251,7 @@ def test_diverging_plant_exits_4_naming_loop_and_time(tmp_path):
     # A proportional gain of 1e9 on loop 1 drives its plant to inf.
     sc = builtin_table1()
     lp = sc.loops[0]
-    loops = (dataclasses.replace(lp, gains=dataclasses.replace(lp.gains, kp=1.0e9)),
-             ) + sc.loops[1:]
+    loops = (lp.with_(gains=lp.gains.with_(kp=1.0e9)),) + sc.loops[1:]
     path = tmp_path / "diverging.yaml"
     save_scenario(sc.with_(loops=loops, duration_s=1.0), path)
     runs = (("error: ", run_cli("run", "--scenario", str(path))),

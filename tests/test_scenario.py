@@ -1,15 +1,21 @@
 """Scenario assembly, builtin benchmark, validation, YAML persistence."""
 
-import dataclasses
+import copy
 import math
+import pickle
+import sys
 
 import pytest
 import yaml
 
 from qapm.pid import PidGains
-from qapm.policy import ConfigurationError, CpuLevels
+from qapm.policy import AdaptationParams, ConfigurationError, CpuLevels
 from qapm.scenario import (
     MODES,
+    _block,
+    _NeedsYaml,
+    _read_block,
+    _yaml_load,
     builtin_cpus,
     builtin_table1,
     from_mapping,
@@ -174,8 +180,7 @@ def _writer_cases():
         duration_s=2, perturbation_s=1, c_jitter=0,
         cpu=CpuLevels((0.5, 1), name="two-level"))
     lp = sc.loops[0]
-    odd = dataclasses.replace(
-        lp, gains=PidGains(kp=1e17, ki=math.inf, kd=-math.inf))
+    odd = lp.with_(gains=PidGains(kp=1e17, ki=math.inf, kd=-math.inf))
     yield "odd floats", sc.with_(
         c_jitter=1e-05, duration_s=1e17, perturbation_s=math.inf,
         trace_cadence_ms=math.nan, loops=(odd,) + sc.loops[1:])
@@ -192,6 +197,120 @@ def test_saved_file_is_what_pyyaml_writes(tmp_path):
         save_scenario(sc, path)
         expected = yaml.safe_dump(to_mapping(sc), sort_keys=False)
         assert path.read_text(encoding="utf-8") == expected, label
+
+
+def _jitter_cpu4_text():
+    """A scenario file shaped as the benchmark's jitter-cpu4 one: a cpu by
+    name and one adaptation block for every loop, dumped by PyYAML."""
+    sc = builtin_table1(cpu=resolve_cpu("cpu-4")).with_(
+        name="table1-jitter", c_jitter=0.2, seed=1, switch_overhead_us=50,
+        micro_step_us=1000, trace_cadence_ms=10.0)
+    m = to_mapping(sc)
+    m["cpu"] = "cpu-4"
+    m["adaptation"] = [lm.pop("adaptation") for lm in m["loops"]][0]
+    return yaml.safe_dump(m, sort_keys=False)
+
+
+def _outcome(load, path):
+    """The scenario ``load(path)`` returns, or its configuration error."""
+    try:
+        return load(path)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def _load_with_pyyaml(path):
+    with open(path, encoding="utf-8") as fh:
+        return from_mapping(_yaml_load(fh, path))
+
+
+def test_saved_layout_is_read_without_pyyaml(tmp_path, monkeypatch):
+    # The reader reads every file the block writer wrote, and only those,
+    # into PyYAML's mapping; load_scenario then needs no PyYAML at all.
+    path = tmp_path / "s.yaml"
+    files = []
+    for label, sc in _writer_cases():
+        save_scenario(sc, path)
+        try:
+            "".join(_block(to_mapping(sc), ""))
+        except _NeedsYaml:
+            with pytest.raises(_NeedsYaml):
+                _read_block(path.read_text(encoding="utf-8"))
+            continue
+        files.append((label, path.read_text(encoding="utf-8")))
+    files.append(("jitter-cpu4", _jitter_cpu4_text()))
+    for label, text in files:
+        path.write_text(text, encoding="utf-8")
+        # repr tells 1 from 1.0 and -0.0 from 0.0, and nan equals nan
+        assert repr(_read_block(text)) == repr(yaml.safe_load(text)), label
+        expected = _outcome(_load_with_pyyaml, path)
+        with monkeypatch.context() as mp:
+            mp.setitem(sys.modules, "yaml", None)  # importing it fails
+            assert _outcome(load_scenario, path) == expected, label
+
+
+# (what, old, new, read): edits of the jitter-cpu4 file at the edge of the
+# layout, and whether the reader reads the result or leaves it to PyYAML.
+NEAR_MISSES = (
+    ("int -0", "seed: 1", "seed: -0", True),
+    ("float -0.0", "c_jitter: 0.2", "c_jitter: -0.0", True),
+    ("signed exponent", "duration_s: 12.0", "duration_s: 1.2e+1", True),
+    ("leading zero float", "duration_s: 12.0", "duration_s: 012.0", True),
+    ("comment line", "seed: 1\n", "seed: 1  # the jitter seed\n", False),
+    ("comment line alone", "seed: 1\n", "# seed\nseed: 1\n", False),
+    ("blank line", "seed: 1\n", "seed: 1\n\n", False),
+    ("duplicate key", "seed: 1\n", "seed: 1\nseed: 2\n", True),
+    ("quoted name", "name: table1-jitter", "name: 'table1-jitter'", False),
+    ("bool word", "name: table1-jitter", "name: Yes", False),
+    ("flow list", "num:\n    - 1.0", "num: [1.0]", False),
+    ("tab", "seed: 1", "seed:\t1", False),
+    ("document start", "name: ", "---\nname: ", False),
+    ("tilde", "trace_cadence_ms: 10.0", "trace_cadence_ms: ~", False),
+    ("1e3", "duration_s: 12.0", "duration_s: 1e3", False),
+    ("unsigned exponent", "duration_s: 12.0", "duration_s: 1.2e1", False),
+    ("+1", "seed: 1", "seed: +1", False),
+    ("007", "seed: 1", "seed: 007", False),
+    ("1_000", "switch_overhead_us: 50", "switch_overhead_us: 1_000", False),
+    ("1:30", "seed: 1", "seed: 1:30", False),
+    (".Inf", "duration_s: 12.0", "duration_s: .Inf", False),
+    ("odd indent", "  e_min: 0.02", "   e_min: 0.02", False),
+    ("deeper list", "    - 1.0\n    den", "      - 1.0\n    den", False),
+    ("dedent to no level", "  e_max: 0.3", " e_max: 0.3", False),
+    ("key with no value", "seed: 1", "seed:", False),
+    ("trailing space", "seed: 1", "seed: 1 ", False),
+)
+
+
+@pytest.mark.parametrize("what,old,new,read", NEAR_MISSES,
+                         ids=[c[0] for c in NEAR_MISSES])
+def test_near_miss_files_load_as_pyyaml_reads_them(tmp_path, what, old, new, read):
+    text = _jitter_cpu4_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    if read:
+        assert repr(_read_block(text)) == repr(yaml.safe_load(text))
+    else:
+        with pytest.raises(_NeedsYaml):
+            _read_block(text)
+    path = tmp_path / "s.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(load_scenario, path) == _outcome(_load_with_pyyaml, path)
+
+
+def test_value_types_are_frozen_values():
+    sc = builtin_table1(cpu=resolve_cpu("cpu-4"))
+    task = sc.loops[0].task
+    for value, field in ((sc, "seed"), (task, "h0"), (sc.cpu, "levels")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    twin = builtin_table1(cpu=resolve_cpu("cpu-4"))
+    assert twin == sc and hash(twin) == hash(sc)
+    assert sc.with_(seed=1) != sc
+    assert PidGains(40.0, 0.02, 0.3) != AdaptationParams(40.0, 0.02, 0.3)
+    with pytest.raises(ConfigurationError):
+        task.with_(h_max=task.h0 / 2)
+    for clone in (pickle.loads(pickle.dumps(sc)), copy.copy(sc), copy.deepcopy(sc)):
+        assert clone == sc
 
 
 def test_from_mapping_reports_field_paths():
