@@ -127,6 +127,11 @@ def _emit_run(out_dir: str, sc: Scenario, result, svg: bool) -> None:
                                    "t [s]", "h [ms]"))
 
 
+def _e_avg(rep) -> float:
+    """The report's E_AVG, or nan for a run of zero duration, which has none."""
+    return float("nan") if rep.e_avg is None else rep.e_avg
+
+
 def _failed(exc: Exception, prefix: str) -> int:
     """Report why ``run_loop`` failed, one ``prefix:`` line per problem, and
     return the exit code: a diverged plant or a configuration error."""
@@ -150,8 +155,7 @@ def _cmd_run(args) -> int:
     rep = result.report
     if args.out:
         _emit_run(args.out, sc, result, args.svg)
-    print(f"{rep.scenario} mode={rep.mode} cpu={rep.cpu} "
-          f"E_AVG={rep.e_avg if rep.e_avg is not None else float('nan'):.4f} "
+    print(f"{rep.scenario} mode={rep.mode} cpu={rep.cpu} E_AVG={_e_avg(rep):.4f} "
           f"J_SUM={rep.j_sum:.4f} misses={rep.misses}")
     if args.strict and rep.misses:
         print(f"error: {rep.misses} deadline miss(es)", file=sys.stderr)
@@ -173,16 +177,15 @@ def _cmd_sweep(args) -> int:
             result = run_loop(sc)
         except (ConfigurationError, DivergenceError) as exc:
             return _failed(exc, f"error [{label}]")
-        reports[label] = result.report
+        rep = reports[label] = result.report
         _emit_run(os.path.join(args.out, label), sc, result, svg=False)
-        print(f"{label:10s} E_AVG={result.report.e_avg:.4f} "
-              f"J_SUM={result.report.j_sum:.3f} misses={result.report.misses}")
+        print(f"{label:10s} E_AVG={_e_avg(rep):.4f} "
+              f"J_SUM={rep.j_sum:.3f} misses={rep.misses}")
 
     labels = [c[0] for c in SWEEP_CASES]
-    lines = ["case," + ",".join(labels)]
-    for row, attr in (("E_AVG", "e_avg"), ("J_SUM", "j_sum")):
-        vals = [f"{getattr(reports[c], attr):.6g}" for c in labels]
-        lines.append(row + "," + ",".join(vals))
+    lines = ["case," + ",".join(labels),
+             "E_AVG," + ",".join(f"{_e_avg(reports[c]):.6g}" for c in labels),
+             "J_SUM," + ",".join(f"{reports[c].j_sum:.6g}" for c in labels)]
     with open(os.path.join(args.out, "summary.csv"), "w") as f:
         f.write("\n".join(lines) + "\n")
     summary = {

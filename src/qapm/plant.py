@@ -8,7 +8,10 @@ of absolute error against the current reference at micro-step resolution.
 A plant given a sample cadence also writes its output at every multiple of
 that cadence it integrates across.  One kernel does all of it.  Its source
 is unrolled for the plant order n and compiled once per order, on the first
-plant of that order; each plant binds it to its own coefficients.
+plant of that order; each plant binds it to its own coefficients, as keyword
+defaults that the kernel reads as locals.  The kernel's micro-step loop
+takes |r - y| by a sign test and adds y's leading 0.0 once per run of
+steps; both are exact because the reference is never -0.0 (see `_TEMPLATE`).
 """
 
 from __future__ import annotations
@@ -58,11 +61,6 @@ class TransferFunction(Value):
     @property
     def order(self) -> int:
         return len(self.den) - 1
-
-    @property
-    def dc_gain(self) -> float:
-        """Steady-state gain, value at s = 0."""
-        return self.num[0] / self.den[0]
 
 
 def _strip(coeffs) -> tuple[float, ...]:
@@ -152,7 +150,7 @@ class StateSpacePlant:
         # Offset of the next sample instant from the current one.
         self._sample_in = 0 if sample_every_us else math.inf
         self._advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us)
-        self.x, self.y, self.iae, _ = self._advance(
+        self.x, self.y, self.iae, _, _ = self._advance(
             [0.0] * n, 0.0, 0.0, 0.0, 0, 0, math.inf, None, None)
 
     def sample(self) -> float:
@@ -172,11 +170,11 @@ class StateSpacePlant:
         state is no longer finite."""
         if span_us < 0:
             raise ValueError(f"{self.label}: negative span {span_us}")
-        self.x, self.y, self.iae, self._sample_in = self._advance(
+        self.x, self.y, self.iae, self._sample_in, finite = self._advance(
             self.x, self.u, r, self.iae, self.time_us, span_us,
             self._sample_in, self._sample_every, self.samples)
         self.time_us += span_us
-        if not (math.isfinite(self.y) and all(map(math.isfinite, self.x))):
+        if not finite:
             raise DivergenceError(
                 f"{self.label}: state diverged (non-finite) "
                 f"by t = {self.time_us * 1e-6:.6f} s")
@@ -188,11 +186,12 @@ _KERNELS: dict = {}
 
 def _kernel(n: int):
     """``make(a, b, c, micro_step_us)`` for plants of order ``n``; it returns
-    ``advance(x, u, r, iae, t, span_us, at, every, out) -> (x, y, iae, at)``
-    bound to the plant, which integrates from time ``t`` on the grid of
-    multiples of the micro step.  It appends to ``out`` y at the offsets
-    ``at``, ``at + every``, ... that lie within the span, and returns the
-    offset of the next one from the span's end."""
+    ``advance(x, u, r, iae, t, span_us, at, every, out)`` bound to the plant,
+    which integrates from time ``t`` on the grid of multiples of the micro
+    step.  It appends to ``out`` y at the offsets ``at``, ``at + every``, ...
+    that lie within the span, and returns ``(x, y, iae, at, finite)``: ``at``
+    is the offset of the next one from the span's end, ``finite`` whether y
+    and the state are."""
     make = _KERNELS.get(n)
     if make is None:
         namespace: dict = {}
@@ -203,19 +202,24 @@ def _kernel(n: int):
 
 
 # Each placeholder is one line of source; ``{n}`` is the only input, and
-# coefficients arrive as arguments, never as source text.  Every sum keeps
+# coefficients arrive as arguments of ``make``, never as source text; rk4
+# and advance bind them as keyword defaults, read as locals.  Every sum keeps
 # the left-to-right order of a loop over the index, so results do not
 # depend on unrolling: row i of the map is g_i + m_i0*x0 + m_i1*x1 + ...,
 # the output 0.0 + c0*x0 + c1*x1 + ... (the 0.0 turns a -0.0 into +0.0),
-# each RK4 stage b_i*u + a_i0*s0 + a_i1*s1 + ...  All n*n terms are kept,
-# zero coefficients included, so inf and nan propagate as they would.
+# each RK4 stage d_i + a_i0*s0 + a_i1*s1 + ... with d_i = b_i*u formed once
+# per call.  All n*n terms are kept, zero coefficients included, so inf and
+# nan propagate as they would.  The micro-step loop leaves out y's 0.0 and
+# adds it after the loop: the sums differ only in the sign of a zero.  In
+# the loop y only enters |r - y|, as r - y if r >= y else y - r, which is
+# -(r - y) exactly; with r never -0.0, a -0.0 y gives the same bits.
 _TEMPLATE = """\
 def make(a, b, c, step_us):
     {a_vars}, = a
     {b_vars}, = b
     {c_vars}, = c
 
-    def rk4({x_vars}, u, h):
+    def rk4({x_vars}, {d_vars}, h, {a_bind}):
         hh = h * 0.5
         h6 = h / 6.0
         {k1}
@@ -230,13 +234,16 @@ def make(a, b, c, step_us):
     # Column j of M is one step from the unit vector e_j with u = 0;
     # N is one step from x = 0 with u = 1.
     h = step_us * 1e-6
-    cols = [rk4(*[float(i == j) for i in range({n})], 0.0, h) for j in range({n})]
+    cols = [rk4(*[float(i == j) for i in range({n})], *[v * 0.0 for v in b], h)
+            for j in range({n})]
     {m_vars}, = [col[i] for i in range({n}) for col in cols]
-    {n_vars}, = rk4(*[0.0] * {n}, 1.0, h)
-    half_h = step_us * 0.5e-6
+    {n_vars}, = rk4(*[0.0] * {n}, *[v * 1.0 for v in b], h)
 
-    def advance(x, u, r, iae, t, span, at, every, out):
+    def advance(x, u, r, iae, t, span, at, every, out,
+                {advance_bind},
+                step_us=step_us, half_h=step_us * 0.5e-6, rk4=rk4):
         {x_vars}, = x
+        {d_vars}, = {bu},
         y = {y}
         e = abs(r - y)
         # Off the grid, a partial step back onto it first, or across the
@@ -247,12 +254,12 @@ def make(a, b, c, step_us):
         if lead:
             while at < lead:
                 if at:
-                    {s_vars}, = rk4({x_vars}, u, at * 1e-6)
+                    {s_vars}, = rk4({x_vars}, {d_vars}, at * 1e-6)
                     out.append({y_s})
                 else:
                     out.append(y)
                 at += every
-            {x_vars}, = rk4({x_vars}, u, lead * 1e-6)
+            {x_vars}, = rk4({x_vars}, {d_vars}, lead * 1e-6)
             y = {y}
             f = abs(r - y)
             iae += (e + f) * (lead * 0.5e-6)
@@ -273,28 +280,31 @@ def make(a, b, c, step_us):
             upto = full if at > last else at // step_us
             for _ in range(upto - done):
                 {x_vars}, = {map},
-                y = {y}
-                f = abs(r - y)
+                y = {y_loop}
+                f = r - y if r >= y else y - r
                 iae += (e + f) * half_h
                 e = f
+            y = 0.0 + y
             if at > last:
                 break
             done = upto
             part = at - upto * step_us
             if part:
-                {s_vars}, = rk4({x_vars}, u, part * 1e-6)
+                {s_vars}, = rk4({x_vars}, {d_vars}, part * 1e-6)
                 out.append({y_s})
             else:
                 out.append(y)
             at += every
         if rem:
-            {x_vars}, = rk4({x_vars}, u, rem * 1e-6)
+            {x_vars}, = rk4({x_vars}, {d_vars}, rem * 1e-6)
             y = {y}
             iae += (e + abs(r - y)) * (rem * 0.5e-6)
             if at == span:
                 out.append(y)
                 at += every
-        return [{x_vars}], y, iae, at - span
+        # y sums c_i * x_i over every i, zero coefficients included, so it
+        # is finite only when the state is; y - y is nan when it is not.
+        return [{x_vars}], y, iae, at - span, y - y == 0.0
 
     return advance
 """
@@ -313,24 +323,32 @@ def _source(n: int) -> str:
     def row(first, coef, v, i):
         return first + "".join(f" + {coef}{i}_{j} * {v}{j}" for j in idx)
 
-    def deriv(k, s):  # k = A s + B u, one tuple assignment
+    def deriv(k, s):  # k = A s + d with d = B u, one tuple assignment
         return (vec(k + "{i}") + ", = "
-                + ", ".join(row(f"b{i} * u", "a", s, i) for i in idx) + ",")
+                + ", ".join(row(f"d{i}", "a", s, i) for i in idx) + ",")
 
     def stage(k, h):  # s = x + h k
         return vec("s{i}") + ", = " + vec(f"x{{i}} + {h} * {k}{{i}}") + ","
 
+    def bind(*names):  # name=name: a keyword default, read as a local
+        return ", ".join(f"{v}={v}" for group in names for v in group.split(", "))
+
+    a_vars, b_vars, c_vars = mat("a"), vec("b{i}"), vec("c{i}")
+    m_vars, n_vars = mat("m"), vec("n{i}")
     return _TEMPLATE.format(
         n=n,
-        a_vars=mat("a"), m_vars=mat("m"), b_vars=vec("b{i}"),
-        c_vars=vec("c{i}"), n_vars=vec("n{i}"), x_vars=vec("x{i}"),
-        s_vars=vec("s{i}"),
+        a_vars=a_vars, b_vars=b_vars, c_vars=c_vars, m_vars=m_vars,
+        n_vars=n_vars, x_vars=vec("x{i}"), s_vars=vec("s{i}"),
+        d_vars=vec("d{i}"), a_bind=bind(a_vars),
+        advance_bind=bind(m_vars, n_vars, c_vars, b_vars),
+        bu=vec("b{i} * u"),
         k1=deriv("p", "x"), s2=stage("p", "hh"),
         k2=deriv("q", "s"), s3=stage("q", "hh"),
         k3=deriv("v", "s"), s4=stage("v", "h"),
         k4=deriv("w", "s"),
         step=vec("x{i} + h6 * (p{i} + 2.0 * q{i} + 2.0 * v{i} + w{i})"),
         y="0.0" + "".join(f" + c{i} * x{i}" for i in idx),
+        y_loop=" + ".join(f"c{i} * x{i}" for i in idx),
         y_s="0.0" + "".join(f" + c{i} * s{i}" for i in idx),
         g="; ".join(f"g{i} = n{i} * u" for i in idx),
         map=", ".join(row(f"g{i}", "m", "x", i) for i in idx),

@@ -24,7 +24,6 @@ __all__ = [
     "TaskSpec",
     "CpuLevels",
     "ConfigurationError",
-    "SchedulabilityError",
     "period_scale_factor",
     "adapt_period",
     "ideal_speed",
@@ -42,10 +41,6 @@ _ONE_SLACK = 1e-9
 
 class ConfigurationError(ValueError):
     """A task, level set, or scenario violates a structural invariant."""
-
-
-class SchedulabilityError(ValueError):
-    """The requested workload cannot be scheduled at any available speed."""
 
 
 class Value:
@@ -160,11 +155,6 @@ class CpuLevels(Value):
                 raise ConfigurationError(f"highest level must be 1.0, got {levels[-1]}")
         self._set(levels=levels, ideal=ideal, name=name)
 
-    @property
-    def floor(self) -> float:
-        """Lowest selectable speed."""
-        return 0.0 if self.ideal else self.levels[0]
-
 
 def period_scale_factor(e: float, spec: TaskSpec) -> float:
     """Period scale factor (>= 1) for absolute control error ``e``.
@@ -206,14 +196,8 @@ def ideal_speed(tasks: Iterable[tuple[float, float]]) -> float:
     is applied.
     """
     total = 0.0
-    n = 0
     for c_nom, period in tasks:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
         total += c_nom / period
-        n += 1
-    if n == 0:
-        raise ConfigurationError("empty task set")
     return total
 
 
@@ -222,27 +206,22 @@ def quantize_speed(alpha_ideal: float, levels: CpuLevels) -> float:
 
     Picks the smallest level that is >= alpha_ideal (within
     ``EXACT_LEVEL_TOL`` for equality), or the lowest level when even that
-    exceeds the demand.  Ideal processors pass the value through.
+    exceeds the demand.  Ideal processors pass the value through.  A
+    workload above full speed runs at full speed.
     """
-    if alpha_ideal <= 0:
-        raise ValueError(f"ideal speed must be positive, got {alpha_ideal}")
-    if alpha_ideal > 1.0 + _ONE_SLACK:
-        raise SchedulabilityError(
-            f"workload {alpha_ideal} exceeds full speed; task set not schedulable"
-        )
     alpha_ideal = min(alpha_ideal, 1.0)
     if levels.ideal:
         return alpha_ideal
+    need = alpha_ideal - EXACT_LEVEL_TOL
+    # The top level is 1.0, so the loop always returns.
     for lvl in levels.levels:
-        if lvl >= alpha_ideal - EXACT_LEVEL_TOL:
+        if lvl >= need:
             return lvl
-    # Unreachable: the top level is 1.0 and alpha_ideal <= 1.
-    raise SchedulabilityError(f"no level fits workload {alpha_ideal}")
 
 
 def reclaim_periods(
     base_periods: Sequence[float], alpha_ideal: float, alpha: float
-) -> tuple[float, ...]:
+) -> list[float]:
     """Shrink all periods by alpha_ideal/alpha so utilization returns to 1.
 
     After quantization the CPU runs faster than the workload needs
@@ -250,10 +229,8 @@ def reclaim_periods(
     every period by the ratio hands the spare capacity back to the loops
     as faster sampling.  Periods may drop below their nominal values.
     """
-    if alpha <= 0:
-        raise ValueError(f"speed must be positive, got {alpha}")
     scale = alpha_ideal / alpha
-    return tuple(h * scale for h in base_periods)
+    return [h * scale for h in base_periods]
 
 
 def _ticks(seconds: float) -> int:
@@ -304,18 +281,12 @@ def decide(
     workload itself, DVS-only at its quantized level.  Pure: the inputs
     are not modified.
     """
-    if not 0 <= trigger < len(specs):
-        raise ValueError(f"trigger index {trigger} out of range")
-    if len(base_periods) != len(specs):
-        raise ValueError("base_periods and specs length mismatch")
     spec = specs[trigger]
     if mode != "qapm":
         base = [s.h0 for s in specs]
         alpha_ideal = ideal_speed(zip(work, base))
         if mode == "osdvs":
             alpha = min(alpha_ideal, 1.0)
-        elif alpha_ideal > 1.0 + _ONE_SLACK:
-            alpha = 1.0
         else:
             alpha = quantize_speed(alpha_ideal, levels)
         return base, base, _ticks(spec.h0), alpha_ideal, alpha
@@ -327,7 +298,7 @@ def decide(
         periods = base[:]
     else:
         alpha = quantize_speed(alpha_ideal, levels)
-        periods = list(reclaim_periods(base, alpha_ideal, alpha))
+        periods = reclaim_periods(base, alpha_ideal, alpha)
     ticks = _ticks(periods[trigger])
     periods[trigger] = ticks * 1e-6
     demand = 0.0

@@ -31,7 +31,9 @@ of None records no trace at all.
 
 Each release makes one power-manager decision, `policy.decide`, from the
 simulator's plain lists: the adapted base periods, each loop's last drawn
-execution time and the period, in ticks, of each loop's job in flight.
+execution time and the period, in ticks, of each loop's job in flight.  The
+periods in force it returns are one list, kept as returned, which the
+controller, the release and the trace read by loop index.
 Under ``qapm`` the decision also covers the job windows it leaves in
 force, so EDF meets every deadline; when even full speed falls short, the
 trigger's new period is lengthened just enough to fit, up to its
@@ -103,17 +105,17 @@ def edf_select(ready):
 
 class _LoopRuntime:
     __slots__ = (
-        "task", "plant", "pid", "eff_period", "next_release", "periods",
+        "index", "task", "plant", "pid", "next_release", "periods",
         "trace_u", "trace_h_ms",
     )
 
-    def __init__(self, task, plant, pid):
+    def __init__(self, index, task, plant, pid):
+        self.index = index              # position in the scenario's loops
         self.task = task
         self.plant = plant
         self.pid = pid
-        self.eff_period = task.h0       # seconds; governs this loop's next release
         self.next_release = 0           # tick
-        self.periods = []               # eff_period of each release, seconds
+        self.periods = []               # period in force at each release, seconds
         self.trace_u = []               # u and h_eff at each trace visit
         self.trace_h_ms = []
 
@@ -141,22 +143,24 @@ class Simulator:
                            else round(sc.trace_cadence_ms * 1000))
         self.loops = [
             _LoopRuntime(
+                i,
                 lp.task,
                 tf_to_state_space(lp.plant, sc.micro_step_us,
                                   label=f"loop {lp.task.id}",
                                   sample_every_us=self.trace_step),
                 Pid(lp.gains),
             )
-            for lp in sc.loops
+            for i, lp in enumerate(sc.loops)
         ]
         self.by_id = {lr.task.id: lr for lr in self.loops}
         self.specs = [lr.task for lr in self.loops]
-        self.index_of = {lr.task.id: i for i, lr in enumerate(self.loops)}
         self.by_task_id = sorted(self.loops, key=lambda lr: lr.task.id)
         # The power manager's inputs: adapted periods, the last drawn
         # execution time of each loop (jitter hook) and the period, in
-        # ticks, each loop's job in flight was released with.
+        # ticks, each loop's job in flight was released with.  Its output
+        # ``periods`` is each loop's period in force, in seconds.
         self.base_periods = [t.h0 for t in self.specs]
+        self.periods = self.base_periods[:]
         self.work = [t.c_nom for t in self.specs]
         self.in_flight = [None] * len(self.specs)
         self.r = 0.0
@@ -230,24 +234,6 @@ class Simulator:
 
     # -- policy ----------------------------------------------------------
 
-    def _request_alpha(self, alpha: float):
-        # Speed increases take effect at once.  A decrease is held until
-        # every job in flight at decision time has completed: those jobs'
-        # deadlines were budgeted at the old speed, and the reclaimed
-        # schedule runs at full utilization with no slack to absorb the
-        # longer service a mid-job slowdown would cause.
-        if alpha >= self.energy.alpha:
-            self.guard = None
-            self._apply_alpha(alpha)
-            return
-        if self.guard is None:
-            in_flight = {j for j in self.ready if j.remaining > 0.0}
-            if not in_flight:
-                self._apply_alpha(alpha)
-                return
-            self.guard = in_flight
-        self.pending_alpha = alpha
-
     def _apply_alpha(self, alpha: float):
         self.pending_alpha = None
         self._charge()  # at the speed and stall in force until now
@@ -267,23 +253,38 @@ class Simulator:
         work = lr.task.c_nom
         if sc.c_jitter > 0.0:
             work *= 1.0 + sc.c_jitter * (2.0 * self.rng.random() - 1.0)
-        idx = self.index_of[lr.task.id]
+        idx = lr.index
         self.work[idx] = work
 
         # The manager re-decides the period before the control computation
         # runs, so the controller sees the period now in force.
-        self.base_periods, periods, ticks, alpha_ideal, alpha = decide(
+        self.base_periods, self.periods, ticks, alpha_ideal, alpha = decide(
             self.specs, idx, abs(e), self.base_periods, self.in_flight,
             self.work, sc.cpu, sc.mode)
-        for other, h in zip(self.loops, periods):
-            other.eff_period = h
         self.utilization.append((self.now, alpha_ideal, alpha))
-        self._request_alpha(alpha)
-        u = lr.pid.compute(e, lr.eff_period)
+        # Speed increases take effect at once.  A decrease is held until
+        # every job in flight at decision time has completed: those jobs'
+        # deadlines were budgeted at the old speed, and the reclaimed
+        # schedule runs at full utilization with no slack to absorb the
+        # longer service a mid-job slowdown would cause.
+        if alpha >= self.energy.alpha:
+            self.guard = None
+            self._apply_alpha(alpha)
+        elif self.guard is not None:
+            self.pending_alpha = alpha
+        else:
+            in_flight = {j for j in self.ready if j.remaining > 0.0}
+            if in_flight:
+                self.guard = in_flight
+                self.pending_alpha = alpha
+            else:
+                self._apply_alpha(alpha)
+        h = self.periods[idx]
+        u = lr.pid.compute(e, h)
 
         self.in_flight[idx] = ticks
         lr.next_release = self.now + ticks
-        lr.periods.append(lr.eff_period)
+        lr.periods.append(h)
         job = Job(lr.task.id, self.now, lr.next_release, work, u)
         self.ready.append(job)
         self.jobs.append(job)
@@ -326,9 +327,9 @@ class Simulator:
         # in force are the values at ``tick``.
         alpha = self.energy.alpha
         self.trace_visits.append((tick * 1e-6, self.r, alpha, alpha * alpha))
-        for lr in self.loops:
+        for lr, h in zip(self.loops, self.periods):
             lr.trace_u.append(lr.plant.u)
-            lr.trace_h_ms.append(lr.eff_period * 1000.0)
+            lr.trace_h_ms.append(h * 1000.0)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -373,7 +374,9 @@ class Simulator:
             if kind == PRI_COMPLETION:
                 self._on_completion()
             elif kind == PRI_REF_STEP:
+                # The ready set is unchanged, so is the job to run.
                 self._on_ref_step()
+                continue
             else:
                 self._on_release(lr)
             self._dispatch()

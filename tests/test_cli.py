@@ -197,6 +197,57 @@ def test_run_files_are_pinned(tmp_path):
     assert got == RUN_FILES_SHA256
 
 
+# SHA-256 of the files `sweep --builtin table1 --all-cpus --duration 0.5 --out`
+# writes: the summary and each case's report and trace.  Re-pin only where a
+# change to the model's numerics or to the file layout is the cause, and log
+# old -> new.
+SWEEP_FILES_SHA256 = {
+    "summary.json": "5f3ffe7bd2cd601f77d151aa36301ca9ac20cd0d9b5ea91a1c9ec3304c444294",
+    "summary.csv": "ec3965a842e4b23500f0305de72a296be69ab95f02a32f6b1acb2bc146c9dcf7",
+    "osdvs/report.json": "29ecd5d518242584cc4523cfa59e0f1266a5d81f382f608ac44614fec9262229",
+    "osdvs/trace.csv": "9554887f6daeac2bda9babcae162a4e1fd09c42a0a0f88ea9427050358261f95",
+    "cpu-1/report.json": "883ca9e1a14f875880bc0dd5ff4b4f9e402b21976bab60fdf2f5ae4b1e6edb18",
+    "cpu-1/trace.csv": "3f80f27161e1e7cfbbb6095156d41bcf2703252e4cc1e355dca95cbc41c4fe67",
+    "cpu-2/report.json": "9969dbf49957458f9daf9cf312e6bb6d6bfb8bf08ab5d97ba8cf1ca5a6953399",
+    "cpu-2/trace.csv": "560d11b6ded15d3e1d8fb84b90a920f44f4bf9ca0c6207f31f6dd673f7881eb0",
+    "cpu-3/report.json": "0b415496c5ca8cb58363c0b770cdb3e805be7c9475521b84e3aedf82280cf4e0",
+    "cpu-3/trace.csv": "05cda338cf1210f9320eaad634bb2bf93fbaa332abd36522e56c4d71e85f2f63",
+    "cpu-4/report.json": "f4419e0db2365cd039f4dec33598a8ad5c15dbe9b82c564701c46684532a4aa9",
+    "cpu-4/trace.csv": "98bbd92a85497535c9b53f7d47a6f0ac8769b25625969f83d8811bf77f9bc4ed",
+    "cpu-ideal/report.json": "9bb398cadc16241ab78ec0c798ef9c44e80466e59e45b7a62c0126eec608dade",
+    "cpu-ideal/trace.csv": "811e10a09738bfd45bd9413413aaa880a1fbaa7374f2ba63ea840559b0663ddb",
+}
+
+
+def test_sweep_files_are_pinned(tmp_path):
+    out = tmp_path / "sweep"
+    p = run_cli("sweep", "--builtin", "table1", "--all-cpus",
+                "--duration", "0.5", "--out", str(out))
+    assert p.returncode == 0, p.stderr
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in SWEEP_FILES_SHA256}
+    assert got == SWEEP_FILES_SHA256
+
+
+def test_zero_duration_prints_and_writes_nan_energy(tmp_path):
+    # A run of zero duration has no average energy draw: `run` and `sweep`
+    # print E_AVG=nan and summary.csv holds nan, where summary.json and
+    # report.json hold null.
+    out = tmp_path / "sweep"
+    p = run_cli("sweep", "--builtin", "table1", "--all-cpus",
+                "--duration", "0", "--out", str(out))
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.count("E_AVG=nan ") == 6, p.stdout
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["E_AVG"] + ["nan"] * 6
+    summary = json.loads((out / "summary.json").read_text())
+    assert {c["E_AVG"] for c in summary.values()} == {None}
+    p = run_cli("run", "--builtin", "table1", "--duration", "0")
+    assert p.returncode == 0, p.stderr
+    assert " E_AVG=nan " in p.stdout
+
+
 def test_builtin_runs_do_not_import_yaml(tmp_path):
     # Writing scenario.yaml for a builtin scenario, and reading a file in
     # the layout save_scenario writes, needs no YAML library; no command

@@ -46,9 +46,9 @@ def loop2_plant(micro_step_us: int = 100) -> StateSpacePlant:
 # --- transfer functions -----------------------------------------------------
 
 def test_dc_gains_of_benchmark_plants():
-    assert LOOP1_TF.dc_gain == pytest.approx(0.02)
-    assert LOOP2_TF.dc_gain == pytest.approx(0.05)
-    assert LOOP3_TF.dc_gain == pytest.approx(0.1)
+    # the steady-state gain, the value at s = 0
+    for tf, gain in ((LOOP1_TF, 0.02), (LOOP2_TF, 0.05), (LOOP3_TF, 0.1)):
+        assert tf.num[0] / tf.den[0] == pytest.approx(gain)
 
 
 def test_orders():
@@ -441,6 +441,34 @@ def test_divergence_raises_with_label():
     p.x[0] = 1.0
     with pytest.raises(DivergenceError, match="runaway"):
         p.integrate(20_000_000)
+
+
+@pytest.mark.parametrize("n", (1, 2, MAX_STATE))
+def test_divergence_flag_covers_every_kind_of_step(n):
+    # With A = 0 and u = 0 every step maps x to itself, and y = x0.  Each
+    # span starts 70 us off the grid, then takes three micro steps and a
+    # final 45 us step.  An inf or nan anywhere in the state raises, naming
+    # the plant; a state at the edge of the float range, with y there too,
+    # is finite and passes unchanged.
+    def plant(x):
+        p = StateSpacePlant([0.0] * (n * n), [1.0] * n, [1.0] + [0.0] * (n - 1),
+                            micro_step_us=100, label=f"order-{n} plant")
+        p.integrate(30)
+        p.x = list(x)
+        return p
+
+    for bad in (math.inf, -math.inf, math.nan):
+        for i in {0, n - 1}:
+            x = [1.0] * n
+            x[i] = bad
+            p = plant(x)
+            with pytest.raises(DivergenceError, match=f"order-{n} plant: state diverged"):
+                p.integrate(70 + 300 + 45)
+    for big in (1e308, -1e308):
+        p = plant([big] * n)
+        p.integrate(70 + 300 + 45)
+        assert p.x == [big] * n
+        assert p.sample() == big
 
 
 def test_construction_validation():
