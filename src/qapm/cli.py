@@ -143,7 +143,7 @@ def _failed(exc: Exception, prefix: str) -> int:
 def _cmd_run(args) -> int:
     try:
         sc = _load(args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not args.out:
@@ -166,7 +166,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         base = _load(args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     cpus = builtin_cpus()
@@ -201,7 +201,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         load_scenario(args.scenario)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print("ok")
@@ -210,11 +210,13 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_validate(args)
+    command = {"run": _cmd_run, "sweep": _cmd_sweep,
+               "validate": _cmd_validate}[args.command]
+    try:
+        return command(args)
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
-"""QoC and energy accumulation, end-of-run reports, trace/chart emission.
+"""End-of-run reports, trace/chart emission.
 
-IAE is accumulated by each plant at micro-step resolution (see
-`plant.StateSpacePlant`) and read into the report.  Energy is integrated
-exactly: the speed is piecewise constant between policy decisions, so the
-integral is a finite sum over the recorded speed-change list.  The trace
-is held by column, as the simulator recorded it, and written to CSV from
-the columns; its rows are built only when asked for.
+A `RunReport` holds what one run measured: the IAE each plant accumulated
+at micro-step resolution (see `plant.StateSpacePlant`), and the energy the
+simulator summed from its speed-change list (see `sim`).  The trace is
+held by column, as the simulator recorded it, and written to CSV from the
+columns; its rows are built only when asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from itertools import chain, repeat
 from operator import sub
 
 __all__ = [
-    "EnergyAccumulator",
     "RunReport",
     "TraceRecorder",
     "line_chart_svg",
@@ -30,42 +28,6 @@ TRACE_COLUMNS = (
 def sig6(v: float) -> float:
     """Round to 6 significant digits for report serialization."""
     return float(f"{v:.6g}")
-
-
-class EnergyAccumulator:
-    """Integral of alpha(t)^2 with alpha piecewise constant between changes.
-
-    Time is integer microsecond ticks; each segment contributes
-    alpha^2 * span_ticks * 1e-6 exactly (no quadrature error).
-    """
-
-    def __init__(self, alpha0: float = 1.0):
-        self._alpha = alpha0
-        self._last_tick = 0
-        self._integral = 0.0
-        self.changes: list[tuple[int, float]] = [(0, alpha0)]
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
-    def set_alpha(self, tick: int, alpha: float) -> bool:
-        """Record a speed change; returns True when alpha actually changed."""
-        if tick < self._last_tick:
-            raise ValueError(f"time went backwards: {tick} < {self._last_tick}")
-        if alpha == self._alpha:
-            return False
-        self._integral += self._alpha * self._alpha * (tick - self._last_tick) * 1e-6
-        self._last_tick = tick
-        self._alpha = alpha
-        self.changes.append((tick, alpha))
-        return True
-
-    def finalize(self, end_tick: int) -> float:
-        """Close the last segment and return the full integral."""
-        self._integral += self._alpha * self._alpha * (end_tick - self._last_tick) * 1e-6
-        self._last_tick = end_tick
-        return self._integral
 
 
 class TraceRecorder:
@@ -135,8 +97,8 @@ class RunReport:
                  seed: int, j: dict[int, float], j_sum: float,
                  e_avg: float | None, energy_integral: float, misses: int,
                  period_stats_ms: dict[int, dict[str, float]],
-                 utilization: list[tuple[float, float, float]] | None = None,
-                 speed_changes: list[tuple[int, float]] | None = None):
+                 utilization: list[tuple[float, float, float]],
+                 speed_changes: list[tuple[int, float]]):
         self.scenario = scenario
         self.mode = mode
         self.cpu = cpu
@@ -149,9 +111,9 @@ class RunReport:
         self.misses = misses
         self.period_stats_ms = period_stats_ms
         # (time_s, alpha_ideal, alpha) per policy invocation
-        self.utilization = [] if utilization is None else utilization
+        self.utilization = utilization
         # (tick, alpha) per actual speed change, tick 0 included
-        self.speed_changes = [] if speed_changes is None else speed_changes
+        self.speed_changes = speed_changes
 
     def to_json_dict(self) -> dict:
         return {

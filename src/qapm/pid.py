@@ -37,9 +37,8 @@ class Pid:
         self._primed = False
 
     def compute(self, error: float, h_s: float) -> float:
-        """Control output for this sample; h_s is the elapsed interval in seconds."""
-        if h_s <= 0.0:
-            raise ValueError(f"sampling interval must be positive, got {h_s}")
+        """Control output for this sample; h_s > 0 is the elapsed interval
+        in seconds."""
         g = self.gains
         self._integral += g.ki * h_s * error
         if self._primed:

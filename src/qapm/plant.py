@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 DEFAULT_MICRO_STEP_US = 100
-MAX_MICRO_STEP_US = 1000
 # Largest plant order accepted.
 MAX_STATE = 8
 
@@ -40,7 +39,8 @@ class DivergenceError(ArithmeticError):
 class TransferFunction(Value):
     """SISO transfer function, coefficients in ascending powers of s.
 
-    Must be strictly proper: numerator degree below denominator degree.
+    Must be strictly proper: numerator degree below denominator degree,
+    which is at most `MAX_STATE`.
     """
 
     _fields = ("num", "den")
@@ -56,6 +56,9 @@ class TransferFunction(Value):
                 f"transfer function not strictly proper: num degree "
                 f"{len(n) - 1} >= den degree {len(d) - 1}"
             )
+        if len(d) - 1 > MAX_STATE:
+            raise ConfigurationError(
+                f"order {len(d) - 1} exceeds supported maximum {MAX_STATE}")
         self._set(num=n, den=d)
 
     @property
@@ -104,6 +107,9 @@ class StateSpacePlant:
     """x' = A x + B u, y = C x, with a held (zero-order-hold) input.
 
     ``a`` is A flattened row-major.  State starts at rest (x = 0, u = 0).
+    The matrices and the micro step are taken as given: `TransferFunction`
+    checks the order, `tf_to_state_space` builds matrices of matching
+    dimensions, and `scenario.validate` checks the micro step.
 
     One classical RK4 step of length h is, for this linear system with u
     held, exactly the affine map x <- M x + N u.  Every advance goes
@@ -127,17 +133,6 @@ class StateSpacePlant:
     def __init__(self, a, b, c, micro_step_us: int = DEFAULT_MICRO_STEP_US,
                  label: str = "plant", sample_every_us: int | None = None):
         n = len(b)
-        if len(c) != n or len(a) != n * n:
-            raise ConfigurationError(f"{label}: inconsistent matrix dimensions")
-        if n > MAX_STATE:
-            raise ConfigurationError(
-                f"{label}: order {n} exceeds supported maximum {MAX_STATE}"
-            )
-        if not 1 <= int(micro_step_us) <= MAX_MICRO_STEP_US:
-            raise ConfigurationError(
-                f"{label}: micro step must be in [1, {MAX_MICRO_STEP_US}] us, "
-                f"got {micro_step_us}"
-            )
         self.a = [float(v) for v in a]
         self.b = [float(v) for v in b]
         self.c = [float(v) for v in c]
@@ -162,14 +157,12 @@ class StateSpacePlant:
         self.u = u
 
     def integrate(self, span_us: int, r: float = 0.0) -> None:
-        """Advance the plant by ``span_us`` microseconds with the reference
-        held at ``r``, in one kernel call, adding the integral of |r - y(t)|
-        over the span (trapezoid over the steps, in seconds) to ``iae`` and
-        appending y at each sample instant in the span to ``samples``.
-        Raises `DivergenceError`, naming the plant and the time, when the
-        state is no longer finite."""
-        if span_us < 0:
-            raise ValueError(f"{self.label}: negative span {span_us}")
+        """Advance the plant by ``span_us`` >= 0 microseconds with the
+        reference held at ``r``, in one kernel call, adding the integral of
+        |r - y(t)| over the span (trapezoid over the steps, in seconds) to
+        ``iae`` and appending y at each sample instant in the span to
+        ``samples``.  Raises `DivergenceError`, naming the plant and the
+        time, when the state is no longer finite."""
         self.x, self.y, self.iae, self._sample_in, finite = self._advance(
             self.x, self.u, r, self.iae, self.time_us, span_us,
             self._sample_in, self._sample_every, self.samples)

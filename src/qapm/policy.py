@@ -157,15 +157,13 @@ class CpuLevels(Value):
 
 
 def period_scale_factor(e: float, spec: TaskSpec) -> float:
-    """Period scale factor (>= 1) for absolute control error ``e``.
+    """Period scale factor (>= 1) for finite absolute control error ``e``.
 
     Returns ``h_max/h0`` when the loop is near steady state (e <= e_min),
     1 when the error is large (e >= e_max), and an exponential
     interpolation in between.  Continuous at both thresholds and
     non-increasing in ``e``.
     """
-    if not math.isfinite(e) or e < 0:
-        raise ValueError(f"control error must be finite and >= 0, got {e}")
     p = spec.adaptation
     ratio = spec.stretch_limit
     if e <= p.e_min:

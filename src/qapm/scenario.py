@@ -20,7 +20,7 @@ import math
 import re
 
 from .pid import PidGains
-from .plant import MAX_MICRO_STEP_US, TransferFunction
+from .plant import TransferFunction
 from .policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec, Value
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 MODES = ("qapm", "osdvs", "dvs-only")
+# Largest plant integration micro step accepted.
+MAX_MICRO_STEP_US = 1000
 
 # Benchmark adaptation settings shared by all four loops.
 _ADAPT = AdaptationParams(beta=40.0, e_min=0.02, e_max=0.3)

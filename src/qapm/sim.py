@@ -43,6 +43,10 @@ loop's previous window fitted; with jitter, or with speed-switch stalls
 decrease is held here, not in the decision, until the jobs in flight at
 decision time have completed (the slow-down guard).
 
+The simulator owns the speed ``alpha`` and its change list.  The run's
+energy, the integral of alpha^2, is summed over that list at the end, and
+busy time over the dispatch segments.
+
 Time is integer microsecond ticks.  Event order at equal ticks is fixed:
 completions, then reference steps, then releases, then trace samples, then
 task id.  A completing job therefore actuates before a same-tick release
@@ -54,7 +58,7 @@ from __future__ import annotations
 import math
 import random
 
-from .metrics import EnergyAccumulator, RunReport, TraceRecorder
+from .metrics import RunReport, TraceRecorder
 from .pid import Pid
 from .plant import tf_to_state_space
 from .policy import ConfigurationError, decide
@@ -121,14 +125,13 @@ class _LoopRuntime:
 
 
 class SimResult:
-    def __init__(self, report: RunReport, trace: TraceRecorder,
-                 jobs: list | None = None, segments: list | None = None,
-                 busy_ticks: int = 0, idle_ticks: int = 0):
+    def __init__(self, report: RunReport, trace: TraceRecorder, jobs: list,
+                 segments: list, busy_ticks: int, idle_ticks: int):
         self.report = report
         self.trace = trace
-        self.jobs = [] if jobs is None else jobs
+        self.jobs = jobs
         # (start_tick, end_tick, task_id)
-        self.segments = [] if segments is None else segments
+        self.segments = segments
         self.busy_ticks = busy_ticks
         self.idle_ticks = idle_ticks
 
@@ -180,15 +183,14 @@ class Simulator:
         self.pending_alpha = 1.0
         self.seg_start = 0
 
-        self.energy = EnergyAccumulator(alpha0=1.0)
+        self.alpha = 1.0
+        # (tick, alpha) per actual speed change, tick 0 included
+        self.speed_changes: list[tuple[int, float]] = [(0, 1.0)]
         # (time_s, r, alpha, energy draw) per trace visit
         self.trace_visits: list[tuple] = []
-        self.utilization: list[tuple[int, float, float]] = []
+        self.utilization: list[tuple[float, float, float]] = []
         self.jobs: list[Job] = []
         self.segments: list[tuple[int, int, int]] = []
-        self.busy_ticks = 0
-        self.idle_ticks = 0
-        self.misses = 0
 
     # -- time advance ----------------------------------------------------
 
@@ -197,16 +199,6 @@ class Simulator:
         span = tick - lr.plant.time_us
         if span > 0:
             lr.plant.integrate(span, self.r)
-
-    def _advance_to(self, tick):
-        span = tick - self.now
-        if span < 0:
-            raise RuntimeError(f"event order violation: {tick} < {self.now}")
-        if self.running is not None:
-            self.busy_ticks += span
-        else:
-            self.idle_ticks += span
-        self.now = tick
 
     def _charge(self):
         """Charge the running job the work served since it was last charged.
@@ -218,7 +210,7 @@ class Simulator:
         if job is not None:
             run_from = max(self.charged_at, self.blocked_until)
             if run_from < self.now:
-                job.remaining -= (self.now - run_from) * 1e-6 * self.energy.alpha
+                job.remaining -= (self.now - run_from) * 1e-6 * self.alpha
                 if job.remaining < 0.0:
                     job.remaining = 0.0
         self.charged_at = self.now
@@ -230,14 +222,16 @@ class Simulator:
             return
         base = max(self.now, self.blocked_until)
         # floor; the sub-tick residue is forgiven
-        self.done_at = base + int(job.remaining / self.energy.alpha * 1e6)
+        self.done_at = base + int(job.remaining / self.alpha * 1e6)
 
     # -- policy ----------------------------------------------------------
 
     def _apply_alpha(self, alpha: float):
         self.pending_alpha = None
         self._charge()  # at the speed and stall in force until now
-        if self.energy.set_alpha(self.now, alpha):
+        if alpha != self.alpha:
+            self.alpha = alpha
+            self.speed_changes.append((self.now, alpha))
             if self.sc.switch_overhead_us:
                 self.blocked_until = max(self.blocked_until,
                                          self.now + self.sc.switch_overhead_us)
@@ -261,13 +255,13 @@ class Simulator:
         self.base_periods, self.periods, ticks, alpha_ideal, alpha = decide(
             self.specs, idx, abs(e), self.base_periods, self.in_flight,
             self.work, sc.cpu, sc.mode)
-        self.utilization.append((self.now, alpha_ideal, alpha))
+        self.utilization.append((self.now * 1e-6, alpha_ideal, alpha))
         # Speed increases take effect at once.  A decrease is held until
         # every job in flight at decision time has completed: those jobs'
         # deadlines were budgeted at the old speed, and the reclaimed
         # schedule runs at full utilization with no slack to absorb the
         # longer service a mid-job slowdown would cause.
-        if alpha >= self.energy.alpha:
+        if alpha >= self.alpha:
             self.guard = None
             self._apply_alpha(alpha)
         elif self.guard is not None:
@@ -293,16 +287,14 @@ class Simulator:
         job = self.running
         self._charge()
         task_id = job.task_id
-        residue_limit = self.energy.alpha * _RESIDUE_TICKS * 1e-6 + 1e-12
+        residue_limit = self.alpha * _RESIDUE_TICKS * 1e-6 + 1e-12
         if job.remaining > residue_limit:
             raise RuntimeError(
                 f"task {task_id}: completion fired with {job.remaining!r}s left"
             )
         job.remaining = 0.0
         job.completion = self.now
-        if self.now > job.deadline:
-            job.missed = True
-            self.misses += 1
+        job.missed = self.now > job.deadline
         self.ready.remove(job)
         if self.guard is not None:
             self.guard.discard(job)
@@ -325,7 +317,7 @@ class Simulator:
     def _on_trace(self, tick):
         # Runs at or after self.now and before the next event: the values
         # in force are the values at ``tick``.
-        alpha = self.energy.alpha
+        alpha = self.alpha
         self.trace_visits.append((tick * 1e-6, self.r, alpha, alpha * alpha))
         for lr, h in zip(self.loops, self.periods):
             lr.trace_u.append(lr.plant.u)
@@ -369,8 +361,7 @@ class Simulator:
                 self.next_trace += self.trace_step
             if tick > self.end_tick:
                 break
-            if tick > self.now:
-                self._advance_to(tick)
+            self.now = tick
             if kind == PRI_COMPLETION:
                 self._on_completion()
             elif kind == PRI_REF_STEP:
@@ -380,14 +371,12 @@ class Simulator:
             else:
                 self._on_release(lr)
             self._dispatch()
-        if self.now < self.end_tick:
-            self._advance_to(self.end_tick)
-        # jobs left unfinished past their deadline; the rest were counted
+        self.now = self.end_tick
+        # jobs left unfinished past their deadline; the rest were marked
         # when they completed
         for job in self.ready:
             if job.deadline < self.end_tick and job.remaining > 0.0:
                 job.missed = True
-                self.misses += 1
         for lr in self.loops:
             self._advance_plant(lr, self.end_tick)
         return self._finalize()
@@ -395,7 +384,12 @@ class Simulator:
     def _finalize(self) -> SimResult:
         if self.running is not None and self.seg_start < self.now:
             self.segments.append((self.seg_start, self.now, self.running.task_id))
-        integral = self.energy.finalize(self.end_tick)
+        changes = self.speed_changes
+        integral = 0.0
+        ends = [t for t, _ in changes[1:]] + [self.end_tick]
+        for (t0, a), t1 in zip(changes, ends):
+            integral += a * a * (t1 - t0) * 1e-6
+        busy_ticks = sum(end - start for start, end, _ in self.segments)
         duration_s = self.end_tick * 1e-6
         period_stats = {}
         for lr in self.loops:
@@ -429,18 +423,18 @@ class Simulator:
             j_sum=sum(j.values()),
             e_avg=(integral / duration_s) if duration_s > 0 else None,
             energy_integral=integral,
-            misses=self.misses,
+            misses=sum(job.missed for job in self.jobs),
             period_stats_ms=period_stats,
-            utilization=[(t * 1e-6, ai, a) for t, ai, a in self.utilization],
-            speed_changes=list(self.energy.changes),
+            utilization=self.utilization,
+            speed_changes=changes,
         )
         return SimResult(
             report=report,
             trace=trace,
             jobs=self.jobs,
             segments=self.segments,
-            busy_ticks=self.busy_ticks,
-            idle_ticks=self.idle_ticks,
+            busy_ticks=busy_ticks,
+            idle_ticks=self.end_tick - busy_ticks,
         )
 
 

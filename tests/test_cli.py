@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from qapm import cli
 from qapm.scenario import builtin_table1, save_scenario
 from qapm.sim import run_loop
@@ -150,6 +152,48 @@ def test_validate_rejects_broken_file(tmp_path):
     p = run_cli("validate", "--scenario", str(bad))
     assert p.returncode == 2
     assert p.stderr.startswith("error: trace_cadence_ms: "), p.stderr
+
+
+@pytest.mark.parametrize("old, new, error", (
+    ("    - 50.0\n", "    - 50.0\n" + "    - 1.0\n" * 8,
+     "loops[0].plant: order 9 exceeds supported maximum 8"),
+    ("micro_step_us: 100\n", "micro_step_us: 0\n",
+     "micro_step_us: must be in [1, 1000], got 0"),
+    ("micro_step_us: 100\n", "micro_step_us: 1001\n",
+     "micro_step_us: must be in [1, 1000], got 1001"),
+    ("c_nom_ms: 2.0\n", "c_nom_ms: 6.0\n",
+     "loops: nominal workload sum(c_nom/h0) = 2.873810 exceeds 1; "
+     "task set infeasible"),
+), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload"))
+def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
+    # Every configuration `run` rejects, `validate` rejects too, with the
+    # same one line naming the field.
+    path = tmp_path / "bad.yaml"
+    save_scenario(builtin_table1(), path)
+    path.write_text(path.read_text().replace(old, new))
+    stderr = []
+    for command in ("validate", "run"):
+        p = run_cli(command, "--scenario", str(path))
+        assert p.returncode == 2, p.stderr
+        assert p.stdout == ""
+        stderr.append(p.stderr)
+    assert stderr[0] == stderr[1]
+    assert stderr[0] == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ("run", "sweep"))
+def test_out_naming_a_file_is_config_error(tmp_path, command):
+    # The outputs cannot be written: one error line and exit 2.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    args = ["--all-cpus"] if command == "sweep" else []
+    p = run_cli(command, "--builtin", "table1", *args, "--duration", "0.01",
+                "--out", str(taken))
+    assert p.returncode == 2, p.stderr
+    assert p.stdout == ""
+    assert p.stderr.startswith("error: ") and p.stderr.count("\n") == 1, \
+        p.stderr
+    assert str(taken) in p.stderr
 
 
 def test_out_of_range_integer_is_config_error(tmp_path):

@@ -2,19 +2,20 @@
 
 import csv
 import json
-import random
 
 import pytest
 
 from qapm.metrics import (
     TRACE_COLUMNS,
-    EnergyAccumulator,
     RunReport,
     TraceRecorder,
     line_chart_svg,
     sig6,
 )
 from qapm.plant import StateSpacePlant
+from qapm.policy import CpuLevels
+from qapm.scenario import Scenario, builtin_table1, resolve_cpu
+from qapm.sim import run_loop
 
 
 # --- IAE --------------------------------------------------------------------
@@ -30,43 +31,35 @@ def test_iae_unit_error_for_one_second():
 
 
 # --- energy -----------------------------------------------------------------
+#
+# The simulator keeps the speed and its change list; the report's energy
+# integral is summed from that list.
+
+def one_loop(cpu, mode, duration_s):
+    """Table 1's first loop alone: one 2 ms job every 10 ms."""
+    sc = Scenario(name="one", loops=builtin_table1().loops[:1], cpu=cpu,
+                  mode=mode, duration_s=duration_s)
+    return run_loop(sc).report
+
 
 def test_half_speed_for_two_seconds_costs_half():
-    acc = EnergyAccumulator()
-    acc.set_alpha(0, 0.5)
-    assert acc.finalize(2_000_000) == pytest.approx(0.5)
+    # dvs-only quantizes the 0.2 workload onto {0.5, 1.0} at the first
+    # release, at tick 0
+    rep = one_loop(resolve_cpu("cpu-1"), "dvs-only", 2.0)
+    assert rep.speed_changes == [(0, 1.0), (0, 0.5)]
+    assert rep.energy_integral == pytest.approx(0.5)
 
 
 def test_full_speed_baseline():
-    acc = EnergyAccumulator()
-    assert acc.finalize(3_000_000) == pytest.approx(3.0)
-
-
-def test_piecewise_segments():
-    acc = EnergyAccumulator()
-    acc.set_alpha(1_000_000, 0.5)   # 1 s at 1.0, then 1 s at 0.5
-    total = acc.finalize(2_000_000)
-    assert total == pytest.approx(1.0 + 0.25)
-
-
-def test_set_alpha_reports_actual_changes_only():
-    acc = EnergyAccumulator()
-    assert acc.set_alpha(10, 1.0) is False
-    assert acc.set_alpha(10, 0.64) is True
-    assert acc.set_alpha(20, 0.64) is False
-    assert acc.changes == [(0, 1.0), (10, 0.64)]
-
-
-def test_time_must_not_go_backwards():
-    acc = EnergyAccumulator()
-    acc.set_alpha(100, 0.5)
-    with pytest.raises(ValueError):
-        acc.set_alpha(99, 0.7)
+    rep = one_loop(CpuLevels((1.0,), name="full"), "dvs-only", 3.0)
+    assert rep.speed_changes == [(0, 1.0)]
+    assert rep.energy_integral == pytest.approx(3.0)
 
 
 def test_zero_duration_integral_is_zero():
-    acc = EnergyAccumulator()
-    assert acc.finalize(0) == 0.0
+    rep = run_loop(builtin_table1().with_(duration_s=0.0)).report
+    assert rep.speed_changes == [(0, 1.0)]
+    assert rep.energy_integral == 0.0
 
 
 def recompute(changes, end_tick: int) -> float:
@@ -78,17 +71,24 @@ def recompute(changes, end_tick: int) -> float:
     return total
 
 
-def test_recompute_matches_online_integral():
-    rng = random.Random(11)
-    acc = EnergyAccumulator()
-    t = 0
-    for _ in range(500):
-        t += rng.randint(1, 50_000)
-        acc.set_alpha(t, rng.choice((0.285, 0.5, 0.64, 0.92, 1.0)))
-    end = t + 10_000
-    online = acc.finalize(end)
-    replay = recompute(acc.changes, end)
-    assert abs(online - replay) <= 1e-12
+def test_recompute_matches_online_integral(bench_runs, overload_scenario):
+    # Over the benchmark runs, an overloaded run and a run with jitter and
+    # switch stalls: the change list starts at full speed at tick 0, its
+    # ticks never decrease, it records actual changes only, and the energy
+    # integral is its in-order sum, bit for bit.
+    jitter = builtin_table1(cpu=resolve_cpu("cpu-4")).with_(
+        duration_s=2.0, c_jitter=0.2, seed=7, switch_overhead_us=50)
+    runs = [*bench_runs.values(), run_loop(overload_scenario), run_loop(jitter)]
+    for res in runs:
+        rep = res.report
+        changes = rep.speed_changes
+        assert len(changes) > 1
+        assert changes[0] == (0, 1.0)
+        assert all(t0 <= t1 for (t0, _), (t1, _) in zip(changes, changes[1:]))
+        assert all(a0 != a1 for (_, a0), (_, a1) in zip(changes, changes[1:]))
+        end_tick = round(rep.duration_s * 1e6)
+        assert rep.energy_integral == recompute(changes, end_tick)
+        assert rep.e_avg == rep.energy_integral / rep.duration_s
 
 
 # --- serialization helpers ---------------------------------------------------

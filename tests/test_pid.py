@@ -65,14 +65,6 @@ def test_all_three_terms_combine():
     assert u2 == pytest.approx(2.0 * 0.5 + 0.15 + 0.5 * (0.5 - 1.0) / 0.1)
 
 
-def test_rejects_nonpositive_interval():
-    pid = Pid(PidGains(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        pid.compute(0.1, 0.0)
-    with pytest.raises(ValueError):
-        pid.compute(0.1, -0.01)
-
-
 def test_gains_validation():
     with pytest.raises(ConfigurationError):
         PidGains(float("nan"), 0.0, 0.0)

@@ -92,15 +92,6 @@ def test_adapt_period_scales_h0_and_stays_in_range():
             assert spec.h0 <= h <= spec.h_max
 
 
-def test_scale_factor_rejects_bad_error():
-    with pytest.raises(ValueError):
-        period_scale_factor(-0.1, TASKS[0])
-    with pytest.raises(ValueError):
-        period_scale_factor(float("nan"), TASKS[0])
-    with pytest.raises(ValueError):
-        period_scale_factor(float("inf"), TASKS[0])
-
-
 def test_scale_factor_properties_randomized():
     # Range, monotonicity, and continuity at the thresholds over 1e5
     # randomized (error, parameters) samples.

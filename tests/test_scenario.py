@@ -112,6 +112,15 @@ def test_validate_flags_jitter_and_cadence():
     assert any(e.startswith("trace_cadence_ms:") for e in errs)
 
 
+def test_validate_flags_micro_step_range():
+    for micro in (0, 1001):
+        sc = builtin_table1().with_(micro_step_us=micro)
+        assert validate(sc) == [
+            f"micro_step_us: must be in [1, 1000], got {micro}"]
+    for micro in (1, 1000):
+        assert validate(builtin_table1().with_(micro_step_us=micro)) == []
+
+
 def test_validate_flags_duplicate_ids():
     sc = builtin_table1()
     sc = sc.with_(loops=(sc.loops[0], sc.loops[0]))
