@@ -71,21 +71,58 @@ def recompute(changes, end_tick: int) -> float:
     return total
 
 
-def test_recompute_matches_online_integral(bench_runs, overload_scenario):
-    # Over the benchmark runs, an overloaded run and a run with jitter and
-    # switch stalls: the change list starts at full speed at tick 0, its
-    # ticks never decrease, it records actual changes only, and the energy
-    # integral is its in-order sum, bit for bit.
+@pytest.fixture
+def speed_runs(bench_runs, overload_scenario):
+    """The benchmark runs, an overloaded run and a run with jitter and
+    switch stalls, as (processor, report) pairs."""
     jitter = builtin_table1(cpu=resolve_cpu("cpu-4")).with_(
         duration_s=2.0, c_jitter=0.2, seed=7, switch_overhead_us=50)
-    runs = [*bench_runs.values(), run_loop(overload_scenario), run_loop(jitter)]
-    for res in runs:
-        rep = res.report
+    return [(sc.cpu, run_loop(sc).report) for sc in (overload_scenario, jitter)] + [
+        (resolve_cpu("cpu-ideal" if key == "osdvs" else key), res.report)
+        for key, res in bench_runs.items()]
+
+
+def test_piecewise_segments(speed_runs):
+    # The speed is piecewise constant between changes: the energy integral
+    # is the sum of alpha^2 times the length of each segment, and the
+    # segments tile the run from tick 0 to its end.  A change at the tick
+    # of the one before it leaves a zero-length segment that costs nothing.
+    spans = []
+    for _, rep in speed_runs:
+        changes = rep.speed_changes
+        end_tick = round(rep.duration_s * 1e6)
+        bounds = [t for t, _ in changes[1:]] + [end_tick]
+        segments = [(t0, t1, a) for (t0, a), t1 in zip(changes, bounds)]
+        assert segments[0][0] == 0 and segments[-1][1] == end_tick
+        assert all(s[1] == n[0] for s, n in zip(segments, segments[1:]))
+        spans.append(sum(1 for t0, t1, _ in segments if t1 > t0))
+        expected = sum(a * a * (t1 - t0) for t0, t1, a in segments) * 1e-6
+        assert rep.energy_integral == pytest.approx(expected, rel=1e-12)
+    # the osDVS baseline holds one speed; every other run changes it often
+    assert min(spans) == 1 and sorted(spans)[1] > 10
+
+
+def test_set_alpha_reports_actual_changes_only(speed_runs):
+    # The simulator records a speed change only when the speed differs
+    # from the one in force, and only at a level of the run's processor.
+    for cpu, rep in speed_runs:
+        changes = rep.speed_changes
+        assert all(a0 != a1 for (_, a0), (_, a1) in zip(changes, changes[1:]))
+        if not cpu.ideal:
+            assert all(a in cpu.levels for _, a in changes)
+    # a one-level processor never changes speed
+    assert one_loop(CpuLevels((1.0,), name="full"), "qapm",
+                    1.0).speed_changes == [(0, 1.0)]
+
+
+def test_recompute_matches_online_integral(speed_runs):
+    # The change list starts at full speed at tick 0, its ticks never
+    # decrease, and the energy integral is its in-order sum, bit for bit.
+    for _, rep in speed_runs:
         changes = rep.speed_changes
         assert len(changes) > 1
         assert changes[0] == (0, 1.0)
         assert all(t0 <= t1 for (t0, _), (t1, _) in zip(changes, changes[1:]))
-        assert all(a0 != a1 for (_, a0), (_, a1) in zip(changes, changes[1:]))
         end_tick = round(rep.duration_s * 1e6)
         assert rep.energy_integral == recompute(changes, end_tick)
         assert rep.e_avg == rep.energy_integral / rep.duration_s
