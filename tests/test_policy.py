@@ -165,9 +165,14 @@ def test_quantize_matches_bruteforce_on_random_level_sets():
         levels = sorted(set(round(rng.uniform(0.05, 0.99), 3) for _ in range(n)))
         levels.append(1.0)
         cpu = CpuLevels(tuple(levels))
-        a = rng.uniform(1e-3, 1.0)
-        expect = min(l for l in cpu.levels if l >= a - 1e-12)
-        assert quantize_speed(a, cpu) == expect
+        # a random demand, and demands on both sides of each level's
+        # tolerance band (EXACT_LEVEL_TOL = 1e-12)
+        demands = [rng.uniform(1e-3, 1.0)]
+        for lvl in cpu.levels:
+            demands += [lvl - 2e-12, lvl - 0.5e-12, lvl + 0.5e-12, lvl + 2e-12]
+        for a in demands:
+            expect = min(l for l in cpu.levels if l >= min(a, 1.0) - 1e-12)
+            assert quantize_speed(a, cpu) == expect, (a, cpu.levels)
 
 
 def test_quantize_idempotent_and_monotone_under_refinement():

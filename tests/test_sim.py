@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from qapm import policy
 from qapm.plant import StateSpacePlant
 from qapm.policy import ConfigurationError, CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
@@ -426,6 +427,14 @@ def test_releases_at_one_tick_run_in_task_id_order():
 
 # --- frozen outputs and work counters ----------------------------------------
 
+def jitter_cpu4(seed):
+    """Table1 on cpu-4 with seeded jitter, switch stalls, 1 ms micro steps
+    and a 10 ms trace: the benchmark's off-grid workload."""
+    return builtin_table1(cpu=resolve_cpu("cpu-4")).with_(
+        c_jitter=0.2, seed=seed, switch_overhead_us=50, micro_step_us=1000,
+        trace_cadence_ms=10.0)
+
+
 # SHA-256 of report.to_json(), the bytes of report.json.  Re-pin only where
 # a change to the model's numerics is the cause, and log old -> new.
 REPORT_SHA256 = {
@@ -448,36 +457,110 @@ def test_reports_are_pinned(bench_runs, overload_scenario):
     # The six canonical 12 s runs, the overload fixture, and a table1 run
     # on cpu-4 with seeded jitter, switch stalls, 1 ms micro steps and a
     # 10 ms trace.
-    jitter = builtin_table1(cpu=resolve_cpu("cpu-4")).with_(
-        c_jitter=0.2, seed=1, switch_overhead_us=50, micro_step_us=1000,
-        trace_cadence_ms=10.0)
     got = {key: report_sha256(res) for key, res in bench_runs.items()}
     got["overload"] = report_sha256(run_loop(overload_scenario))
-    got["jitter-cpu4"] = report_sha256(run_loop(jitter))
+    got["jitter-cpu4"] = report_sha256(run_loop(jitter_cpu4(1)))
     assert got == REPORT_SHA256
+
+
+def stall_run(cpu):
+    # Speed switches stall for 2 ms, which the demand check does not count.
+    return builtin_table1(cpu=resolve_cpu(cpu)).with_(
+        duration_s=2.0, switch_overhead_us=2000)
+
+
+# SHA-256 of the exact run record: every job's (task_id, release, deadline,
+# completion, missed), the segments, speed changes and utilization, repr of
+# report.j and of the energy integral, busy and idle ticks, and the trace
+# rows.  Unlike report.json, nothing is rounded, so the guard, stall and
+# miss paths are checked bit for bit.  Same re-pin rule as REPORT_SHA256.
+RECORD_SHA256 = {
+    "jitter-cpu4-seed1": ("ae5cfc2fb76387e6c848a6617fdc7a05"
+                          "20fa6dcf19b8415bf2e09a98fbbff3cc", 0),
+    "jitter-cpu4-seed2": ("2e8bc79c888239e988da78e8a526b6e0"
+                          "18d5f82115da76c455c6571ef2259bf0", 0),
+    "overload": ("64d02288b880eff3a392cb1cb0861aa0"
+                 "9e0c4e0f4d1bf4aa82016d9f30130465", 694),
+    "stall-cpu2": ("b4bfcdfc1869be5c7a3e23ecdc906138"
+                   "73ce469a7f8a273760c48d1a95af9e05", 93),
+    "stall-cpu4": ("7379262437102300949f99a34f28aafd"
+                   "db099f5fd061c194c763c9cb3c840bd4", 347),
+    "dvs-only-cpu3": ("db02045b1c8eecf66b8d23537e96fe29"
+                      "fe7dbaf2e5b10ac7376b7e3942c4c9ab", 0),
+    "osdvs-jitter": ("1415c6edac603188fec7b3bc2c4be016"
+                     "c0e6045b27f615bca70d081e698a77a9", 43),
+}
+
+
+def record_sha256(res):
+    rep = res.report
+    record = (
+        [(j.task_id, j.release, j.deadline, j.completion, j.missed)
+         for j in res.jobs],
+        res.segments, rep.speed_changes, rep.utilization, rep.j,
+        rep.energy_integral, res.busy_ticks, res.idle_ticks, res.trace.rows,
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def test_run_records_are_pinned(overload_scenario):
+    cases = {
+        "jitter-cpu4-seed1": jitter_cpu4(1),
+        "jitter-cpu4-seed2": jitter_cpu4(2),
+        "overload": overload_scenario,
+        "stall-cpu2": stall_run("cpu-2"),
+        "stall-cpu4": stall_run("cpu-4"),
+        "dvs-only-cpu3": builtin_table1(
+            cpu=resolve_cpu("cpu-3"), mode="dvs-only").with_(duration_s=2.0),
+        "osdvs-jitter": builtin_table1(mode="osdvs").with_(
+            duration_s=2.0, c_jitter=0.3),
+    }
+    got = {}
+    for key, sc in cases.items():
+        res = run_loop(sc)
+        got[key] = (record_sha256(res), res.report.misses)
+    assert got == RECORD_SHA256
 
 
 def test_one_integrate_call_per_plant_advance(monkeypatch):
     # Each advance is one kernel call that ends at the instant of the event
     # that needs the plant: its own loop's release or completion, a
-    # reference step, or the end of the run.
+    # reference step, or the end of the run.  Each release makes one
+    # power-manager decision.  The jitter run steps off the micro-step grid
+    # at every completion.
     calls = []
+    decisions = []
     integrate = StateSpacePlant.integrate
 
     def counted(plant, span_us, r=0.0):
         integrate(plant, span_us, r)
         calls.append((plant.label, span_us, plant.time_us))
 
+    def counted_decide(*args):
+        decisions.append(args[1])
+        return policy.decide(*args)
+
     monkeypatch.setattr(StateSpacePlant, "integrate", counted)
-    sc = builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0)
-    res = run_loop(sc)
-    common = {0, 1_000_000, 2_000_000}  # reference steps and the end
-    instants = {f"loop {lp.task.id}": set(common) for lp in sc.loops}
-    for j in res.jobs:
-        instants[f"loop {j.task_id}"].update((j.release, j.completion))
-    assert all(span > 0 and t in instants[label] for label, span, t in calls)
-    assert len(set((label, t) for label, _, t in calls)) == len(calls)
-    assert len(calls) == 1_348
+    monkeypatch.setattr("qapm.sim.decide", counted_decide)
+    cases = (
+        (builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0),
+         1_348, 673),
+        (jitter_cpu4(1), 6_851, 3_404),
+    )
+    for sc, n_calls, n_decisions in cases:
+        calls.clear()
+        decisions.clear()
+        res = run_loop(sc)
+        end, step = round(sc.duration_s * 1e6), round(sc.perturbation_s * 1e6)
+        common = set(range(0, end, step)) | {end}  # reference steps, the end
+        instants = {f"loop {lp.task.id}": set(common) for lp in sc.loops}
+        for j in res.jobs:
+            instants[f"loop {j.task_id}"].update((j.release, j.completion))
+        assert all(span > 0 and t in instants[label]
+                   for label, span, t in calls)
+        assert len(set((label, t) for label, _, t in calls)) == len(calls)
+        assert (len(calls), len(decisions)) == (n_calls, n_decisions)
+        assert len(decisions) == len(res.jobs)
 
 
 # --- degenerate scenarios --------------------------------------------------------
