@@ -27,7 +27,6 @@ __all__ = [
     "tf_to_state_space",
 ]
 
-DEFAULT_MICRO_STEP_US = 100
 # Largest plant order accepted.
 MAX_STATE = 8
 
@@ -76,7 +75,7 @@ def _strip(coeffs) -> tuple[float, ...]:
 
 def tf_to_state_space(
     tf: TransferFunction,
-    micro_step_us: int = DEFAULT_MICRO_STEP_US,
+    micro_step_us: int,
     label: str = "plant",
     sample_every_us: int | None = None,
 ) -> "StateSpacePlant":
@@ -130,7 +129,7 @@ class StateSpacePlant:
     last point the span computed, its start or a grid instant.
     """
 
-    def __init__(self, a, b, c, micro_step_us: int = DEFAULT_MICRO_STEP_US,
+    def __init__(self, a, b, c, micro_step_us: int,
                  label: str = "plant", sample_every_us: int | None = None):
         n = len(b)
         self.a = [float(v) for v in a]

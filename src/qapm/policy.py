@@ -16,6 +16,7 @@ mutable state, safe to call concurrently.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -210,11 +211,10 @@ def quantize_speed(alpha_ideal: float, levels: CpuLevels) -> float:
     alpha_ideal = min(alpha_ideal, 1.0)
     if levels.ideal:
         return alpha_ideal
-    need = alpha_ideal - EXACT_LEVEL_TOL
-    # The top level is 1.0, so the loop always returns.
-    for lvl in levels.levels:
-        if lvl >= need:
-            return lvl
+    # The first level >= the demand less the tolerance; the top level is
+    # 1.0, so the index is always in range.
+    lv = levels.levels
+    return lv[bisect_left(lv, alpha_ideal - EXACT_LEVEL_TOL)]
 
 
 def reclaim_periods(

@@ -412,11 +412,24 @@ def _yaml_load(fh, path):
     try:
         return yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigurationError(f"{path}: parse error{where}: {exc}") from exc
+        # One line: PyYAML's own text spans several, with the file's name
+        # again on each mark.
+        problem = getattr(exc, "problem", None)
+        if problem is None:  # no marks, e.g. a character YAML forbids
+            problem = " ".join(str(exc).split())
+        where = _at(getattr(exc, "problem_mark", None))
+        message = f"{path}: parse error{where}: {problem}"
+        context = getattr(exc, "context", None)
+        if context:
+            message += f" ({context}{_at(getattr(exc, 'context_mark', None))})"
+        raise ConfigurationError(message) from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def _at(mark) -> str:
+    """`` at line L, column C`` for a PyYAML mark, 1-based; '' for None."""
+    return f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
 
 
 def save_scenario(sc: Scenario, path) -> None:

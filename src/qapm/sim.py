@@ -1,14 +1,29 @@
 """Deterministic control/scheduling co-simulation engine.
 
-One event loop drives everything: job releases (sample + control output +
-power-policy invocation), preemptive EDF dispatch, speed-scaled execution
-accounting, job completions (actuation), reference steps, and trace
-sampling.  Each event source keeps only its next instant: every loop its
-next release, the reference its next step, the trace its next sample, and
-the running job its completion.  The running job is charged the nominal
-work it was served only where its service rate may change: when it is
-dispatched or preempted, when a speed decision is applied, and when it
-completes.  Its completion tick is recomputed wherever the rate changes.
+One event loop, in `Simulator.run`, drives everything: job releases
+(sample + control output + power-policy invocation), preemptive EDF
+dispatch, speed-scaled execution accounting, job completions (actuation),
+reference steps, and trace sampling.  Each event source keeps only its next
+instant: every loop its next release, the reference its next step, the
+trace its next sample, and the running job its completion.  The running
+job is charged the nominal work it was served only where its service rate
+may change, and at exactly three places: when a speed decision is applied
+at a release (whether or not the speed changes), when it completes (before
+a held slow-down is applied), and when the dispatcher switches jobs.  The
+float sums depend on that order.  Its completion tick is recomputed
+wherever the rate changes.
+
+The loop keeps its state in local variables: the clock, the speed, the
+reference, the running job and its completion tick, how far it has been
+charged, the end of the last switch stall, the slow-down guard and the
+speed it holds back, the start of the running segment, the next reference
+step and trace sample, each loop's next release, and the policy's period
+lists.  The lists the run records (jobs, segments, speed changes,
+utilization, trace visits) are attributes, appended to through bound
+methods, and read once the loop ends.  The loop calls the owners of three
+rules it does not repeat: `policy.decide` for every decision, `edf_select`
+for every dispatch, and `StateSpacePlant.integrate`, as a method, once per
+plant advance.
 
 Each plant integrates its dynamics, with the held actuator value, on the
 grid of micro-step instants k * micro_step_us counted from t = 0, and
@@ -48,15 +63,15 @@ energy, the integral of alpha^2, is summed over that list at the end, and
 busy time over the dispatch segments.
 
 Time is integer microsecond ticks.  Event order at equal ticks is fixed:
-completions, then reference steps, then releases, then trace samples, then
-task id.  A completing job therefore actuates before a same-tick release
-samples the plant, and releases see the new reference.
+completions, then reference steps, then releases in task-id order, then
+trace samples.  A completing job therefore actuates before a same-tick
+release samples the plant, and releases see the new reference.
 """
 
 from __future__ import annotations
 
 import math
-import random
+from random import Random
 
 from .metrics import RunReport, TraceRecorder
 from .pid import Pid
@@ -66,11 +81,6 @@ from .scenario import Scenario, validate
 
 __all__ = ["Job", "SimResult", "Simulator", "run_loop", "edf_select"]
 
-# Event kind priorities; lower runs first at an equal tick.  Trace samples
-# come after all three.
-PRI_COMPLETION = 0
-PRI_REF_STEP = 1
-PRI_RELEASE = 2
 _NEVER = math.inf  # tick of an event source with nothing pending
 
 # A completion may round down to the previous tick, leaving at most one
@@ -109,7 +119,7 @@ def edf_select(ready):
 
 class _LoopRuntime:
     __slots__ = (
-        "index", "task", "plant", "pid", "next_release", "periods",
+        "index", "task", "plant", "pid", "periods",
         "trace_u", "trace_h_ms",
     )
 
@@ -118,7 +128,6 @@ class _LoopRuntime:
         self.task = task
         self.plant = plant
         self.pid = pid
-        self.next_release = 0           # tick
         self.periods = []               # period in force at each release, seconds
         self.trace_u = []               # u and h_eff at each trace visit
         self.trace_h_ms = []
@@ -155,35 +164,7 @@ class Simulator:
             )
             for i, lp in enumerate(sc.loops)
         ]
-        self.by_id = {lr.task.id: lr for lr in self.loops}
-        self.specs = [lr.task for lr in self.loops]
-        self.by_task_id = sorted(self.loops, key=lambda lr: lr.task.id)
-        # The power manager's inputs: adapted periods, the last drawn
-        # execution time of each loop (jitter hook) and the period, in
-        # ticks, each loop's job in flight was released with.  Its output
-        # ``periods`` is each loop's period in force, in seconds.
-        self.base_periods = [t.h0 for t in self.specs]
-        self.periods = self.base_periods[:]
-        self.work = [t.c_nom for t in self.specs]
-        self.in_flight = [None] * len(self.specs)
-        self.r = 0.0
-        self.rng = random.Random(sc.seed)
-
-        self.now = 0
-        # The next instant of each event source (releases: per loop).
-        self.ref_step = round(sc.perturbation_s * 1e6)
-        self.next_ref = 0
-        self.next_trace = _NEVER if self.trace_step is None else 0
-        self.done_at = _NEVER           # completion tick of the running job
-        self.ready: list[Job] = []
-        self.running: Job | None = None
-        self.charged_at = 0             # running job charged up to this tick
-        self.blocked_until = 0
-        self.guard: set[Job] | None = None
-        self.pending_alpha = 1.0
-        self.seg_start = 0
-
-        self.alpha = 1.0
+        # What the run records, appended to by the loop in `run`.
         # (tick, alpha) per actual speed change, tick 0 included
         self.speed_changes: list[tuple[int, float]] = [(0, 1.0)]
         # (time_s, r, alpha, energy draw) per trace visit
@@ -192,198 +173,225 @@ class Simulator:
         self.jobs: list[Job] = []
         self.segments: list[tuple[int, int, int]] = []
 
-    # -- time advance ----------------------------------------------------
-
-    def _advance_plant(self, lr, tick):
-        """Integrate ``lr``'s plant up to ``tick``."""
-        span = tick - lr.plant.time_us
-        if span > 0:
-            lr.plant.integrate(span, self.r)
-
-    def _charge(self):
-        """Charge the running job the work served since it was last charged.
-
-        The speed and the switch stall are constant in between, since both
-        change only where this is called first.
-        """
-        job = self.running
-        if job is not None:
-            run_from = max(self.charged_at, self.blocked_until)
-            if run_from < self.now:
-                job.remaining -= (self.now - run_from) * 1e-6 * self.alpha
-                if job.remaining < 0.0:
-                    job.remaining = 0.0
-        self.charged_at = self.now
-
-    def _plan_completion(self):
-        job = self.running
-        if job is None:
-            self.done_at = _NEVER
-            return
-        base = max(self.now, self.blocked_until)
-        # floor; the sub-tick residue is forgiven
-        self.done_at = base + int(job.remaining / self.alpha * 1e6)
-
-    # -- policy ----------------------------------------------------------
-
-    def _apply_alpha(self, alpha: float):
-        self.pending_alpha = None
-        self._charge()  # at the speed and stall in force until now
-        if alpha != self.alpha:
-            self.alpha = alpha
-            self.speed_changes.append((self.now, alpha))
-            if self.sc.switch_overhead_us:
-                self.blocked_until = max(self.blocked_until,
-                                         self.now + self.sc.switch_overhead_us)
-            self._plan_completion()
-
-    # -- event handlers ----------------------------------------------------
-
-    def _on_release(self, lr: _LoopRuntime):
-        sc = self.sc
-        self._advance_plant(lr, self.now)
-        e = self.r - lr.plant.sample()
-
-        work = lr.task.c_nom
-        if sc.c_jitter > 0.0:
-            work *= 1.0 + sc.c_jitter * (2.0 * self.rng.random() - 1.0)
-        idx = lr.index
-        self.work[idx] = work
-
-        # The manager re-decides the period before the control computation
-        # runs, so the controller sees the period now in force.
-        self.base_periods, self.periods, ticks, alpha_ideal, alpha = decide(
-            self.specs, idx, abs(e), self.base_periods, self.in_flight,
-            self.work, sc.cpu, sc.mode)
-        self.utilization.append((self.now * 1e-6, alpha_ideal, alpha))
-        # Speed increases take effect at once.  A decrease is held until
-        # every job in flight at decision time has completed: those jobs'
-        # deadlines were budgeted at the old speed, and the reclaimed
-        # schedule runs at full utilization with no slack to absorb the
-        # longer service a mid-job slowdown would cause.
-        if alpha >= self.alpha:
-            self.guard = None
-            self._apply_alpha(alpha)
-        elif self.guard is not None:
-            self.pending_alpha = alpha
-        else:
-            in_flight = {j for j in self.ready if j.remaining > 0.0}
-            if in_flight:
-                self.guard = in_flight
-                self.pending_alpha = alpha
-            else:
-                self._apply_alpha(alpha)
-        h = self.periods[idx]
-        u = lr.pid.compute(e, h)
-
-        self.in_flight[idx] = ticks
-        lr.next_release = self.now + ticks
-        lr.periods.append(h)
-        job = Job(lr.task.id, self.now, lr.next_release, work, u)
-        self.ready.append(job)
-        self.jobs.append(job)
-
-    def _on_completion(self):
-        job = self.running
-        self._charge()
-        task_id = job.task_id
-        residue_limit = self.alpha * _RESIDUE_TICKS * 1e-6 + 1e-12
-        if job.remaining > residue_limit:
-            raise RuntimeError(
-                f"task {task_id}: completion fired with {job.remaining!r}s left"
-            )
-        job.remaining = 0.0
-        job.completion = self.now
-        job.missed = self.now > job.deadline
-        self.ready.remove(job)
-        if self.guard is not None:
-            self.guard.discard(job)
-            if not self.guard:
-                self.guard = None
-                self._apply_alpha(self.pending_alpha)
-        lr = self.by_id[task_id]
-        self._advance_plant(lr, self.now)
-        lr.plant.actuate(job.u)
-
-    def _on_ref_step(self):
-        # A square wave shared by all loops: 1 from even steps, 0 from odd.
-        for lr in self.loops:
-            self._advance_plant(lr, self.now)
-        self.r = 1.0 if self.now // self.ref_step % 2 == 0 else 0.0
-        self.next_ref = self.now + self.ref_step
-        if self.next_ref >= self.end_tick:  # no step at the final instant
-            self.next_ref = _NEVER
-
-    def _on_trace(self, tick):
-        # Runs at or after self.now and before the next event: the values
-        # in force are the values at ``tick``.
-        alpha = self.alpha
-        self.trace_visits.append((tick * 1e-6, self.r, alpha, alpha * alpha))
-        for lr, h in zip(self.loops, self.periods):
-            lr.trace_u.append(lr.plant.u)
-            lr.trace_h_ms.append(h * 1000.0)
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _dispatch(self):
-        job = edf_select(self.ready)
-        if job is self.running:
-            return
-        self._charge()
-        if self.running is not None and self.seg_start < self.now:
-            self.segments.append((self.seg_start, self.now, self.running.task_id))
-        self.running = job
-        self.seg_start = self.now
-        self._plan_completion()
-
-    # -- main loop -----------------------------------------------------------
-
-    def _next_event(self):
-        """(tick, kind, loop) of the earliest pending event other than a
-        trace sample, scanned in priority order so a tie goes to the first:
-        the completion, the reference step, then releases by task id."""
-        tick, kind, loop = self.done_at, PRI_COMPLETION, None
-        if self.next_ref < tick:
-            tick, kind = self.next_ref, PRI_REF_STEP
-        for lr in self.by_task_id:
-            if lr.next_release < tick:
-                tick, kind, loop = lr.next_release, PRI_RELEASE, lr
-        return tick, kind, loop
-
     def run(self) -> SimResult:
-        if self.end_tick == 0:
+        sc = self.sc
+        end_tick = self.end_tick
+        if end_tick == 0:
             return self._finalize()
+        loops = self.loops
+        trace_step = self.trace_step
+        ref_step = round(sc.perturbation_s * 1e6)
+        stall = sc.switch_overhead_us
+        c_jitter = sc.c_jitter
+        cpu, mode = sc.cpu, sc.mode
+        random = Random(sc.seed).random
+        never = _NEVER
+
+        # The power manager's inputs, by loop index: the adapted periods,
+        # the last drawn execution time of each loop (jitter hook) and the
+        # period, in ticks, each loop's job in flight was released with.
+        # Its output ``periods`` is each loop's period in force, in seconds.
+        specs = [lr.task for lr in loops]
+        base_periods = [t.h0 for t in specs]
+        periods = base_periods[:]
+        work = [t.c_nom for t in specs]
+        in_flight = [None] * len(specs)
+        # Each loop's next release, in task-id order, so that the first of
+        # equal ticks is the lowest task id, and the earliest of them.
+        by_task_id = sorted(loops, key=lambda lr: lr.task.id)
+        next_release = [0] * len(loops)
+        first_release = 0 if loops else never
+        plant_of = {lr.task.id: lr.plant for lr in loops}
+        trace_columns = [(lr.plant, lr.trace_u.append, lr.trace_h_ms.append)
+                         for lr in loops]
+        add_visit = self.trace_visits.append
+        add_speed = self.speed_changes.append
+        add_utilization = self.utilization.append
+        add_job = self.jobs.append
+        add_segment = self.segments.append
+        ready = []
+
+        alpha = 1.0
+        r = 0.0
+        next_ref = 0
+        next_trace = never if trace_step is None else 0
+        running = None
+        done_at = never                 # completion tick of the running job
+        charged_at = 0                  # running job charged up to this tick
+        blocked_until = 0               # end of the last switch stall
+        guard = None                    # jobs a held slow-down waits for
+        pending_alpha = None            # the held slow-down
+        seg_start = 0
+
         while True:
-            tick, kind, lr = self._next_event()
-            # Trace samples rank last at equal ticks.
-            while self.next_trace < tick and self.next_trace <= self.end_tick:
-                self._on_trace(self.next_trace)
-                self.next_trace += self.trace_step
-            if tick > self.end_tick:
+            # The earliest pending event other than a trace sample; a tie
+            # goes to the completion, then the reference step, then the
+            # release of the lowest task id.
+            tick = done_at
+            lr = None
+            if next_ref < tick:
+                tick = next_ref
+            if first_release < tick:
+                tick = first_release
+                k = next_release.index(tick)
+                lr = by_task_id[k]
+            # Trace samples rank last at equal ticks.  A visit records the
+            # values in force at its tick and advances no plant.
+            while next_trace < tick and next_trace <= end_tick:
+                add_visit((next_trace * 1e-6, r, alpha, alpha * alpha))
+                for (plant, add_u, add_h), h in zip(trace_columns, periods):
+                    add_u(plant.u)
+                    add_h(h * 1000.0)
+                next_trace += trace_step
+            if tick > end_tick:
                 break
-            self.now = tick
-            if kind == PRI_COMPLETION:
-                self._on_completion()
-            elif kind == PRI_REF_STEP:
-                # The ready set is unchanged, so is the job to run.
-                self._on_ref_step()
-                continue
+            now = tick
+
+            if lr is not None:
+                # Release: sample the plant, decide, compute the control.
+                idx = lr.index
+                plant = lr.plant
+                span = now - plant.time_us
+                if span > 0:
+                    plant.integrate(span, r)
+                e = r - plant.sample()
+                task = lr.task
+                w = task.c_nom
+                if c_jitter > 0.0:
+                    w *= 1.0 + c_jitter * (2.0 * random() - 1.0)
+                work[idx] = w
+                # The manager re-decides the period before the control
+                # computation runs, so the controller sees the period now
+                # in force.
+                base_periods, periods, ticks, alpha_ideal, a = decide(
+                    specs, idx, abs(e), base_periods, in_flight, work, cpu,
+                    mode)
+                add_utilization((now * 1e-6, alpha_ideal, a))
+                # Speed increases take effect at once.  A decrease is held
+                # until every job in flight at decision time has completed:
+                # those jobs' deadlines were budgeted at the old speed, and
+                # the reclaimed schedule runs at full utilization with no
+                # slack to absorb the longer service a mid-job slowdown
+                # would cause.
+                if a < alpha and guard is None:
+                    guard = {j for j in ready if j.remaining > 0.0} or None
+                if a >= alpha or guard is None:
+                    guard = None
+                    # Charge the running job at the speed and stall in
+                    # force until now, then apply the decision.
+                    if running is not None:
+                        run_from = (charged_at if charged_at > blocked_until
+                                    else blocked_until)
+                        if run_from < now:
+                            running.remaining -= (now - run_from) * 1e-6 * alpha
+                            if running.remaining < 0.0:
+                                running.remaining = 0.0
+                    charged_at = now
+                    if a != alpha:
+                        alpha = a
+                        add_speed((now, a))
+                        if stall and now + stall > blocked_until:
+                            blocked_until = now + stall
+                        if running is not None:
+                            # floor; the sub-tick residue is forgiven
+                            done_at = (max(now, blocked_until)
+                                       + int(running.remaining / alpha * 1e6))
+                else:
+                    pending_alpha = a
+                h = periods[idx]
+                u = lr.pid.compute(e, h)
+                in_flight[idx] = ticks
+                deadline = now + ticks
+                next_release[k] = deadline
+                first_release = min(next_release)
+                lr.periods.append(h)
+                job = Job(task.id, now, deadline, w, u)
+                ready.append(job)
+                add_job(job)
+            elif tick == done_at:
+                # Completion: charge the job, actuate its plant.
+                job = running
+                run_from = (charged_at if charged_at > blocked_until
+                            else blocked_until)
+                if run_from < now:
+                    job.remaining -= (now - run_from) * 1e-6 * alpha
+                charged_at = now
+                if job.remaining > alpha * _RESIDUE_TICKS * 1e-6 + 1e-12:
+                    raise RuntimeError(
+                        f"task {job.task_id}: completion fired with "
+                        f"{job.remaining!r}s left")
+                job.remaining = 0.0
+                job.completion = now
+                job.missed = now > job.deadline
+                ready.remove(job)
+                if guard is not None:
+                    guard.discard(job)
+                    if not guard:
+                        # Apply the held slow-down; the job just charged
+                        # was the one running, and the dispatch below plans
+                        # the next completion.
+                        guard = None
+                        if pending_alpha != alpha:
+                            alpha = pending_alpha
+                            add_speed((now, alpha))
+                            if stall and now + stall > blocked_until:
+                                blocked_until = now + stall
+                plant = plant_of[job.task_id]
+                span = now - plant.time_us
+                if span > 0:
+                    plant.integrate(span, r)
+                plant.actuate(job.u)
             else:
-                self._on_release(lr)
-            self._dispatch()
-        self.now = self.end_tick
+                # Reference step: a square wave shared by all loops, 1 from
+                # even steps, 0 from odd.  The ready set is unchanged, so
+                # is the job to run.
+                for lr in loops:
+                    plant = lr.plant
+                    span = now - plant.time_us
+                    if span > 0:
+                        plant.integrate(span, r)
+                r = 1.0 if now // ref_step % 2 == 0 else 0.0
+                next_ref = now + ref_step
+                if next_ref >= end_tick:  # no step at the final instant
+                    next_ref = never
+                continue
+
+            # Dispatch: the running job is charged up to a change.
+            job = edf_select(ready)
+            if job is not running:
+                if running is not None:
+                    run_from = (charged_at if charged_at > blocked_until
+                                else blocked_until)
+                    if run_from < now:
+                        running.remaining -= (now - run_from) * 1e-6 * alpha
+                        if running.remaining < 0.0:
+                            running.remaining = 0.0
+                    if seg_start < now:
+                        add_segment((seg_start, now, running.task_id))
+                charged_at = now
+                running = job
+                seg_start = now
+                if job is None:
+                    done_at = never
+                else:
+                    done_at = (max(now, blocked_until)
+                               + int(job.remaining / alpha * 1e6))
+
         # jobs left unfinished past their deadline; the rest were marked
         # when they completed
-        for job in self.ready:
-            if job.deadline < self.end_tick and job.remaining > 0.0:
+        for job in ready:
+            if job.deadline < end_tick and job.remaining > 0.0:
                 job.missed = True
-        for lr in self.loops:
-            self._advance_plant(lr, self.end_tick)
+        for lr in loops:
+            plant = lr.plant
+            span = end_tick - plant.time_us
+            if span > 0:
+                plant.integrate(span, r)
+        if running is not None and seg_start < end_tick:
+            add_segment((seg_start, end_tick, running.task_id))
         return self._finalize()
 
     def _finalize(self) -> SimResult:
-        if self.running is not None and self.seg_start < self.now:
-            self.segments.append((self.seg_start, self.now, self.running.task_id))
         changes = self.speed_changes
         integral = 0.0
         ends = [t for t, _ in changes[1:]] + [self.end_tick]

@@ -101,9 +101,14 @@ def test_unknown_cpu_is_config_error():
 
 def test_bad_scenario_file_is_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("name: [unclosed")
-    p = run_cli("run", "--scenario", str(bad))
-    assert p.returncode == 2
+    bad.write_text("name: [unclosed\n")
+    for command in ("run", "validate"):
+        p = run_cli(command, "--scenario", str(bad))
+        assert p.returncode == 2
+        # one line, naming where PyYAML stopped
+        assert p.stderr.count("\n") == 1 and p.stderr.endswith("\n"), p.stderr
+        assert p.stderr.startswith(f"error: {bad}: parse error at line 2, "
+                                   "column 1: "), p.stderr
 
 
 def test_strict_flag_escalates_misses(tmp_path, overload_scenario):

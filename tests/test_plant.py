@@ -82,7 +82,7 @@ def test_construction_validation():
 
 def test_canonical_realization_first_order():
     # 1/(1000s + 50) normalizes to x' = -0.05 x + u, y = 0.001 x
-    p = tf_to_state_space(LOOP1_TF)
+    p = tf_to_state_space(LOOP1_TF, micro_step_us=100)
     assert list(p.a) == [-0.05]
     assert list(p.b) == [1.0]
     assert list(p.c) == [0.001]
@@ -161,7 +161,7 @@ def test_homogeneous_response_decays():
 
 
 def test_zero_span_is_a_no_op():
-    p = tf_to_state_space(LOOP2_TF, sample_every_us=25_000)
+    p = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=25_000)
     p.actuate(1.0)
     p.integrate(50_000, r=1.0)
     x_before, iae_before, y_before = list(p.x), p.iae, p.sample()
@@ -188,7 +188,8 @@ def test_samples_leave_the_plant_where_it_was():
     # Samples off the grid take their partial step on temporaries: the
     # plant ends the span as one that samples nothing does, and each sample
     # is the output of a plant integrated to that instant in one span.
-    a = tf_to_state_space(LOOP2_TF, sample_every_us=1_234)
+    a = tf_to_state_space(LOOP2_TF, micro_step_us=100,
+                          sample_every_us=1_234)
     b = loop2_plant()
     for p in (a, b):
         p.actuate(1.0)
@@ -386,11 +387,11 @@ def test_kernel_equals_generic_loops_exactly(micro):
 def test_sample_at_a_step_end_is_the_output_there():
     # A sample at the end of a span's final partial step, or at the end of
     # the partial step back onto the grid, is the y that step computed.
-    p = tf_to_state_space(LOOP2_TF, sample_every_us=150)
+    p = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=150)
     p.actuate(1.0)
     p.integrate(150, r=1.0)  # 100 + 50, sample at 150
     assert p.samples[-1] == p.sample()
-    q = tf_to_state_space(LOOP2_TF, sample_every_us=200)
+    q = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=200)
     q.actuate(1.0)
     q.integrate(150, r=1.0)
     q.integrate(50, r=1.0)  # 50 back onto the grid, sample at 200
