@@ -454,9 +454,7 @@ def report_sha256(res):
 
 
 def test_reports_are_pinned(bench_runs, overload_scenario):
-    # The six canonical 12 s runs, the overload fixture, and a table1 run
-    # on cpu-4 with seeded jitter, switch stalls, 1 ms micro steps and a
-    # 10 ms trace.
+    # The six canonical 12 s runs, the overload fixture and the jitter run.
     got = {key: report_sha256(res) for key, res in bench_runs.items()}
     got["overload"] = report_sha256(run_loop(overload_scenario))
     got["jitter-cpu4"] = report_sha256(run_loop(jitter_cpu4(1)))
