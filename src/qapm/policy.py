@@ -126,12 +126,9 @@ class TaskSpec(Value):
                 f"task {id}: need 0 < c_nom <= h0 <= h_max, "
                 f"got c_nom={c_nom} h0={h0} h_max={h_max}"
             )
-        self._set(id=id, c_nom=c_nom, h0=h0, h_max=h_max, adaptation=adaptation)
-
-    @property
-    def stretch_limit(self) -> float:
-        """Largest allowed period scale factor, h_max / h0."""
-        return self.h_max / self.h0
+        # The largest period scale factor, not a field (see AdaptationParams).
+        self._set(id=id, c_nom=c_nom, h0=h0, h_max=h_max, adaptation=adaptation,
+                  stretch_limit=h_max / h0)
 
 
 class CpuLevels(Value):

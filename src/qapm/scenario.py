@@ -21,7 +21,8 @@ import re
 
 from .pid import PidGains
 from .plant import TransferFunction
-from .policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec, Value
+from .policy import (AdaptationParams, ConfigurationError, CpuLevels, TaskSpec,
+                     Value, ideal_speed)
 
 __all__ = [
     "MODES",
@@ -147,9 +148,18 @@ def validate(sc: Scenario) -> list[str]:
 
     Structural validity of the nested pieces (level ordering, h0 <= h_max,
     proper transfer functions) is enforced at construction; this covers
-    what only the assembled scenario can know.
+    what only the assembled scenario can know.  A scenario built in code
+    may hold any type, so first each scalar's kind is checked as a file's
+    is; the range checks run only once every kind is right.
     """
     errors = []
+    reader = _MappingReader(errors)
+    for key, kind in _SCALARS:
+        value = getattr(sc, key)
+        if not (key == "trace_cadence_ms" and value is None):  # no trace
+            reader.get({key: value}, "", key, kind)
+    if errors:
+        return errors
     if sc.mode not in MODES:
         errors.append(f"mode: {sc.mode!r} not one of {'/'.join(MODES)}")
     if not sc.name:
@@ -174,11 +184,11 @@ def validate(sc: Scenario) -> list[str]:
             f"trace_cadence_ms: must be null or a positive whole number of "
             f"microseconds, got {sc.trace_cadence_ms}"
         )
-    if not isinstance(sc.seed, int) or sc.seed < 0:
+    if sc.seed < 0:
         errors.append(f"seed: must be a non-negative integer, got {sc.seed!r}")
     if not 0.0 <= sc.c_jitter <= 0.5:
         errors.append(f"c_jitter: must be in [0, 0.5], got {sc.c_jitter}")
-    if not isinstance(sc.switch_overhead_us, int) or sc.switch_overhead_us < 0:
+    if sc.switch_overhead_us < 0:
         errors.append(
             f"switch_overhead_us: must be a non-negative integer, "
             f"got {sc.switch_overhead_us!r}"
@@ -187,7 +197,7 @@ def validate(sc: Scenario) -> list[str]:
     if len(set(ids)) != len(ids):
         errors.append(f"loops: duplicate task ids {ids}")
     if sc.loops:
-        u = sum(lp.task.c_nom / lp.task.h0 for lp in sc.loops)
+        u = ideal_speed((lp.task.c_nom, lp.task.h0) for lp in sc.loops)
         if u > 1.0 + 1e-9:
             errors.append(
                 f"loops: nominal workload sum(c_nom/h0) = {u:.6f} exceeds 1; "

@@ -1,29 +1,26 @@
 """Deterministic control/scheduling co-simulation engine.
 
-One event loop, in `Simulator.run`, drives everything: job releases
-(sample + control output + power-policy invocation), preemptive EDF
-dispatch, speed-scaled execution accounting, job completions (actuation),
-reference steps, and trace sampling.  Each event source keeps only its next
-instant: every loop its next release, the reference its next step, the
-trace its next sample, and the running job its completion.  The running
-job is charged the nominal work it was served only where its service rate
-may change, and at exactly three places: when a speed decision is applied
-at a release (whether or not the speed changes), when it completes (before
-a held slow-down is applied), and when the dispatcher switches jobs.  The
-float sums depend on that order.  Its completion tick is recomputed
-wherever the rate changes.
+`run_loop` runs one scenario as one event loop over local variables: job
+releases (sample + control output + power-manager decision), preemptive
+EDF dispatch, speed-scaled execution accounting, job completions
+(actuation), reference steps, and trace sampling.  Each event source keeps
+only its next instant: every loop its next release, the reference its next
+step, the trace its next sample, and the running job its completion.  The
+lists the run records (jobs, segments, speed changes, utilization, trace
+visits) go to `_result` once the loop ends.
 
-The loop keeps its state in local variables: the clock, the speed, the
-reference, the running job and its completion tick, how far it has been
-charged, the end of the last switch stall, the slow-down guard and the
-speed it holds back, the start of the running segment, the next reference
-step and trace sample, each loop's next release, and the policy's period
-lists.  The lists the run records (jobs, segments, speed changes,
-utilization, trace visits) are attributes, appended to through bound
-methods, and read once the loop ends.  The loop calls the owners of three
-rules it does not repeat: `policy.decide` for every decision, `edf_select`
-for every dispatch, and `StateSpacePlant.integrate`, as a method, once per
-plant advance.
+The released, unfinished jobs are a heap keyed (deadline, release,
+task_id), so the key is the EDF order; a loop releases at most one job per
+tick, so no two keys are equal.  Dispatch runs the head; a completion pops
+it.  The running job is charged the nominal work it was served only where
+its service rate may change, and at exactly three places: when a speed
+decision is applied at a release (whether or not the speed changes), when
+it completes (before a held slow-down is applied), and when the dispatcher
+switches jobs.  The float sums depend on that order.
+
+Each rule the loop applies at several places has one owner: `_advance`
+(a plant to a tick), `_charge`, `_completion_tick` (recomputed wherever the
+rate changes) and `_switch` (a speed with its stall).
 
 Each plant integrates its dynamics, with the held actuator value, on the
 grid of micro-step instants k * micro_step_us counted from t = 0, and
@@ -60,7 +57,9 @@ decision time have completed (the slow-down guard).
 
 The simulator owns the speed ``alpha`` and its change list.  The run's
 energy, the integral of alpha^2, is summed over that list at the end, and
-busy time over the dispatch segments.
+busy time over the dispatch segments.  Float sums run left to right, as
+`sum` did before Python 3.12 compensated it, so no result depends on the
+interpreter.
 
 Time is integer microsecond ticks.  Event order at equal ticks is fixed:
 completions, then reference steps, then releases in task-id order, then
@@ -71,6 +70,7 @@ release samples the plant, and releases see the new reference.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from random import Random
 
 from .metrics import RunReport, TraceRecorder
@@ -79,7 +79,7 @@ from .plant import tf_to_state_space
 from .policy import ConfigurationError, decide
 from .scenario import Scenario, validate
 
-__all__ = ["Job", "SimResult", "Simulator", "run_loop", "edf_select"]
+__all__ = ["Job", "SimResult", "run_loop"]
 
 _NEVER = math.inf  # tick of an event source with nothing pending
 
@@ -104,17 +104,6 @@ class Job:
         self.u = u                      # control output, applied at completion
         self.completion = None          # ticks, set when done
         self.missed = False
-
-
-def edf_select(ready):
-    """Job with the earliest absolute deadline; ties by release, then task id."""
-    best = None
-    for job in ready:
-        if best is None or job.deadline < best.deadline or (
-                job.deadline == best.deadline
-                and (job.release, job.task_id) < (best.release, best.task_id)):
-            best = job
-    return best
 
 
 class _LoopRuntime:
@@ -145,305 +134,46 @@ class SimResult:
         self.idle_ticks = idle_ticks
 
 
-class Simulator:
-    """Runs one scenario to completion; never reused across runs."""
+def _advance(plant, tick, r):
+    """Integrate ``plant`` up to ``tick`` with the reference held at ``r``."""
+    span = tick - plant.time_us
+    if span > 0:
+        plant.integrate(span, r)
 
-    def __init__(self, sc: Scenario):
-        self.sc = sc
-        self.end_tick = round(sc.duration_s * 1e6)
-        self.trace_step = (None if sc.trace_cadence_ms is None
-                           else round(sc.trace_cadence_ms * 1000))
-        self.loops = [
-            _LoopRuntime(
-                i,
-                lp.task,
-                tf_to_state_space(lp.plant, sc.micro_step_us,
-                                  label=f"loop {lp.task.id}",
-                                  sample_every_us=self.trace_step),
-                Pid(lp.gains),
-            )
-            for i, lp in enumerate(sc.loops)
-        ]
-        # What the run records, appended to by the loop in `run`.
-        # (tick, alpha) per actual speed change, tick 0 included
-        self.speed_changes: list[tuple[int, float]] = [(0, 1.0)]
-        # (time_s, r, alpha, energy draw) per trace visit
-        self.trace_visits: list[tuple] = []
-        self.utilization: list[tuple[float, float, float]] = []
-        self.jobs: list[Job] = []
-        self.segments: list[tuple[int, int, int]] = []
 
-    def run(self) -> SimResult:
-        sc = self.sc
-        end_tick = self.end_tick
-        if end_tick == 0:
-            return self._finalize()
-        loops = self.loops
-        trace_step = self.trace_step
-        ref_step = round(sc.perturbation_s * 1e6)
-        stall = sc.switch_overhead_us
-        c_jitter = sc.c_jitter
-        cpu, mode = sc.cpu, sc.mode
-        random = Random(sc.seed).random
-        never = _NEVER
+def _charge(job, charged_at, blocked_until, now, alpha):
+    """Take from ``job`` the work served at ``alpha`` from its last charge
+    point ``charged_at`` to ``now``, less the switch stall that ends at
+    ``blocked_until``; ``remaining`` stops at zero."""
+    run_from = charged_at if charged_at > blocked_until else blocked_until
+    if run_from < now:
+        job.remaining -= (now - run_from) * 1e-6 * alpha
+        if job.remaining < 0.0:
+            job.remaining = 0.0
 
-        # The power manager's inputs, by loop index: the adapted periods,
-        # the last drawn execution time of each loop (jitter hook) and the
-        # period, in ticks, each loop's job in flight was released with.
-        # Its output ``periods`` is each loop's period in force, in seconds.
-        specs = [lr.task for lr in loops]
-        base_periods = [t.h0 for t in specs]
-        periods = base_periods[:]
-        work = [t.c_nom for t in specs]
-        in_flight = [None] * len(specs)
-        # Each loop's next release, in task-id order, so that the first of
-        # equal ticks is the lowest task id, and the earliest of them.
-        by_task_id = sorted(loops, key=lambda lr: lr.task.id)
-        next_release = [0] * len(loops)
-        first_release = 0 if loops else never
-        plant_of = {lr.task.id: lr.plant for lr in loops}
-        trace_columns = [(lr.plant, lr.trace_u.append, lr.trace_h_ms.append)
-                         for lr in loops]
-        add_visit = self.trace_visits.append
-        add_speed = self.speed_changes.append
-        add_utilization = self.utilization.append
-        add_job = self.jobs.append
-        add_segment = self.segments.append
-        ready = []
 
-        alpha = 1.0
-        r = 0.0
-        next_ref = 0
-        next_trace = never if trace_step is None else 0
-        running = None
-        done_at = never                 # completion tick of the running job
-        charged_at = 0                  # running job charged up to this tick
-        blocked_until = 0               # end of the last switch stall
-        guard = None                    # jobs a held slow-down waits for
-        pending_alpha = None            # the held slow-down
-        seg_start = 0
+def _completion_tick(job, now, blocked_until, alpha):
+    """The tick ``job`` completes at when it runs at ``alpha`` from ``now``,
+    or from the end of the stall; floored, so the sub-tick residue is
+    forgiven."""
+    return max(now, blocked_until) + int(job.remaining / alpha * 1e6)
 
-        while True:
-            # The earliest pending event other than a trace sample; a tie
-            # goes to the completion, then the reference step, then the
-            # release of the lowest task id.
-            tick = done_at
-            lr = None
-            if next_ref < tick:
-                tick = next_ref
-            if first_release < tick:
-                tick = first_release
-                k = next_release.index(tick)
-                lr = by_task_id[k]
-            # Trace samples rank last at equal ticks.  A visit records the
-            # values in force at its tick and advances no plant.
-            while next_trace < tick and next_trace <= end_tick:
-                add_visit((next_trace * 1e-6, r, alpha, alpha * alpha))
-                for (plant, add_u, add_h), h in zip(trace_columns, periods):
-                    add_u(plant.u)
-                    add_h(h * 1000.0)
-                next_trace += trace_step
-            if tick > end_tick:
-                break
-            now = tick
 
-            if lr is not None:
-                # Release: sample the plant, decide, compute the control.
-                idx = lr.index
-                plant = lr.plant
-                span = now - plant.time_us
-                if span > 0:
-                    plant.integrate(span, r)
-                e = r - plant.sample()
-                task = lr.task
-                w = task.c_nom
-                if c_jitter > 0.0:
-                    w *= 1.0 + c_jitter * (2.0 * random() - 1.0)
-                work[idx] = w
-                # The manager re-decides the period before the control
-                # computation runs, so the controller sees the period now
-                # in force.
-                base_periods, periods, ticks, alpha_ideal, a = decide(
-                    specs, idx, abs(e), base_periods, in_flight, work, cpu,
-                    mode)
-                add_utilization((now * 1e-6, alpha_ideal, a))
-                # Speed increases take effect at once.  A decrease is held
-                # until every job in flight at decision time has completed:
-                # those jobs' deadlines were budgeted at the old speed, and
-                # the reclaimed schedule runs at full utilization with no
-                # slack to absorb the longer service a mid-job slowdown
-                # would cause.
-                if a < alpha and guard is None:
-                    guard = {j for j in ready if j.remaining > 0.0} or None
-                if a >= alpha or guard is None:
-                    guard = None
-                    # Charge the running job at the speed and stall in
-                    # force until now, then apply the decision.
-                    if running is not None:
-                        run_from = (charged_at if charged_at > blocked_until
-                                    else blocked_until)
-                        if run_from < now:
-                            running.remaining -= (now - run_from) * 1e-6 * alpha
-                            if running.remaining < 0.0:
-                                running.remaining = 0.0
-                    charged_at = now
-                    if a != alpha:
-                        alpha = a
-                        add_speed((now, a))
-                        if stall and now + stall > blocked_until:
-                            blocked_until = now + stall
-                        if running is not None:
-                            # floor; the sub-tick residue is forgiven
-                            done_at = (max(now, blocked_until)
-                                       + int(running.remaining / alpha * 1e6))
-                else:
-                    pending_alpha = a
-                h = periods[idx]
-                u = lr.pid.compute(e, h)
-                in_flight[idx] = ticks
-                deadline = now + ticks
-                next_release[k] = deadline
-                first_release = min(next_release)
-                lr.periods.append(h)
-                job = Job(task.id, now, deadline, w, u)
-                ready.append(job)
-                add_job(job)
-            elif tick == done_at:
-                # Completion: charge the job, actuate its plant.
-                job = running
-                run_from = (charged_at if charged_at > blocked_until
-                            else blocked_until)
-                if run_from < now:
-                    job.remaining -= (now - run_from) * 1e-6 * alpha
-                charged_at = now
-                if job.remaining > alpha * _RESIDUE_TICKS * 1e-6 + 1e-12:
-                    raise RuntimeError(
-                        f"task {job.task_id}: completion fired with "
-                        f"{job.remaining!r}s left")
-                job.remaining = 0.0
-                job.completion = now
-                job.missed = now > job.deadline
-                ready.remove(job)
-                if guard is not None:
-                    guard.discard(job)
-                    if not guard:
-                        # Apply the held slow-down; the job just charged
-                        # was the one running, and the dispatch below plans
-                        # the next completion.
-                        guard = None
-                        if pending_alpha != alpha:
-                            alpha = pending_alpha
-                            add_speed((now, alpha))
-                            if stall and now + stall > blocked_until:
-                                blocked_until = now + stall
-                plant = plant_of[job.task_id]
-                span = now - plant.time_us
-                if span > 0:
-                    plant.integrate(span, r)
-                plant.actuate(job.u)
-            else:
-                # Reference step: a square wave shared by all loops, 1 from
-                # even steps, 0 from odd.  The ready set is unchanged, so
-                # is the job to run.
-                for lr in loops:
-                    plant = lr.plant
-                    span = now - plant.time_us
-                    if span > 0:
-                        plant.integrate(span, r)
-                r = 1.0 if now // ref_step % 2 == 0 else 0.0
-                next_ref = now + ref_step
-                if next_ref >= end_tick:  # no step at the final instant
-                    next_ref = never
-                continue
+def _switch(speed_changes, now, alpha, stall, blocked_until):
+    """Record the change to speed ``alpha`` at ``now``; returns the end of
+    the switch stall in force after it."""
+    speed_changes.append((now, alpha))
+    if stall and now + stall > blocked_until:
+        return now + stall
+    return blocked_until
 
-            # Dispatch: the running job is charged up to a change.
-            job = edf_select(ready)
-            if job is not running:
-                if running is not None:
-                    run_from = (charged_at if charged_at > blocked_until
-                                else blocked_until)
-                    if run_from < now:
-                        running.remaining -= (now - run_from) * 1e-6 * alpha
-                        if running.remaining < 0.0:
-                            running.remaining = 0.0
-                    if seg_start < now:
-                        add_segment((seg_start, now, running.task_id))
-                charged_at = now
-                running = job
-                seg_start = now
-                if job is None:
-                    done_at = never
-                else:
-                    done_at = (max(now, blocked_until)
-                               + int(job.remaining / alpha * 1e6))
 
-        # jobs left unfinished past their deadline; the rest were marked
-        # when they completed
-        for job in ready:
-            if job.deadline < end_tick and job.remaining > 0.0:
-                job.missed = True
-        for lr in loops:
-            plant = lr.plant
-            span = end_tick - plant.time_us
-            if span > 0:
-                plant.integrate(span, r)
-        if running is not None and seg_start < end_tick:
-            add_segment((seg_start, end_tick, running.task_id))
-        return self._finalize()
-
-    def _finalize(self) -> SimResult:
-        changes = self.speed_changes
-        integral = 0.0
-        ends = [t for t, _ in changes[1:]] + [self.end_tick]
-        for (t0, a), t1 in zip(changes, ends):
-            integral += a * a * (t1 - t0) * 1e-6
-        busy_ticks = sum(end - start for start, end, _ in self.segments)
-        duration_s = self.end_tick * 1e-6
-        period_stats = {}
-        for lr in self.loops:
-            if lr.periods:
-                ms = [h * 1000.0 for h in lr.periods]
-                period_stats[lr.task.id] = {
-                    "min": min(ms), "max": max(ms),
-                    "mean": sum(ms) / len(ms), "count": len(ms),
-                }
-            else:
-                period_stats[lr.task.id] = {
-                    "min": 0.0, "max": 0.0, "mean": 0.0, "count": 0,
-                }
-        j = {lr.task.id: lr.plant.iae for lr in self.loops}
-        visits = self.trace_visits
-        for lr in self.loops:
-            if len(lr.plant.samples) != len(visits):
-                raise RuntimeError(
-                    f"{lr.plant.label}: {len(lr.plant.samples)} trace samples "
-                    f"for {len(visits)} visits")
-        trace = TraceRecorder(visits, [
-            (lr.task.id, lr.plant.samples, lr.trace_u, lr.trace_h_ms)
-            for lr in self.loops])
-        report = RunReport(
-            scenario=self.sc.name,
-            mode=self.sc.mode,
-            cpu=self.sc.cpu.name or "custom",
-            duration_s=duration_s,
-            seed=self.sc.seed,
-            j=j,
-            j_sum=sum(j.values()),
-            e_avg=(integral / duration_s) if duration_s > 0 else None,
-            energy_integral=integral,
-            misses=sum(job.missed for job in self.jobs),
-            period_stats_ms=period_stats,
-            utilization=self.utilization,
-            speed_changes=changes,
-        )
-        return SimResult(
-            report=report,
-            trace=trace,
-            jobs=self.jobs,
-            segments=self.segments,
-            busy_ticks=busy_ticks,
-            idle_ticks=self.end_tick - busy_ticks,
-        )
+def _sum(values):
+    """Left-to-right float sum (see the module docstring)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def run_loop(sc: Scenario) -> SimResult:
@@ -457,4 +187,260 @@ def run_loop(sc: Scenario) -> SimResult:
     errors = validate(sc)
     if errors:
         raise ConfigurationError("\n".join(errors))
-    return Simulator(sc).run()
+    end_tick = round(sc.duration_s * 1e6)
+    trace_step = (None if sc.trace_cadence_ms is None
+                  else round(sc.trace_cadence_ms * 1000))
+    loops = [
+        _LoopRuntime(
+            i,
+            lp.task,
+            tf_to_state_space(lp.plant, sc.micro_step_us,
+                              label=f"loop {lp.task.id}",
+                              sample_every_us=trace_step),
+            Pid(lp.gains),
+        )
+        for i, lp in enumerate(sc.loops)
+    ]
+    # What the run records.
+    # (tick, alpha) per actual speed change, tick 0 included
+    speed_changes: list[tuple[int, float]] = [(0, 1.0)]
+    # (time_s, r, alpha, energy draw) per trace visit
+    visits: list[tuple] = []
+    utilization: list[tuple[float, float, float]] = []
+    jobs: list[Job] = []
+    segments: list[tuple[int, int, int]] = []
+    if end_tick == 0:
+        return _result(sc, end_tick, loops, speed_changes, visits,
+                       utilization, jobs, segments)
+
+    ref_step = round(sc.perturbation_s * 1e6)
+    stall = sc.switch_overhead_us
+    c_jitter = sc.c_jitter
+    cpu, mode = sc.cpu, sc.mode
+    random = Random(sc.seed).random
+    never = _NEVER
+
+    # The power manager's inputs, by loop index: the adapted periods,
+    # the last drawn execution time of each loop (jitter hook) and the
+    # period, in ticks, each loop's job in flight was released with.
+    # Its output ``periods`` is each loop's period in force, in seconds.
+    specs = [lr.task for lr in loops]
+    base_periods = [t.h0 for t in specs]
+    periods = base_periods[:]
+    work = [t.c_nom for t in specs]
+    in_flight = [None] * len(specs)
+    # Each loop's next release, in task-id order, so that the first of
+    # equal ticks is the lowest task id, and the earliest of them.
+    by_task_id = sorted(loops, key=lambda lr: lr.task.id)
+    next_release = [0] * len(loops)
+    first_release = 0 if loops else never
+    plant_of = {lr.task.id: lr.plant for lr in loops}
+    trace_columns = [(lr.plant, lr.trace_u.append, lr.trace_h_ms.append)
+                     for lr in loops]
+    ready = []              # heap of (deadline, release, task_id, job)
+
+    alpha = 1.0
+    r = 0.0
+    next_ref = 0
+    next_trace = never if trace_step is None else 0
+    running = None
+    done_at = never                     # completion tick of the running job
+    charged_at = 0                      # running job charged up to this tick
+    blocked_until = 0                   # end of the last switch stall
+    guard = None                        # jobs a held slow-down waits for
+    pending_alpha = None                # the held slow-down
+    seg_start = 0
+
+    while True:
+        # The earliest pending event other than a trace sample; a tie goes
+        # to the completion, then the reference step, then the release of
+        # the lowest task id.
+        tick = done_at
+        lr = None
+        if next_ref < tick:
+            tick = next_ref
+        if first_release < tick:
+            tick = first_release
+            k = next_release.index(tick)
+            lr = by_task_id[k]
+        # Trace samples rank last at equal ticks.  A visit records the
+        # values in force at its tick and advances no plant.
+        while next_trace < tick and next_trace <= end_tick:
+            visits.append((next_trace * 1e-6, r, alpha, alpha * alpha))
+            for (plant, add_u, add_h), h in zip(trace_columns, periods):
+                add_u(plant.u)
+                add_h(h * 1000.0)
+            next_trace += trace_step
+        if tick > end_tick:
+            break
+        now = tick
+
+        if lr is not None:
+            # Release: sample the plant, decide, compute the control.
+            idx = lr.index
+            plant = lr.plant
+            _advance(plant, now, r)
+            e = r - plant.sample()
+            task = lr.task
+            w = task.c_nom
+            if c_jitter > 0.0:
+                w *= 1.0 + c_jitter * (2.0 * random() - 1.0)
+            work[idx] = w
+            # The manager re-decides the period before the control
+            # computation runs, so the controller sees the period now in
+            # force.
+            base_periods, periods, ticks, alpha_ideal, a = decide(
+                specs, idx, abs(e), base_periods, in_flight, work, cpu, mode)
+            utilization.append((now * 1e-6, alpha_ideal, a))
+            # Speed increases take effect at once.  A decrease is held
+            # until every job in flight at decision time has completed:
+            # those jobs' deadlines were budgeted at the old speed, and the
+            # reclaimed schedule runs at full utilization with no slack to
+            # absorb the longer service a mid-job slowdown would cause.
+            if a < alpha and guard is None:
+                guard = {entry[3] for entry in ready
+                         if entry[3].remaining > 0.0} or None
+            if a >= alpha or guard is None:
+                guard = None
+                # Charge the running job at the speed and stall in force
+                # until now, then apply the decision.
+                if running is not None:
+                    _charge(running, charged_at, blocked_until, now, alpha)
+                charged_at = now
+                if a != alpha:
+                    alpha = a
+                    blocked_until = _switch(speed_changes, now, a, stall,
+                                            blocked_until)
+                    if running is not None:
+                        done_at = _completion_tick(running, now,
+                                                   blocked_until, alpha)
+            else:
+                pending_alpha = a
+            h = periods[idx]
+            u = lr.pid.compute(e, h)
+            in_flight[idx] = ticks
+            deadline = now + ticks
+            next_release[k] = deadline
+            first_release = min(next_release)
+            lr.periods.append(h)
+            job = Job(task.id, now, deadline, w, u)
+            heappush(ready, (deadline, now, task.id, job))
+            jobs.append(job)
+        elif tick == done_at:
+            # Completion: charge the job, actuate its plant.
+            job = running
+            _charge(job, charged_at, blocked_until, now, alpha)
+            charged_at = now
+            if job.remaining > alpha * _RESIDUE_TICKS * 1e-6 + 1e-12:
+                raise RuntimeError(
+                    f"task {job.task_id}: completion fired with "
+                    f"{job.remaining!r}s left")
+            job.remaining = 0.0
+            job.completion = now
+            job.missed = now > job.deadline
+            if heappop(ready)[3] is not job:
+                raise RuntimeError(
+                    f"task {job.task_id}: completed job was not the EDF head")
+            if guard is not None:
+                guard.discard(job)
+                if not guard:
+                    # Apply the held slow-down; the job just charged was
+                    # the one running, and the dispatch below plans the
+                    # next completion.
+                    guard = None
+                    if pending_alpha != alpha:
+                        alpha = pending_alpha
+                        blocked_until = _switch(speed_changes, now, alpha,
+                                                stall, blocked_until)
+            plant = plant_of[job.task_id]
+            _advance(plant, now, r)
+            plant.actuate(job.u)
+        else:
+            # Reference step: a square wave shared by all loops, 1 from
+            # even steps, 0 from odd.  The ready set is unchanged, so is
+            # the job to run.
+            for lr in loops:
+                _advance(lr.plant, now, r)
+            r = 1.0 if now // ref_step % 2 == 0 else 0.0
+            next_ref = now + ref_step
+            if next_ref >= end_tick:  # no step at the final instant
+                next_ref = never
+            continue
+
+        # Dispatch: the running job is charged up to a change.
+        job = ready[0][3] if ready else None
+        if job is not running:
+            if running is not None:
+                _charge(running, charged_at, blocked_until, now, alpha)
+                if seg_start < now:
+                    segments.append((seg_start, now, running.task_id))
+            charged_at = now
+            running = job
+            seg_start = now
+            if job is None:
+                done_at = never
+            else:
+                done_at = _completion_tick(job, now, blocked_until, alpha)
+
+    # jobs left unfinished past their deadline; the rest were marked when
+    # they completed
+    for _, _, _, job in ready:
+        if job.deadline < end_tick and job.remaining > 0.0:
+            job.missed = True
+    for lr in loops:
+        _advance(lr.plant, end_tick, r)
+    if running is not None and seg_start < end_tick:
+        segments.append((seg_start, end_tick, running.task_id))
+    return _result(sc, end_tick, loops, speed_changes, visits, utilization,
+                   jobs, segments)
+
+
+def _result(sc, end_tick, loops, speed_changes, visits, utilization, jobs,
+            segments) -> SimResult:
+    """The report and the trace of a run from the lists it recorded."""
+    integral = 0.0
+    ends = [t for t, _ in speed_changes[1:]] + [end_tick]
+    for (t0, a), t1 in zip(speed_changes, ends):
+        integral += a * a * (t1 - t0) * 1e-6
+    busy_ticks = sum(end - start for start, end, _ in segments)
+    duration_s = end_tick * 1e-6
+    period_stats = {}
+    for lr in loops:
+        # a loop that never released reports zeros
+        ms = [h * 1000.0 for h in lr.periods] or [0.0]
+        period_stats[lr.task.id] = {
+            "min": min(ms), "max": max(ms),
+            "mean": _sum(ms) / len(ms), "count": len(lr.periods),
+        }
+    j = {lr.task.id: lr.plant.iae for lr in loops}
+    for lr in loops:
+        if len(lr.plant.samples) != len(visits):
+            raise RuntimeError(
+                f"{lr.plant.label}: {len(lr.plant.samples)} trace samples "
+                f"for {len(visits)} visits")
+    trace = TraceRecorder(visits, [
+        (lr.task.id, lr.plant.samples, lr.trace_u, lr.trace_h_ms)
+        for lr in loops])
+    report = RunReport(
+        scenario=sc.name,
+        mode=sc.mode,
+        cpu=sc.cpu.name or "custom",
+        duration_s=duration_s,
+        seed=sc.seed,
+        j=j,
+        j_sum=_sum(j.values()),
+        e_avg=(integral / duration_s) if duration_s > 0 else None,
+        energy_integral=integral,
+        misses=sum(job.missed for job in jobs),
+        period_stats_ms=period_stats,
+        utilization=utilization,
+        speed_changes=speed_changes,
+    )
+    return SimResult(
+        report=report,
+        trace=trace,
+        jobs=jobs,
+        segments=segments,
+        busy_ticks=busy_ticks,
+        idle_ticks=end_tick - busy_ticks,
+    )

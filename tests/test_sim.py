@@ -12,36 +12,61 @@ import hashlib
 import pytest
 
 from qapm import policy
-from qapm.plant import StateSpacePlant
+from qapm.plant import StateSpacePlant, tf_to_state_space
 from qapm.policy import ConfigurationError, CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
-from qapm.sim import _RESIDUE_TICKS, Job, Simulator, edf_select, run_loop
+from qapm.sim import _RESIDUE_TICKS, run_loop
 
 NOMINAL_WORKLOAD = 1207.0 / 1260.0
 
 
-def job(task_id, release, deadline, work=0.002):
-    return Job(task_id, release, deadline, work, 0.0)
+# --- EDF dispatch ------------------------------------------------------------
+
+def two_loops(*tasks):
+    """A 20 ms run of one loop per (task id, c_nom, h0), in that order, at
+    full speed with fixed periods."""
+    base = builtin_table1().loops[0]
+    loops = tuple(base.with_(task=base.task.with_(id=i, c_nom=c, h0=h))
+                  for i, c, h in tasks)
+    return run_loop(Scenario(name="two", loops=loops,
+                             cpu=CpuLevels((1.0,), name="full"),
+                             mode="dvs-only", duration_s=0.02))
 
 
-# --- EDF selection -----------------------------------------------------------
-
-def test_edf_picks_earliest_deadline():
-    a = job(1, 0, 12_000)
-    b = job(2, 0, 9_000)
-    assert edf_select([a, b]) is b
+# A 2 ms job every 10 ms and a 12 ms job every 20 ms: both release at 0,
+# and the short loop's second job, released at 10 ms, has the long job's
+# deadline, 20 ms.
+SHORT, LONG = (0.002, 0.01), (0.012, 0.02)
 
 
-def test_edf_tie_broken_by_release_then_id():
-    a = job(1, 2_000, 9_000)
-    b = job(2, 0, 9_000)
-    assert edf_select([a, b]) is b
-    c = job(3, 0, 9_000)
-    assert edf_select([b, c]) is b
+def test_edf_runs_the_earliest_deadline_first():
+    # At 0 the short loop's job (deadline 10 ms) runs first, though the
+    # long loop has the lower task id.
+    res = two_loops((1, *LONG), (2, *SHORT))
+    assert res.segments[0] == (0, 2000, 2)
 
 
-def test_edf_empty_set_idles():
-    assert edf_select([]) is None
+def test_edf_tie_goes_to_the_earlier_release():
+    # At 10 ms the long loop's job (released at 0, task id 2) keeps the CPU
+    # against the short loop's second job (released at 10 ms, task id 1).
+    res = two_loops((1, *SHORT), (2, *LONG))
+    assert res.segments == [(0, 2000, 1), (2000, 14_000, 2),
+                            (14_000, 16_000, 1)]
+    assert res.report.misses == 0
+    # Equal deadlines and releases: the lower task id runs first, whatever
+    # the scenario's order.
+    res = two_loops((2, *SHORT), (1, *SHORT))
+    assert res.segments[:2] == [(0, 2000, 1), (2000, 4000, 2)]
+
+
+def test_cpu_idles_when_no_job_is_ready():
+    # Every job released before 20 ms is done at 16 ms; the jobs released
+    # at the final instant get no service.
+    res = two_loops((1, *SHORT), (2, *LONG))
+    assert res.segments[-1][1] == 16_000
+    assert (res.busy_ticks, res.idle_ticks) == (16_000, 4000)
+    assert [j.completion for j in res.jobs] == [2000, 14_000, 16_000,
+                                                None, None]
 
 
 # --- closed-form single-loop runs ---------------------------------------------
@@ -334,6 +359,31 @@ def test_period_stats_match_job_counts(bench_runs):
             assert 0 < stats["min"] <= stats["mean"] <= stats["max"]
 
 
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_report_sums_run_left_to_right(bench_runs):
+    # Python 3.12 made sum() compensated; the report adds left to right,
+    # so its unrounded figures are the same under every interpreter.  A
+    # loop's period in force is its nominal h0 under osDVS, and its job's
+    # window in whole ticks under the full scheme.
+    h0 = {lp.task.id: lp.task.h0 for lp in builtin_table1().loops}
+    for name, res in bench_runs.items():
+        rep = res.report
+        assert rep.j_sum == left_to_right(rep.j.values()), name
+        ms = {}
+        for j in res.jobs:
+            h = h0[j.task_id] if name == "osdvs" else (j.deadline - j.release) * 1e-6
+            ms.setdefault(j.task_id, []).append(h * 1000.0)
+        for tid, values in ms.items():
+            mean = left_to_right(values) / len(values)
+            assert rep.period_stats_ms[tid]["mean"] == mean, (name, tid)
+
+
 @pytest.mark.parametrize("cpu", ["cpu-1", "cpu-2", "cpu-ideal"])
 def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
     # A trace sample observes the run and changes nothing in it; not even
@@ -379,13 +429,19 @@ def test_trace_rows_do_not_depend_on_cadence():
     assert [repr(r) for r in rows] == [repr(r) for r in every_4th_tick]
 
 
-def test_report_iae_is_each_plants_running_sum():
-    sim = Simulator(builtin_table1(cpu=resolve_cpu("cpu-2")).with_(
-        duration_s=2.0, trace_cadence_ms=0.25))
-    res = sim.run()
+def test_report_iae_is_each_plants_running_sum(monkeypatch):
+    plants = []
+
+    def capture(*args, **kwargs):
+        plants.append(tf_to_state_space(*args, **kwargs))
+        return plants[-1]
+
+    monkeypatch.setattr("qapm.sim.tf_to_state_space", capture)
+    sc = builtin_table1(cpu=resolve_cpu("cpu-2")).with_(
+        duration_s=2.0, trace_cadence_ms=0.25)
+    res = run_loop(sc)
     j = res.report.j
-    assert j == {lr.task.id: lr.plant.iae for lr in sim.loops}
-    assert res.report.j_sum == sum(j.values())
+    assert j == {lp.task.id: p.iae for lp, p in zip(sc.loops, plants)}
     # Independent check: the trapezoid integral of |e| over the trace.
     for lid in j:
         rows = [(t, abs(e)) for t, loop, _, _, e, *_ in res.trace.rows
@@ -589,8 +645,20 @@ def test_empty_task_set_idles_at_full_speed():
     ("trace_cadence_ms", {"trace_cadence_ms": 1e-4, "duration_s": 0.0}),
     ("perturbation_s", {"perturbation_s": 0.0}),
     ("perturbation_s", {"perturbation_s": 1e-7}),  # rounds to 0 ticks
+    # A scenario built in code may hold any type; each scalar's is checked
+    # as a file's is, and a bool is no number.
+    ("duration_s", {"duration_s": "2.0"}),
+    ("perturbation_s", {"perturbation_s": "1.0"}),
+    ("micro_step_us", {"micro_step_us": "100"}),
+    ("micro_step_us", {"micro_step_us": 100.5}),
+    ("micro_step_us", {"micro_step_us": True}),
+    ("trace_cadence_ms", {"trace_cadence_ms": "1.0"}),
+    ("c_jitter", {"c_jitter": None}),
+    ("seed", {"seed": True}),
+    ("switch_overhead_us", {"switch_overhead_us": True}),
+    ("duration_s", {"duration_s": 10**400}),  # no float holds it
 ))
 def test_run_loop_rejects_an_invalid_scenario(field, changes):
     sc = builtin_table1().with_(**changes)
-    with pytest.raises(ConfigurationError, match=f"^{field}: "):
+    with pytest.raises(ConfigurationError, match=f"^{field}: [^\n]*$"):
         run_loop(sc)
