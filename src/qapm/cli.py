@@ -114,16 +114,13 @@ def _emit_run(out_dir: str, sc: Scenario, result, svg: bool) -> None:
     result.trace.write_csv(os.path.join(out_dir, "trace.csv"))
     result.report.write_json(os.path.join(out_dir, "report.json"))
     if svg:
-        visits = result.trace.visits
-        times = [v[0] for v in visits]
-        energy = {"E(t)": [(v[0], v[3]) for v in visits]}
-        periods = {f"h{lid}": list(zip(times, h))
-                   for lid, _, _, h in result.trace.loops}
         with open(os.path.join(out_dir, "energy.svg"), "w") as f:
-            f.write(line_chart_svg(energy, "instantaneous energy draw",
+            f.write(line_chart_svg(result.trace.energy_series(),
+                                   "instantaneous energy draw",
                                    "t [s]", "alpha^2"))
         with open(os.path.join(out_dir, "periods.svg"), "w") as f:
-            f.write(line_chart_svg(periods, "effective sampling periods",
+            f.write(line_chart_svg(result.trace.period_series(),
+                                   "effective sampling periods",
                                    "t [s]", "h [ms]"))
 
 

@@ -3,15 +3,14 @@
 A `RunReport` holds what one run measured: the IAE each plant accumulated
 at micro-step resolution (see `plant.StateSpacePlant`), and the energy the
 simulator summed from its speed-change list (see `sim`).  The trace is
-held by column, as the simulator recorded it, and written to CSV from the
-columns; its rows are built only when asked for.
+held as the simulator recorded it, one tuple per visit and each plant's
+samples; `TraceRecorder` alone reads a visit, and forms the CSV lines, the
+rows and the chart series from them only when asked for.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from operator import sub
 
 __all__ = [
     "RunReport",
@@ -31,52 +30,60 @@ def sig6(v: float) -> float:
 
 
 class TraceRecorder:
-    """The trace of a run by column, rows in `TRACE_COLUMNS` order.
+    """The trace of a run, rows in `TRACE_COLUMNS` order.
 
-    ``visits`` holds (time_s, r, alpha, energy draw) per trace visit, and
-    ``loops`` holds (loop id, y, u, h_eff_ms) per loop, each of the three
-    lists one value per visit.  Row k * len(loops) + i is loop i's at visit
-    k, with e = r - y.
+    ``visits`` holds (tick, r, alpha, periods, u) per trace visit, the
+    periods in force (seconds) and the held actuator values by loop index,
+    and ``loops`` holds (loop id, y) per loop, y one sample per visit.  Row
+    k * len(loops) + i is loop i's at visit k: time_s = tick * 1e-6,
+    e = r - y, h_eff_ms = h * 1000.0 and the energy draw alpha * alpha.
     """
 
     def __init__(self, visits, loops):
         self.visits = visits
         self.loops = loops
 
+    def _by_visit(self):
+        """(tick, r, alpha, (loop id, y, u, h) per loop) per visit."""
+        ids = [lid for lid, _ in self.loops]
+        for (tick, r, alpha, periods, us), ys in zip(
+                self.visits, zip(*[y for _, y in self.loops])):
+            yield tick, r, alpha, zip(ids, ys, us, periods)
+
     @property
     def rows(self) -> list[tuple]:
         """The rows as tuples, built on each read."""
-        if not self.visits:
-            return []
-        t, r, alpha, energy = zip(*self.visits)
-        per_loop = [
-            zip(t, repeat(lid), r, y, map(sub, r, y), u, h, alpha, energy)
-            for lid, y, u, h in self.loops
-        ]
-        return list(chain.from_iterable(zip(*per_loop)))
+        return [(tick * 1e-6, lid, r, y, r - y, u, h * 1000.0, alpha,
+                 alpha * alpha)
+                for tick, r, alpha, per_loop in self._by_visit()
+                for lid, y, u, h in per_loop]
+
+    def energy_series(self) -> dict[str, list[tuple[float, float]]]:
+        """The chart series "E(t)": (time_s, energy draw)."""
+        return {"E(t)": [(tick * 1e-6, alpha * alpha)
+                         for tick, _, alpha, _, _ in self.visits]}
+
+    def period_series(self) -> dict[str, list[tuple[float, float]]]:
+        """A chart series "h<loop id>" per loop: (time_s, h_eff_ms)."""
+        return {f"h{lid}": [(tick * 1e-6, periods[i] * 1000.0)
+                            for tick, _, _, periods, _ in self.visits]
+                for i, (lid, _) in enumerate(self.loops)}
 
     def write_csv(self, path) -> None:
         """The rows as `csv.writer` writes them: each float in its shortest
         round-trip form, CRLF line ends, no quoting (no field needs it)."""
-        # t, r, alpha and the energy draw are formatted once per visit, u
-        # and h_eff once per distinct value; y and e rarely repeat.
+        # t, alpha and the energy draw are formatted once per visit, u and
+        # h_eff once per distinct value; y and e rarely repeat.
         text = _FloatText()
-        r = [v[1] for v in self.visits]
-        heads = [repr(v[0]) for v in self.visits]
-        mids = [repr(x) for x in r]
-        tails = [f"{text[v[2]]},{text[v[3]]}\r\n" for v in self.visits]
-        # One lazy line stream per loop, so no list of lines is held; the
-        # loop id goes in through zip, which binds it when the stream is made.
-        per_loop = [
-            (f"{t},{i},{rt},{yk!r},{rk - yk!r},{text[uk]},{text[hk]},{tail}"
-             for t, i, rt, rk, yk, uk, hk, tail
-             in zip(heads, repeat(lid), mids, r, y, u, h, tails))
-            for lid, y, u, h in self.loops
-        ]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-            # in order of visit, then loop
-            fh.writelines(chain.from_iterable(zip(*per_loop)))
+            for tick, r, alpha, per_loop in self._by_visit():
+                head = f"{tick * 1e-6!r},"
+                tail = f",{text[alpha]},{text[alpha * alpha]}\r\n"
+                fh.writelines(
+                    f"{head}{lid},{r!r},{y!r},{r - y!r},{text[u]},"
+                    f"{text[h * 1000.0]}{tail}"
+                    for lid, y, u, h in per_loop)
 
 
 class _FloatText(dict):

@@ -150,7 +150,8 @@ def validate(sc: Scenario) -> list[str]:
     proper transfer functions) is enforced at construction; this covers
     what only the assembled scenario can know.  A scenario built in code
     may hold any type, so first each scalar's kind is checked as a file's
-    is; the range checks run only once every kind is right.
+    is, and the type of the processor, of each loop and of its parts; the
+    range checks run only once every kind is right.
     """
     errors = []
     reader = _MappingReader(errors)
@@ -158,6 +159,13 @@ def validate(sc: Scenario) -> list[str]:
         value = getattr(sc, key)
         if not (key == "trace_cadence_ms" and value is None):  # no trace
             reader.get({key: value}, "", key, kind)
+    reader.get({"cpu": sc.cpu}, "", "cpu", CpuLevels)
+    for i, lp in enumerate(sc.loops):
+        path = f"loops[{i}]"
+        if reader.get({path: lp}, "", path, LoopSpec) is not None:
+            for key, kind in zip(LoopSpec._fields,
+                                 (TaskSpec, TransferFunction, PidGains)):
+                reader.get({key: getattr(lp, key)}, path + ".", key, kind)
     if errors:
         return errors
     if sc.mode not in MODES:
@@ -246,16 +254,9 @@ def to_mapping(sc: Scenario) -> dict:
     }
 
 
-# The types each kind of field accepts.  An int is accepted, and converted,
-# where a float is expected; a bool, though an int, is no number here.
-_ACCEPTS = {
-    float: (int, float),
-    int: (int,),
-    bool: (bool,),
-    str: (str,),
-    list: (list,),
-    dict: (dict,),
-}
+# Each kind of field accepts its own type, and an int is accepted, and
+# converted, where a float is expected; a bool, though an int, is no number.
+_ACCEPTS = {float: (int, float)}
 
 
 class _MappingReader:
@@ -270,7 +271,7 @@ class _MappingReader:
                 self.errors.append(f"{path}{key}: missing")
             return default
         v = m[key]
-        if not isinstance(v, _ACCEPTS[kind]) or (
+        if not isinstance(v, _ACCEPTS.get(kind, kind)) or (
                 isinstance(v, bool) and kind is not bool):
             self.errors.append(f"{path}{key}: expected {kind.__name__}, got {v!r}")
             return default
@@ -284,8 +285,9 @@ class _MappingReader:
 
 
 # The top-level scalar fields of a scenario file, in reading order, and the
-# kind each holds; a missing one takes the `Scenario` default.
+# kind each holds; a missing one takes its `_DEFAULTS` value.
 _SCALARS = (
+    ("name", str),
     ("mode", str),
     ("duration_s", float),
     ("perturbation_s", float),
@@ -295,8 +297,9 @@ _SCALARS = (
     ("c_jitter", float),
     ("switch_overhead_us", int),
 )
-# Every field after name, loops and cpu has a default.
-_DEFAULTS = dict(zip(Scenario._fields[3:], Scenario.__init__.__defaults__))
+# Every field after name, loops and cpu has a default; so has a file's name.
+_DEFAULTS = dict(zip(Scenario._fields[3:], Scenario.__init__.__defaults__),
+                 name="scenario")
 
 
 def from_mapping(m: dict) -> Scenario:
@@ -307,7 +310,6 @@ def from_mapping(m: dict) -> Scenario:
     errors: list[str] = []
     r = _MappingReader(errors)
 
-    name = r.get(m, "", "name", str, default="scenario")
     scalars = {}
     for key, kind in _SCALARS:
         if key == "trace_cadence_ms" and key in m and m[key] is None:
@@ -395,7 +397,7 @@ def from_mapping(m: dict) -> Scenario:
     if errors:
         raise ConfigurationError("; ".join(errors))
 
-    sc = Scenario(name=name, loops=tuple(loops), cpu=cpu, **scalars)
+    sc = Scenario(loops=tuple(loops), cpu=cpu, **scalars)
     problems = validate(sc)
     if problems:
         raise ConfigurationError("; ".join(problems))

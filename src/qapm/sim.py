@@ -31,15 +31,15 @@ that event's tick; other loops' events do not touch it.  The plant keeps
 its own place on the grid (see `plant.StateSpacePlant`).
 
 The trace has one row per loop at every multiple of ``trace_cadence_ms``
-up to the end of the run.  A trace visit at tick t records what the
-simulator holds then (r, u, h_eff, alpha and the energy draw) and advances
-no plant.  Each plant writes its own y(t) while it integrates across t (see
-`plant.StateSpacePlant`).  The run hands these lists, uncopied, to a
-`metrics.TraceRecorder` as columns; rows, with e = r - y, are formed only
-when the trace is written or read.  The trace therefore touches neither
-the step partition nor the job accounting nor the dispatcher, so every
-result but the trace itself is the same at any trace cadence.  A cadence
-of None records no trace at all.
+up to the end of the run.  A trace visit at tick t appends one tuple of
+what is in force then, (t, r, alpha, periods, u per loop), and advances no
+plant.  Each plant writes its own y(t) while it integrates across t (see
+`plant.StateSpacePlant`).  The run hands the visits and each plant's
+samples, uncopied, to a `metrics.TraceRecorder`, which alone forms the
+rows from them.  The trace therefore touches neither the step partition
+nor the job accounting nor the dispatcher, so every result but the trace
+itself is the same at any trace cadence.  A cadence of None records no
+trace at all.
 
 Each release makes one power-manager decision, `policy.decide`, from the
 simulator's plain lists: the adapted base periods, each loop's last drawn
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from operator import attrgetter
 from random import Random
 
 from .metrics import RunReport, TraceRecorder
@@ -82,6 +83,7 @@ from .scenario import Scenario, validate
 __all__ = ["Job", "SimResult", "run_loop"]
 
 _NEVER = math.inf  # tick of an event source with nothing pending
+_held_u = attrgetter("u")  # a plant's actuator value in force
 
 # A completion may round down to the previous tick, leaving at most one
 # tick of service unconsumed; anything larger is an accounting bug.
@@ -107,10 +109,7 @@ class Job:
 
 
 class _LoopRuntime:
-    __slots__ = (
-        "index", "task", "plant", "pid", "periods",
-        "trace_u", "trace_h_ms",
-    )
+    __slots__ = ("index", "task", "plant", "pid", "periods")
 
     def __init__(self, index, task, plant, pid):
         self.index = index              # position in the scenario's loops
@@ -118,8 +117,6 @@ class _LoopRuntime:
         self.plant = plant
         self.pid = pid
         self.periods = []               # period in force at each release, seconds
-        self.trace_u = []               # u and h_eff at each trace visit
-        self.trace_h_ms = []
 
 
 class SimResult:
@@ -204,7 +201,7 @@ def run_loop(sc: Scenario) -> SimResult:
     # What the run records.
     # (tick, alpha) per actual speed change, tick 0 included
     speed_changes: list[tuple[int, float]] = [(0, 1.0)]
-    # (time_s, r, alpha, energy draw) per trace visit
+    # (tick, r, alpha, periods, u per loop) per trace visit
     visits: list[tuple] = []
     utilization: list[tuple[float, float, float]] = []
     jobs: list[Job] = []
@@ -235,8 +232,7 @@ def run_loop(sc: Scenario) -> SimResult:
     next_release = [0] * len(loops)
     first_release = 0 if loops else never
     plant_of = {lr.task.id: lr.plant for lr in loops}
-    trace_columns = [(lr.plant, lr.trace_u.append, lr.trace_h_ms.append)
-                     for lr in loops]
+    plants = [lr.plant for lr in loops]
     ready = []              # heap of (deadline, release, task_id, job)
 
     alpha = 1.0
@@ -264,12 +260,11 @@ def run_loop(sc: Scenario) -> SimResult:
             k = next_release.index(tick)
             lr = by_task_id[k]
         # Trace samples rank last at equal ticks.  A visit records the
-        # values in force at its tick and advances no plant.
+        # values in force at its tick, ``periods`` uncopied, as nothing
+        # mutates a list `decide` returned, and advances no plant.
         while next_trace < tick and next_trace <= end_tick:
-            visits.append((next_trace * 1e-6, r, alpha, alpha * alpha))
-            for (plant, add_u, add_h), h in zip(trace_columns, periods):
-                add_u(plant.u)
-                add_h(h * 1000.0)
+            visits.append((next_trace, r, alpha, periods,
+                           tuple(map(_held_u, plants))))
             next_trace += trace_step
         if tick > end_tick:
             break
@@ -418,9 +413,8 @@ def _result(sc, end_tick, loops, speed_changes, visits, utilization, jobs,
             raise RuntimeError(
                 f"{lr.plant.label}: {len(lr.plant.samples)} trace samples "
                 f"for {len(visits)} visits")
-    trace = TraceRecorder(visits, [
-        (lr.task.id, lr.plant.samples, lr.trace_u, lr.trace_h_ms)
-        for lr in loops])
+    trace = TraceRecorder(visits,
+                          [(lr.task.id, lr.plant.samples) for lr in loops])
     report = RunReport(
         scenario=sc.name,
         mode=sc.mode,

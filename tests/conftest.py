@@ -7,25 +7,16 @@ share between the simulator tests and the acceptance gate.
 
 import pytest
 
+from qapm.cli import SWEEP_CASES
 from qapm.scenario import builtin_table1, resolve_cpu
 from qapm.sim import run_loop
-
-# (key, mode, cpu) for the benchmark sweep, baseline first.
-BENCH_CASES = (
-    ("osdvs", "osdvs", "cpu-ideal"),
-    ("cpu-1", "qapm", "cpu-1"),
-    ("cpu-2", "qapm", "cpu-2"),
-    ("cpu-3", "qapm", "cpu-3"),
-    ("cpu-4", "qapm", "cpu-4"),
-    ("cpu-ideal", "qapm", "cpu-ideal"),
-)
 
 
 @pytest.fixture(scope="session")
 def bench_runs():
-    """Dict of the six benchmark SimResults, keyed per BENCH_CASES."""
+    """Dict of the six benchmark SimResults, keyed per `cli.SWEEP_CASES`."""
     out = {}
-    for key, mode, cpu in BENCH_CASES:
+    for key, mode, cpu in SWEEP_CASES:
         sc = builtin_table1(cpu=resolve_cpu(cpu), mode=mode)
         out[key] = run_loop(sc)
     return out

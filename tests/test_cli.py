@@ -70,13 +70,23 @@ def test_run_without_out_records_no_trace(tmp_path, monkeypatch, capsys):
     assert lines[0] == lines[1]
 
 
+# SHA-256 of the charts `run --builtin table1 --cpu cpu-2 --duration 1 --out
+# --svg` draws.  Re-pin only where a change to the model's numerics or to the
+# chart layout is the cause, and log old -> new.
+SVG_FILES_SHA256 = {
+    "energy.svg": "68987c4f8ef0193d69c516b3babbad6387f344d01aa583249e4fa6e50e48f7d6",
+    "periods.svg": "bb08fbebb5044151fa2561668e29305a7c7ee27eefa75844810b75c55b448f51",
+}
+
+
 def test_run_svg_charts(tmp_path):
     out = tmp_path / "run"
     p = run_cli("run", "--builtin", "table1", "--cpu", "cpu-2",
                 "--duration", "1", "--out", str(out), "--svg")
     assert p.returncode == 0, p.stderr
-    assert (out / "energy.svg").is_file()
-    assert (out / "periods.svg").is_file()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in SVG_FILES_SHA256}
+    assert got == SVG_FILES_SHA256
 
 
 def test_run_from_scenario_file(tmp_path):

@@ -137,12 +137,12 @@ def test_sig6():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    # two visits of two loops: (time_s, r, alpha, energy draw) per visit,
-    # (loop id, y, u, h_eff_ms) per loop
+    # two visits of two loops: (tick, r, alpha, periods in seconds, u) per
+    # visit, (loop id, y) per loop
     rec = TraceRecorder(
-        [(0.001, 1.0, 0.5, 0.25), (0.002, 0.0, 1.0, 1.0)],
-        [(1, [0.25, -0.0], [12.5, 12.5], [10.0, 10.0]),
-         (2, [0.3333333333333333, 0.1], [-1.0, 0.0], [7.0, 8.0])],
+        [(1000, 1.0, 0.5, [0.010, 0.007], (12.5, -1.0)),
+         (2000, 0.0, 1.0, [0.010, 0.008], (12.5, 0.0))],
+        [(1, [0.25, -0.0]), (2, [0.3333333333333333, 0.1])],
     )
     path = tmp_path / "trace.csv"
     rec.write_csv(path)
@@ -160,7 +160,16 @@ def test_trace_csv_round_trip(tmp_path):
               for row in rows[1:]]
     assert parsed == rec.rows
     assert rec.rows[1][4] == 1.0 - 0.3333333333333333
-    assert TraceRecorder([], [(1, [], [], [])]).rows == []
+    # time_s = tick * 1e-6, h_eff_ms = h * 1000.0, energy = alpha * alpha
+    assert [row[6:] for row in rec.rows] == [
+        (10.0, 0.5, 0.25), (7.0, 0.5, 0.25), (10.0, 1.0, 1.0), (8.0, 1.0, 1.0)]
+    # the chart series are the rows' columns
+    assert rec.energy_series() == {
+        "E(t)": [(row[0], row[8]) for row in rec.rows[::2]]}
+    assert rec.period_series() == {
+        f"h{lid}": [(row[0], row[6]) for row in rec.rows[i::2]]
+        for i, lid in enumerate((1, 2))}
+    assert TraceRecorder([], [(1, [])]).rows == []
 
 
 def make_report():

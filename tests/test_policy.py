@@ -242,7 +242,7 @@ C_NOM = [t.c_nom for t in TASKS]
 NOT_RELEASED = [None] * len(TASKS)
 
 
-def test_policy_step_steady_state_ideal_cpu():
+def test_decide_steady_state_ideal_cpu():
     base = [t.h_max for t in TASKS]
     b, periods, ticks, ai, alpha = decide(TASKS, 0, 0.01, base, NOT_RELEASED,
                                           C_NOM, IDEAL)
@@ -253,14 +253,14 @@ def test_policy_step_steady_state_ideal_cpu():
     assert ticks == 40_000
 
 
-def test_policy_step_transient_ideal_cpu():
+def test_decide_transient_ideal_cpu():
     base = [t.h0 for t in TASKS]
     b, _, _, _, alpha = decide(TASKS, 0, 0.5, base, NOT_RELEASED, C_NOM, IDEAL)
     assert b[0] == TASKS[0].h0
     assert alpha == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
 
 
-def test_policy_step_steady_state_two_level_cpu():
+def test_decide_steady_state_two_level_cpu():
     base = [t.h_max for t in TASKS]
     _, periods, ticks, _, alpha = decide(TASKS, 0, 0.0, base, NOT_RELEASED,
                                          C_NOM, CPU1)
@@ -272,7 +272,7 @@ def test_policy_step_steady_state_two_level_cpu():
     assert periods[0] == 18_667 * 1e-6
 
 
-def test_policy_step_only_trigger_period_readapted():
+def test_decide_only_trigger_period_readapted():
     base = [0.020, 0.010, 0.012, 0.030]
     b = decide(TASKS, 2, 0.0, base, NOT_RELEASED, C_NOM, IDEAL)[0]
     assert b[0] == base[0]
@@ -281,7 +281,7 @@ def test_policy_step_only_trigger_period_readapted():
     assert b[2] == TASKS[2].h_max
 
 
-def test_policy_step_work_override():
+def test_decide_work_override():
     base = [t.h0 for t in TASKS]
     ai = decide(TASKS, 0, 0.01, base, NOT_RELEASED,
                 [0.004, 0.002, 0.002, 0.002], IDEAL)[3]
@@ -291,7 +291,7 @@ def test_policy_step_work_override():
     )
 
 
-def test_policy_step_deterministic():
+def test_decide_deterministic():
     # Identical inputs give identical decisions, and the inputs are kept.
     base = [t.h0 for t in TASKS]
     in_flight = [10_000, 7_000, None, 9_000]

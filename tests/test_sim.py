@@ -8,6 +8,7 @@ idled while work was pending, and that each job was served its work.
 
 import bisect
 import hashlib
+import re
 
 import pytest
 
@@ -639,6 +640,9 @@ def test_empty_task_set_idles_at_full_speed():
     assert res.report.j_sum == 0.0
 
 
+_LOOPS = builtin_table1().loops
+
+
 @pytest.mark.parametrize("field, changes", (
     # rounds to 0 ticks; a zero-length run, so that without the check the
     # run returns at once instead of sampling the trace forever
@@ -657,8 +661,16 @@ def test_empty_task_set_idles_at_full_speed():
     ("seed", {"seed": True}),
     ("switch_overhead_us", {"switch_overhead_us": True}),
     ("duration_s", {"duration_s": 10**400}),  # no float holds it
+    # So is the type of the name, the processor, each loop and its parts.
+    ("name", {"name": 5}),
+    ("cpu", {"cpu": "cpu-2", "duration_s": 0.01}),
+    ("loops[0]", {"loops": (1,)}),
+    ("loops[0].task", {"loops": (_LOOPS[0].with_(task=None),)}),
+    ("loops[1].plant", {"loops": (_LOOPS[0], _LOOPS[1].with_(plant="x"))}),
+    ("loops[0].gains", {"loops": (_LOOPS[0].with_(gains=(1.0, 0.0, 0.0)),)}),
 ))
 def test_run_loop_rejects_an_invalid_scenario(field, changes):
     sc = builtin_table1().with_(**changes)
-    with pytest.raises(ConfigurationError, match=f"^{field}: [^\n]*$"):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(field)}: [^\n]*$"):
         run_loop(sc)
