@@ -9,7 +9,6 @@ import sys
 
 from .metrics import line_chart_svg
 from .plant import DivergenceError
-from .policy import ConfigurationError
 from .scenario import (
     MODES,
     Scenario,
@@ -129,12 +128,11 @@ def _e_avg(rep) -> float:
     return float("nan") if rep.e_avg is None else rep.e_avg
 
 
-def _failed(exc: Exception, prefix: str) -> int:
-    """Report why ``run_loop`` failed, one ``prefix:`` line per problem, and
-    return the exit code: a diverged plant or a configuration error."""
-    for line in str(exc).splitlines():
-        print(f"{prefix}: {line}", file=sys.stderr)
-    return EXIT_DIVERGED if isinstance(exc, DivergenceError) else EXIT_CONFIG
+def _failed(exc: DivergenceError, prefix: str) -> int:
+    """Report on one ``prefix:`` line how a plant diverged in ``run_loop``,
+    and return its exit code."""
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return EXIT_DIVERGED
 
 
 def _cmd_run(args) -> int:
@@ -147,7 +145,7 @@ def _cmd_run(args) -> int:
         sc = sc.with_(trace_cadence_ms=None)  # no file to write the trace to
     try:
         result = run_loop(sc)
-    except (ConfigurationError, DivergenceError) as exc:
+    except DivergenceError as exc:
         return _failed(exc, "error")
     rep = result.report
     if args.out:
@@ -172,7 +170,7 @@ def _cmd_sweep(args) -> int:
         sc = base.with_(mode=mode, cpu=cpus[cpu_name])
         try:
             result = run_loop(sc)
-        except (ConfigurationError, DivergenceError) as exc:
+        except DivergenceError as exc:
             return _failed(exc, f"error [{label}]")
         rep = reports[label] = result.report
         _emit_run(os.path.join(args.out, label), sc, result, svg=False)

@@ -1,8 +1,10 @@
 """Discrete PID controller with an explicit, variable sampling interval.
 
-The control task passes the interval that actually elapsed since its
-previous sample, so period rescaling by the power manager changes the
-integral and derivative weights on the very next job.
+The control task passes the period just decided for the job it releases,
+the interval to its next sample and the job's deadline, not the time since
+its previous sample: the output is held about that long, and a period the
+power manager rescales changes the integral and derivative weights on the
+very job that starts it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class Pid:
         self._primed = False
 
     def compute(self, error: float, h_s: float) -> float:
-        """Control output for this sample; h_s > 0 is the elapsed interval
+        """Control output for this sample; h_s > 0 is the sampling interval
         in seconds."""
         g = self.gains
         self._integral += g.ki * h_s * error

@@ -38,14 +38,16 @@ class DivergenceError(ArithmeticError):
 class TransferFunction(Value):
     """SISO transfer function, coefficients in ascending powers of s.
 
-    Must be strictly proper: numerator degree below denominator degree,
-    which is at most `MAX_STATE`.
+    Must have finite coefficients and be strictly proper: numerator degree
+    below denominator degree, which is at most `MAX_STATE`.
     """
 
     _fields = ("num", "den")
 
     def __init__(self, num, den):
         n, d = _strip(num), _strip(den)
+        if not all(map(math.isfinite, n + d)):
+            raise ConfigurationError(f"coefficients must be finite: num={n} den={d}")
         if len(d) < 2:
             raise ConfigurationError(f"denominator degree must be >= 1: {den}")
         if not n:
@@ -108,7 +110,7 @@ class StateSpacePlant:
     ``a`` is A flattened row-major.  State starts at rest (x = 0, u = 0).
     The matrices and the micro step are taken as given: `TransferFunction`
     checks the order, `tf_to_state_space` builds matrices of matching
-    dimensions, and `scenario.validate` checks the micro step.
+    dimensions, and a `Scenario` checks its micro step when it is built.
 
     One classical RK4 step of length h is, for this linear system with u
     held, exactly the affine map x <- M x + N u.  Every advance goes

@@ -121,9 +121,9 @@ class TaskSpec(Value):
 
     def __init__(self, id: int, c_nom: float, h0: float, h_max: float,
                  adaptation: AdaptationParams):
-        if not (0 < c_nom <= h0 <= h_max):
+        if not (0 < c_nom <= h0 <= h_max < math.inf):
             raise ConfigurationError(
-                f"task {id}: need 0 < c_nom <= h0 <= h_max, "
+                f"task {id}: need 0 < c_nom <= h0 <= h_max < inf, "
                 f"got c_nom={c_nom} h0={h0} h_max={h_max}"
             )
         # The largest period scale factor, not a field (see AdaptationParams).
@@ -145,6 +145,8 @@ class CpuLevels(Value):
         if not ideal:
             if not levels:
                 raise ConfigurationError("level set is empty")
+            if not all(map(math.isfinite, levels)):
+                raise ConfigurationError(f"levels must be finite, got {levels}")
             if levels[0] <= 0:
                 raise ConfigurationError(f"levels must be positive, got {levels[0]}")
             if any(a >= b for a, b in zip(levels, levels[1:])):

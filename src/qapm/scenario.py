@@ -1,9 +1,9 @@
-"""Scenario definition, validation, builtin benchmark, YAML persistence.
+"""Scenario definition, builtin benchmark, YAML persistence.
 
 A scenario bundles everything one run needs: the control loops (plant,
 controller gains, timing spec), the processor level set, the operating
-mode, and the timing/trace knobs.  Scenarios are frozen; the simulator
-never mutates them.
+mode, and the timing/trace knobs.  Scenarios are frozen and checked as
+they are built; the simulator trusts them and never mutates them.
 
 File format is YAML with millisecond/microsecond-suffixed keys; see
 ``to_mapping`` for the exact layout.  ``load_scenario(save_scenario(s))``
@@ -35,7 +35,6 @@ __all__ = [
     "save_scenario",
     "to_mapping",
     "from_mapping",
-    "validate",
 ]
 
 MODES = ("qapm", "osdvs", "dvs-only")
@@ -56,6 +55,14 @@ class LoopSpec(Value):
 
 
 class Scenario(Value):
+    """Everything one run needs, checked as it is built.
+
+    The constructor, and so `with_`, raises one `ConfigurationError` listing
+    every problem with its field path, as `from_mapping` does for a file:
+    first the kind of each field and part, then, once all are right, the
+    ranges and cross-field checks.
+    """
+
     _fields = ("name", "loops", "cpu", "mode", "duration_s", "perturbation_s",
                "micro_step_us", "trace_cadence_ms", "seed", "c_jitter",
                "switch_overhead_us")
@@ -70,11 +77,63 @@ class Scenario(Value):
                  # [1 - c_jitter, 1 + c_jitter]; 0 disables the draw entirely.
                  c_jitter: float = 0.0,
                  switch_overhead_us: int = 0):
-        self._set(name=name, loops=tuple(loops), cpu=cpu, mode=mode,
+        self._set(name=name, loops=loops, cpu=cpu, mode=mode,
                   duration_s=duration_s, perturbation_s=perturbation_s,
                   micro_step_us=micro_step_us,
                   trace_cadence_ms=trace_cadence_ms, seed=seed,
                   c_jitter=c_jitter, switch_overhead_us=switch_overhead_us)
+        errors: list[str] = []
+        reader = _MappingReader(errors)
+        fields = vars(self)
+        for key, kind in _SCALARS:
+            if not (key == "trace_cadence_ms" and trace_cadence_ms is None):
+                reader.get(fields, "", key, kind)
+        reader.get(fields, "", "cpu", CpuLevels)
+        if reader.get(fields, "", "loops", tuple) is not None:
+            self._set(loops=tuple(loops))
+            for i, lp in enumerate(self.loops):
+                path = f"loops[{i}]"
+                if reader.get({path: lp}, "", path, LoopSpec) is not None:
+                    for key, kind in zip(LoopSpec._fields,
+                                         (TaskSpec, TransferFunction, PidGains)):
+                        reader.get(vars(lp), path + ".", key, kind)
+        if errors:
+            raise ConfigurationError("; ".join(errors))
+        if mode not in MODES:
+            errors.append(f"mode: {mode!r} not one of {'/'.join(MODES)}")
+        if not name:
+            errors.append("name: must be non-empty")
+        if duration_s < 0 or not _tick_exact(duration_s):
+            errors.append(f"duration_s: must be a non-negative whole number "
+                          f"of microseconds, got {duration_s}")
+        if perturbation_s <= 0 or not _tick_exact(perturbation_s):
+            errors.append(f"perturbation_s: must be a positive whole number "
+                          f"of microseconds, got {perturbation_s}")
+        if not 1 <= micro_step_us <= MAX_MICRO_STEP_US:
+            errors.append(f"micro_step_us: must be in [1, {MAX_MICRO_STEP_US}], "
+                          f"got {micro_step_us}")
+        if trace_cadence_ms is not None and (
+                trace_cadence_ms <= 0
+                or not _tick_exact(trace_cadence_ms / 1000.0)):
+            errors.append(f"trace_cadence_ms: must be null or a positive whole "
+                          f"number of microseconds, got {trace_cadence_ms}")
+        if seed < 0:
+            errors.append(f"seed: must be a non-negative integer, got {seed!r}")
+        if not 0.0 <= c_jitter <= 0.5:
+            errors.append(f"c_jitter: must be in [0, 0.5], got {c_jitter}")
+        if switch_overhead_us < 0:
+            errors.append(f"switch_overhead_us: must be a non-negative "
+                          f"integer, got {switch_overhead_us!r}")
+        ids = [lp.task.id for lp in self.loops]
+        if len(set(ids)) != len(ids):
+            errors.append(f"loops: duplicate task ids {ids}")
+        if self.loops:
+            u = ideal_speed((lp.task.c_nom, lp.task.h0) for lp in self.loops)
+            if u > 1.0 + 1e-9:
+                errors.append(f"loops: nominal workload sum(c_nom/h0) = "
+                              f"{u:.6f} exceeds 1; task set infeasible")
+        if errors:
+            raise ConfigurationError("; ".join(errors))
 
 
 def builtin_cpus() -> dict[str, CpuLevels]:
@@ -143,77 +202,6 @@ def _tick_exact(seconds: float) -> bool:
     return math.isfinite(us) and abs(us - round(us)) < 1e-6
 
 
-def validate(sc: Scenario) -> list[str]:
-    """Cross-field invariant checks; returns error strings with field paths.
-
-    Structural validity of the nested pieces (level ordering, h0 <= h_max,
-    proper transfer functions) is enforced at construction; this covers
-    what only the assembled scenario can know.  A scenario built in code
-    may hold any type, so first each scalar's kind is checked as a file's
-    is, and the type of the processor, of each loop and of its parts; the
-    range checks run only once every kind is right.
-    """
-    errors = []
-    reader = _MappingReader(errors)
-    for key, kind in _SCALARS:
-        value = getattr(sc, key)
-        if not (key == "trace_cadence_ms" and value is None):  # no trace
-            reader.get({key: value}, "", key, kind)
-    reader.get({"cpu": sc.cpu}, "", "cpu", CpuLevels)
-    for i, lp in enumerate(sc.loops):
-        path = f"loops[{i}]"
-        if reader.get({path: lp}, "", path, LoopSpec) is not None:
-            for key, kind in zip(LoopSpec._fields,
-                                 (TaskSpec, TransferFunction, PidGains)):
-                reader.get({key: getattr(lp, key)}, path + ".", key, kind)
-    if errors:
-        return errors
-    if sc.mode not in MODES:
-        errors.append(f"mode: {sc.mode!r} not one of {'/'.join(MODES)}")
-    if not sc.name:
-        errors.append("name: must be non-empty")
-    if sc.duration_s < 0 or not _tick_exact(sc.duration_s):
-        errors.append(
-            f"duration_s: must be a non-negative whole number of microseconds, "
-            f"got {sc.duration_s}"
-        )
-    if sc.perturbation_s <= 0 or not _tick_exact(sc.perturbation_s):
-        errors.append(
-            f"perturbation_s: must be a positive whole number of microseconds, "
-            f"got {sc.perturbation_s}"
-        )
-    if not 1 <= sc.micro_step_us <= MAX_MICRO_STEP_US:
-        errors.append(f"micro_step_us: must be in [1, {MAX_MICRO_STEP_US}], "
-                      f"got {sc.micro_step_us}")
-    if sc.trace_cadence_ms is not None and (
-            sc.trace_cadence_ms <= 0
-            or not _tick_exact(sc.trace_cadence_ms / 1000.0)):
-        errors.append(
-            f"trace_cadence_ms: must be null or a positive whole number of "
-            f"microseconds, got {sc.trace_cadence_ms}"
-        )
-    if sc.seed < 0:
-        errors.append(f"seed: must be a non-negative integer, got {sc.seed!r}")
-    if not 0.0 <= sc.c_jitter <= 0.5:
-        errors.append(f"c_jitter: must be in [0, 0.5], got {sc.c_jitter}")
-    if sc.switch_overhead_us < 0:
-        errors.append(
-            f"switch_overhead_us: must be a non-negative integer, "
-            f"got {sc.switch_overhead_us!r}"
-        )
-    ids = [lp.task.id for lp in sc.loops]
-    if len(set(ids)) != len(ids):
-        errors.append(f"loops: duplicate task ids {ids}")
-    if sc.loops:
-        u = ideal_speed((lp.task.c_nom, lp.task.h0) for lp in sc.loops)
-        if u > 1.0 + 1e-9:
-            errors.append(
-                f"loops: nominal workload sum(c_nom/h0) = {u:.6f} exceeds 1; "
-                f"task set infeasible"
-            )
-    return errors
-
-
 # --- mapping <-> scenario -------------------------------------------------
 #
 # The mapping layer is what the YAML file holds.  Numeric keys carry unit
@@ -254,9 +242,10 @@ def to_mapping(sc: Scenario) -> dict:
     }
 
 
-# Each kind of field accepts its own type, and an int is accepted, and
-# converted, where a float is expected; a bool, though an int, is no number.
-_ACCEPTS = {float: (int, float)}
+# Each kind of field accepts its own type, a tuple also a list, and an int
+# is accepted, and converted, where a float is expected; a bool, though an
+# int, is no number.
+_ACCEPTS = {float: (int, float), tuple: (tuple, list)}
 
 
 class _MappingReader:
@@ -397,11 +386,7 @@ def from_mapping(m: dict) -> Scenario:
     if errors:
         raise ConfigurationError("; ".join(errors))
 
-    sc = Scenario(loops=tuple(loops), cpu=cpu, **scalars)
-    problems = validate(sc)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    return sc
+    return Scenario(loops=loops, cpu=cpu, **scalars)
 
 
 def load_scenario(path) -> Scenario:

@@ -77,8 +77,8 @@ from random import Random
 from .metrics import RunReport, TraceRecorder
 from .pid import Pid
 from .plant import tf_to_state_space
-from .policy import ConfigurationError, decide
-from .scenario import Scenario, validate
+from .policy import decide
+from .scenario import Scenario
 
 __all__ = ["Job", "SimResult", "run_loop"]
 
@@ -176,14 +176,9 @@ def _sum(values):
 def run_loop(sc: Scenario) -> SimResult:
     """Run one scenario start to finish.
 
-    Raises `ConfigurationError`, one line per problem `scenario.validate`
-    finds, before any event runs, and `DivergenceError`, naming the loop
-    and the simulated time it was found at, when a plant's state goes
-    non-finite.
+    Raises `DivergenceError`, naming the loop and the simulated time it was
+    found at, when a plant's state goes non-finite.
     """
-    errors = validate(sc)
-    if errors:
-        raise ConfigurationError("\n".join(errors))
     end_tick = round(sc.duration_s * 1e6)
     trace_step = (None if sc.trace_cadence_ms is None
                   else round(sc.trace_cadence_ms * 1000))

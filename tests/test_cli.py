@@ -161,9 +161,10 @@ def test_validate_rejects_broken_file(tmp_path):
     p = run_cli("validate", "--scenario", str(bad))
     assert p.returncode == 2
     assert p.stderr.startswith("error: loops: expected list"), p.stderr
-    # a file that parses but breaks a cross-field check
-    sc = builtin_table1().with_(trace_cadence_ms=0.0)
-    save_scenario(sc, bad)
+    # a file that parses but breaks a range check
+    save_scenario(builtin_table1(), bad)
+    bad.write_text(bad.read_text().replace("trace_cadence_ms: 1.0",
+                                           "trace_cadence_ms: 0.0"))
     p = run_cli("validate", "--scenario", str(bad))
     assert p.returncode == 2
     assert p.stderr.startswith("error: trace_cadence_ms: "), p.stderr
@@ -179,7 +180,19 @@ def test_validate_rejects_broken_file(tmp_path):
     ("c_nom_ms: 2.0\n", "c_nom_ms: 6.0\n",
      "loops: nominal workload sum(c_nom/h0) = 2.873810 exceeds 1; "
      "task set infeasible"),
-), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload"))
+    # non-finite numbers, which the run could not turn into ticks
+    ("  ideal: true\n  levels:\n  - 1.0\n",
+     "  ideal: false\n  levels:\n  - .nan\n  - 1.0\n",
+     "cpu.levels: levels must be finite, got (nan, 1.0)"),
+    ("h0_ms: 10.0\n  h_max_ms: 40.0\n", "h0_ms: 10.0\n  h_max_ms: .inf\n",
+     "loops[0]: task 1: need 0 < c_nom <= h0 <= h_max < inf, "
+     "got c_nom=0.002 h0=0.01 h_max=inf"),
+    ("    num:\n    - 1.0\n    den:\n    - 50.0\n",
+     "    num:\n    - .inf\n    den:\n    - 50.0\n",
+     "loops[0].plant: coefficients must be finite: num=(inf,) "
+     "den=(50.0, 1000.0)"),
+), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload",
+        "nan-level", "inf-h-max", "inf-numerator"))
 def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
     # Every configuration `run` rejects, `validate` rejects too, with the
     # same one line naming the field.
@@ -194,6 +207,23 @@ def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
         stderr.append(p.stderr)
     assert stderr[0] == stderr[1]
     assert stderr[0] == f"error: {error}\n"
+
+
+def test_bad_override_is_config_error(tmp_path):
+    # A flag that makes the scenario invalid fails as the scenario is
+    # built: one line naming every field, exit 2, and nothing run.
+    duration = ("duration_s: must be a non-negative whole number of "
+                "microseconds, got -1.0")
+    out = tmp_path / "sweep"
+    for command, rest, error in (
+            ("run", ["--micro-step", "0"],
+             f"{duration}; micro_step_us: must be in [1, 1000], got 0"),
+            ("sweep", ["--all-cpus", "--out", str(out)], duration)):
+        p = run_cli(command, "--builtin", "table1", "--duration", "-1", *rest)
+        assert p.returncode == 2, p.stderr
+        assert p.stdout == ""
+        assert p.stderr == f"error: {error}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ("run", "sweep"))
@@ -244,6 +274,10 @@ RUN_FILES_SHA256 = {
     "scenario.yaml": "0e8bfb62a2affba757237a7b297bc0c9de1683639fdbb8463646c17d080856f8",
     "trace.csv": "65242a2f28ad91b225a57d38ac7bcf2e25266916c86f230565f38c6d95ea563d",
 }
+# (j_sum, e_avg, misses) of that run, as report.json holds them, asserted
+# before the hashes so that a failing pin names what moved.  Re-pin with
+# the hashes.
+RUN_FIGURES = (1.34794, 0.581751, 0)
 
 
 def test_run_files_are_pinned(tmp_path):
@@ -251,6 +285,8 @@ def test_run_files_are_pinned(tmp_path):
     p = run_cli("run", "--builtin", "table1", "--cpu", "cpu-2",
                 "--duration", "2", "--out", str(out))
     assert p.returncode == 0, p.stderr
+    rep = json.loads((out / "report.json").read_text())
+    assert (rep["j_sum"], rep["e_avg"], rep["misses"]) == RUN_FIGURES
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in RUN_FILES_SHA256}
     assert got == RUN_FILES_SHA256
@@ -276,6 +312,17 @@ SWEEP_FILES_SHA256 = {
     "cpu-ideal/report.json": "9bb398cadc16241ab78ec0c798ef9c44e80466e59e45b7a62c0126eec608dade",
     "cpu-ideal/trace.csv": "811e10a09738bfd45bd9413413aaa880a1fbaa7374f2ba63ea840559b0663ddb",
 }
+# (J_SUM, E_AVG, misses) of each case, unrounded as summary.json holds
+# them, asserted before the hashes so that a failing pin names what moved.
+# Re-pin with the hashes.
+SWEEP_FIGURES = {
+    "osdvs": (0.6447926278209586, 0.9176423532375912, 0),
+    "cpu-1": (0.6492464113378094, 1.0, 0),
+    "cpu-2": (0.6490352171110803, 0.8645621151999999, 0),
+    "cpu-3": (0.649145238900534, 0.7881003694, 0),
+    "cpu-4": (0.6475357539621334, 0.7531201028139999, 0),
+    "cpu-ideal": (0.6549152825309916, 0.6771538789981572, 0),
+}
 
 
 def test_sweep_files_are_pinned(tmp_path):
@@ -283,6 +330,9 @@ def test_sweep_files_are_pinned(tmp_path):
     p = run_cli("sweep", "--builtin", "table1", "--all-cpus",
                 "--duration", "0.5", "--out", str(out))
     assert p.returncode == 0, p.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert {case: (c["J_SUM"], c["E_AVG"], c["misses"])
+            for case, c in summary.items()} == SWEEP_FIGURES
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in SWEEP_FILES_SHA256}
     assert got == SWEEP_FILES_SHA256

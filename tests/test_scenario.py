@@ -23,7 +23,6 @@ from qapm.scenario import (
     resolve_cpu,
     save_scenario,
     to_mapping,
-    validate,
 )
 
 
@@ -88,56 +87,60 @@ def test_modes():
 
 
 # --- validation ---------------------------------------------------------------
+#
+# A scenario is checked as it is built: the constructor, and so every
+# `with_`, raises one ConfigurationError whose one line lists every
+# problem, each starting with its field, joined by "; ".
+
+def rejection(**changes) -> str:
+    """The one-line message building the builtin with ``changes`` raises."""
+    with pytest.raises(ConfigurationError) as info:
+        builtin_table1().with_(**changes)
+    message = str(info.value)
+    assert "\n" not in message
+    return message
+
 
 def test_builtin_validates_clean():
-    assert validate(builtin_table1()) == []
+    sc = builtin_table1()
+    assert sc.with_() == sc
 
 
 def test_validate_flags_bad_mode_and_duration():
-    sc = builtin_table1().with_(mode="turbo", duration_s=-1.0)
-    errs = validate(sc)
-    assert any(e.startswith("mode:") for e in errs)
-    assert any(e.startswith("duration_s:") for e in errs)
+    message = rejection(mode="turbo", duration_s=-1.0)
+    assert message.startswith("mode: ")
+    assert "; duration_s: " in message
 
 
 def test_validate_flags_subtick_duration():
-    sc = builtin_table1().with_(duration_s=1.0000000001)
-    assert any(e.startswith("duration_s:") for e in validate(sc))
+    assert rejection(duration_s=1.0000000001).startswith("duration_s: ")
 
 
 def test_validate_flags_jitter_and_cadence():
-    sc = builtin_table1().with_(c_jitter=0.9, trace_cadence_ms=0.0)
-    errs = validate(sc)
-    assert any(e.startswith("c_jitter:") for e in errs)
-    assert any(e.startswith("trace_cadence_ms:") for e in errs)
+    message = rejection(c_jitter=0.9, trace_cadence_ms=0.0)
+    assert message.startswith("trace_cadence_ms: ")
+    assert "; c_jitter: " in message
 
 
 def test_validate_flags_micro_step_range():
     for micro in (0, 1001):
-        sc = builtin_table1().with_(micro_step_us=micro)
-        assert validate(sc) == [
-            f"micro_step_us: must be in [1, 1000], got {micro}"]
+        assert rejection(micro_step_us=micro) == \
+            f"micro_step_us: must be in [1, 1000], got {micro}"
     for micro in (1, 1000):
-        assert validate(builtin_table1().with_(micro_step_us=micro)) == []
+        assert builtin_table1().with_(micro_step_us=micro).micro_step_us == micro
 
 
 def test_validate_flags_duplicate_ids():
-    sc = builtin_table1()
-    sc = sc.with_(loops=(sc.loops[0], sc.loops[0]))
-    assert any("duplicate task ids" in e for e in validate(sc))
+    lp = builtin_table1().loops[0]
+    assert rejection(loops=(lp, lp)) == "loops: duplicate task ids [1, 1]"
 
 
 def test_validate_flags_overload():
-    sc = builtin_table1()
-    heavy = []
-    for lp in sc.loops:
-        task = type(lp.task)(
-            id=lp.task.id, c_nom=0.006, h0=lp.task.h0,
-            h_max=lp.task.h_max, adaptation=lp.task.adaptation,
-        )
-        heavy.append(type(lp)(task=task, plant=lp.plant, gains=lp.gains))
-    errs = validate(sc.with_(loops=tuple(heavy)))
-    assert any(e.startswith("loops:") and "exceeds 1" in e for e in errs)
+    heavy = tuple(lp.with_(task=lp.task.with_(c_nom=0.006))
+                  for lp in builtin_table1().loops)
+    assert rejection(loops=heavy) == (
+        "loops: nominal workload sum(c_nom/h0) = 2.873810 exceeds 1; "
+        "task set infeasible")
 
 
 # --- mapping and YAML round trip -----------------------------------------------
@@ -166,7 +169,6 @@ def test_yaml_round_trip_with_overrides(tmp_path):
 
 def test_null_trace_cadence_round_trips(tmp_path):
     sc = builtin_table1().with_(trace_cadence_ms=None)
-    assert validate(sc) == []
     assert to_mapping(sc)["trace_cadence_ms"] is None
     assert from_mapping(to_mapping(sc)) == sc
     path = tmp_path / "s.yaml"
@@ -191,13 +193,22 @@ def _writer_cases():
     lp = sc.loops[0]
     odd = lp.with_(gains=PidGains(kp=1e17, ki=math.inf, kd=-math.inf))
     yield "odd floats", sc.with_(
-        c_jitter=1e-05, duration_s=1e17, perturbation_s=math.inf,
-        trace_cadence_ms=math.nan, loops=(odd,) + sc.loops[1:])
+        c_jitter=1e-05, duration_s=1e17, loops=(odd,) + sc.loops[1:])
     yield "no loops", sc.with_(loops=())
     for name in ("yes", "a: b", "\u00e9", "Off", "NULL", "1x", "x y", ""):
-        yield f"name {name!r}", sc.with_(name=name)
+        if name:
+            yield f"name {name!r}", sc.with_(name=name)
         yield f"cpu name {name!r}", sc.with_(
             cpu=CpuLevels((0.5, 1.0), name=name))
+
+
+def _edited_mappings() -> dict:
+    """Mappings of values no valid scenario holds, edited into a scenario's,
+    so that the writer and reader still cover them."""
+    m = to_mapping(builtin_table1(cpu=resolve_cpu("cpu-4")))
+    return {"nan and inf": {**m, "perturbation_s": math.inf,
+                            "trace_cadence_ms": math.nan},
+            "name ''": {**m, "name": ""}}
 
 
 def test_saved_file_is_what_pyyaml_writes(tmp_path):
@@ -206,6 +217,13 @@ def test_saved_file_is_what_pyyaml_writes(tmp_path):
         save_scenario(sc, path)
         expected = yaml.safe_dump(to_mapping(sc), sort_keys=False)
         assert path.read_text(encoding="utf-8") == expected, label
+    # .nan and .inf are written as PyYAML writes them; a name it quotes is
+    # left to it.
+    edited = _edited_mappings()
+    m = edited["nan and inf"]
+    assert "".join(_block(m, "")) == yaml.safe_dump(m, sort_keys=False)
+    with pytest.raises(_NeedsYaml):
+        "".join(_block(edited["name ''"], ""))
 
 
 def _jitter_cpu4_text():
@@ -236,17 +254,24 @@ def _load_with_pyyaml(path):
 def test_saved_layout_is_read_without_pyyaml(tmp_path, monkeypatch):
     # The reader reads every file the block writer wrote, and only those,
     # into PyYAML's mapping; load_scenario then needs no PyYAML at all.
+    # A file of values no valid scenario holds loads to the same error
+    # either way.
     path = tmp_path / "s.yaml"
-    files = []
+    saved = []
     for label, sc in _writer_cases():
         save_scenario(sc, path)
+        saved.append((label, to_mapping(sc), path.read_text(encoding="utf-8")))
+    saved += [(label, m, yaml.safe_dump(m, sort_keys=False))
+              for label, m in _edited_mappings().items()]
+    files = []
+    for label, m, text in saved:
         try:
-            "".join(_block(to_mapping(sc), ""))
+            "".join(_block(m, ""))
         except _NeedsYaml:
             with pytest.raises(_NeedsYaml):
-                _read_block(path.read_text(encoding="utf-8"))
+                _read_block(text)
             continue
-        files.append((label, path.read_text(encoding="utf-8")))
+        files.append((label, text))
     files.append(("jitter-cpu4", _jitter_cpu4_text()))
     for label, text in files:
         path.write_text(text, encoding="utf-8")

@@ -12,7 +12,8 @@ import re
 
 import pytest
 
-from qapm import policy
+from qapm import policy, sim
+from qapm.pid import Pid
 from qapm.plant import StateSpacePlant, tf_to_state_space
 from qapm.policy import ConfigurationError, CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
@@ -504,17 +505,29 @@ REPORT_SHA256 = {
     "overload": "ead8a5eefbf34accaa9709ddf41553206eb2f03ce75cea8815e6e8707b44bd14",
     "jitter-cpu4": "baeca7c9bbfac385ed89db55655d6d252111ea4beb6e54b6f9b413aaa151c8f4",
 }
-
-
-def report_sha256(res):
-    return hashlib.sha256(res.report.to_json().encode()).hexdigest()
+# (j_sum, e_avg, misses) of the same runs, unrounded, asserted before the
+# hashes so that a failing pin names what moved.  Re-pin with the hashes.
+REPORT_FIGURES = {
+    "osdvs": (7.698649055472716, 0.9176423532375914, 0),
+    "cpu-1": (8.098220511308025, 0.7562056874999993, 0),
+    "cpu-2": (8.226804849632437, 0.5884289989333334, 0),
+    "cpu-3": (8.206017567961927, 0.5071618929583325, 0),
+    "cpu-4": (8.34733309829557, 0.4371043426784165, 0),
+    "cpu-ideal": (8.597469105884723, 0.38747844008503346, 0),
+    "overload": (1.366036416816594, 0.9972921088, 694),
+    "jitter-cpu4": (8.394166794766287, 0.4415651976854993, 0),
+}
 
 
 def test_reports_are_pinned(bench_runs, overload_scenario):
     # The six canonical 12 s runs, the overload fixture and the jitter run.
-    got = {key: report_sha256(res) for key, res in bench_runs.items()}
-    got["overload"] = report_sha256(run_loop(overload_scenario))
-    got["jitter-cpu4"] = report_sha256(run_loop(jitter_cpu4(1)))
+    reports = {key: res.report for key, res in bench_runs.items()}
+    reports["overload"] = run_loop(overload_scenario).report
+    reports["jitter-cpu4"] = run_loop(jitter_cpu4(1)).report
+    assert {key: (rep.j_sum, rep.e_avg, rep.misses)
+            for key, rep in reports.items()} == REPORT_FIGURES
+    got = {key: hashlib.sha256(rep.to_json().encode()).hexdigest()
+           for key, rep in reports.items()}
     assert got == REPORT_SHA256
 
 
@@ -575,6 +588,36 @@ def test_run_records_are_pinned(overload_scenario):
         res = run_loop(sc)
         got[key] = (record_sha256(res), res.report.misses)
     assert got == RECORD_SHA256
+
+
+def test_pid_interval_is_the_released_jobs_period(monkeypatch):
+    # Each job's controller call is given the period just decided for that
+    # job, its deadline minus its release, not the time since the loop's
+    # previous release; on the jitter run the two differ.
+    pids = []
+
+    class RecordingPid(Pid):
+        def __init__(self, gains):
+            super().__init__(gains)
+            self.intervals = []
+            pids.append(self)
+
+        def compute(self, error, h_s):
+            self.intervals.append(h_s)
+            return super().compute(error, h_s)
+
+    monkeypatch.setattr(sim, "Pid", RecordingPid)
+    sc = jitter_cpu4(1)
+    res = run_loop(sc)
+    assert len(pids) == len(sc.loops)
+    differs = 0
+    for pid, lp in zip(pids, sc.loops):
+        jobs = [j for j in res.jobs if j.task_id == lp.task.id]
+        assert [round(h * 1e6) for h in pid.intervals] == \
+            [j.deadline - j.release for j in jobs]
+        differs += sum(a.deadline - a.release != a.release - b.release
+                       for a, b in zip(jobs[1:], jobs))
+    assert differs > 0
 
 
 def test_one_integrate_call_per_plant_advance(monkeypatch):
@@ -668,9 +711,11 @@ _LOOPS = builtin_table1().loops
     ("loops[0].task", {"loops": (_LOOPS[0].with_(task=None),)}),
     ("loops[1].plant", {"loops": (_LOOPS[0], _LOOPS[1].with_(plant="x"))}),
     ("loops[0].gains", {"loops": (_LOOPS[0].with_(gains=(1.0, 0.0, 0.0)),)}),
+    ("loops", {"loops": 5}),  # checked before it is made a tuple
 ))
 def test_run_loop_rejects_an_invalid_scenario(field, changes):
-    sc = builtin_table1().with_(**changes)
+    # run_loop is never handed an invalid scenario: building one raises a
+    # one-line error naming the field.
     with pytest.raises(ConfigurationError,
                        match=f"^{re.escape(field)}: [^\n]*$"):
-        run_loop(sc)
+        builtin_table1().with_(**changes)
