@@ -16,12 +16,12 @@ __all__ = ["PidGains", "Pid"]
 
 class PidGains(Value):
     _fields = ("kp", "ki", "kd")
+    _kinds = (float, float, float)
 
     def __init__(self, kp: float, ki: float, kd: float):
-        for name, v in zip(self._fields, (kp, ki, kd)):
-            if not isinstance(v, (int, float)) or v != v:
+        for name, v in zip(self._fields, self._set(kp, ki, kd)):
+            if v != v:
                 raise ConfigurationError(f"gain {name} must be a number, got {v!r}")
-        self._set(kp=kp, ki=ki, kd=kd)
 
 
 class Pid:

@@ -43,9 +43,10 @@ class TransferFunction(Value):
     """
 
     _fields = ("num", "den")
+    _kinds = ((float,), (float,))
 
     def __init__(self, num, den):
-        n, d = _strip(num), _strip(den)
+        n, d = map(_strip, self._set(num, den))
         if not all(map(math.isfinite, n + d)):
             raise ConfigurationError(f"coefficients must be finite: num={n} den={d}")
         if len(d) < 2:
@@ -60,16 +61,16 @@ class TransferFunction(Value):
         if len(d) - 1 > MAX_STATE:
             raise ConfigurationError(
                 f"order {len(d) - 1} exceeds supported maximum {MAX_STATE}")
-        self._set(num=n, den=d)
+        self.__dict__.update(num=n, den=d)  # stored stripped
 
     @property
     def order(self) -> int:
         return len(self.den) - 1
 
 
-def _strip(coeffs) -> tuple[float, ...]:
+def _strip(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     """Drop trailing (highest-power) zero coefficients."""
-    out = [float(v) for v in coeffs]
+    out = list(coeffs)
     while out and out[-1] == 0.0:
         out.pop()
     return tuple(out)

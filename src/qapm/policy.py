@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from types import UnionType
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "TaskSpec",
     "CpuLevels",
     "ConfigurationError",
+    "checked",
     "period_scale_factor",
     "adapt_period",
     "ideal_speed",
@@ -44,18 +46,64 @@ class ConfigurationError(ValueError):
     """A task, level set, or scenario violates a structural invariant."""
 
 
+def checked(errors: list[str], path: str, v, kind):
+    """``v`` as a value of ``kind``; when it is not one, None, and one
+    message naming ``path`` added to ``errors``.
+
+    ``kind`` is a type, ``k | None``, or ``(k,)`` for a tuple or list of
+    ``k``, which is returned as a tuple, its item ``i`` named ``path[i]``.
+    An int is converted where a float is expected; a bool, though an int,
+    is no number.
+    """
+    if type(v) is kind:
+        return v
+    if type(kind) is tuple:
+        if not isinstance(v, (tuple, list)):
+            errors.append(f"{path}: expected tuple, got {v!r}")
+            return None
+        item = kind[0]
+        return tuple([x if type(x) is item else checked(errors, f"{path}[{i}]", x, item)
+                      for i, x in enumerate(v)])
+    if type(kind) is UnionType:
+        return None if v is None else checked(errors, path, v, kind.__args__[0])
+    if type(v) is not bool:
+        if kind is float and isinstance(v, (int, float)):
+            try:
+                return float(v)
+            except OverflowError:
+                errors.append(f"{path}: integer out of float range")
+                return None
+        if isinstance(v, kind):
+            return v
+    errors.append(f"{path}: expected {kind.__name__}, got {v!r}")
+    return None
+
+
 class Value:
-    """Base of the immutable value types.
+    """Base of the immutable value types, each valid by construction.
 
     A subclass lists its fields in ``_fields``, in the order its
-    ``__init__`` takes them, and stores them with ``_set``.  Equality,
-    hashing, repr, `with_`, copy and pickle go by type and those fields.
+    ``__init__`` takes them, and the kind of each, as `checked` takes it,
+    in ``_kinds``.  Its ``__init__`` hands the fields to ``_set`` before
+    its range checks, so those only ever see fields of the right kind.
+    Equality, hashing, repr, `with_`, copy and pickle go by type and those
+    fields.
     """
 
     _fields: tuple[str, ...] = ()
+    _kinds: tuple = ()
 
-    def _set(self, **values) -> None:
-        self.__dict__.update(values)
+    def _set(self, *values) -> tuple:
+        """Store ``values``, one per field, each checked and converted to
+        its kind, and return them; raises one `ConfigurationError` naming
+        every field of the wrong kind."""
+        errors: list[str] = []
+        values = tuple([v if type(v) is k else checked(errors, f, v, k)
+                        for f, v, k in zip(self._fields, values, self._kinds)])
+        if errors:
+            raise ConfigurationError("; ".join(errors))
+        self.__dict__.update(zip(self._fields, values))
+        return values
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -94,8 +142,10 @@ class AdaptationParams(Value):
     """
 
     _fields = ("beta", "e_min", "e_max")
+    _kinds = (float, float, float)
 
     def __init__(self, beta: float, e_min: float, e_max: float):
+        beta, e_min, e_max = self._set(beta, e_min, e_max)
         if not (beta > 0 and math.isfinite(beta)):
             raise ConfigurationError(f"beta must be positive, got {beta}")
         if not (0 <= e_min < e_max):
@@ -104,9 +154,8 @@ class AdaptationParams(Value):
             )
         # The ends of the exponential interpolation, fixed per parameter
         # set; not fields, so not in repr, eq or the constructor.
-        self._set(beta=beta, e_min=e_min, e_max=e_max,
-                  _exp_lo=math.exp(-beta * e_max),
-                  _exp_hi=math.exp(-beta * e_min))
+        self.__dict__.update(_exp_lo=math.exp(-beta * e_max),
+                             _exp_hi=math.exp(-beta * e_min))
 
 
 class TaskSpec(Value):
@@ -118,17 +167,19 @@ class TaskSpec(Value):
     """
 
     _fields = ("id", "c_nom", "h0", "h_max", "adaptation")
+    _kinds = (int, float, float, float, AdaptationParams)
 
     def __init__(self, id: int, c_nom: float, h0: float, h_max: float,
                  adaptation: AdaptationParams):
+        id, c_nom, h0, h_max, adaptation = self._set(id, c_nom, h0, h_max,
+                                                     adaptation)
         if not (0 < c_nom <= h0 <= h_max < math.inf):
             raise ConfigurationError(
                 f"task {id}: need 0 < c_nom <= h0 <= h_max < inf, "
                 f"got c_nom={c_nom} h0={h0} h_max={h_max}"
             )
         # The largest period scale factor, not a field (see AdaptationParams).
-        self._set(id=id, c_nom=c_nom, h0=h0, h_max=h_max, adaptation=adaptation,
-                  stretch_limit=h_max / h0)
+        self.__dict__.update(stretch_limit=h_max / h0)
 
 
 class CpuLevels(Value):
@@ -139,9 +190,10 @@ class CpuLevels(Value):
     """
 
     _fields = ("levels", "ideal", "name")
+    _kinds = ((float,), bool, str)
 
-    def __init__(self, levels: Iterable[float], ideal: bool = False, name: str = ""):
-        levels = tuple(levels)
+    def __init__(self, levels: Sequence[float], ideal: bool = False, name: str = ""):
+        levels, ideal, name = self._set(levels, ideal, name)
         if not ideal:
             if not levels:
                 raise ConfigurationError("level set is empty")
@@ -153,7 +205,6 @@ class CpuLevels(Value):
                 raise ConfigurationError(f"levels not strictly ascending: {levels}")
             if levels[-1] != 1.0:
                 raise ConfigurationError(f"highest level must be 1.0, got {levels[-1]}")
-        self._set(levels=levels, ideal=ideal, name=name)
 
 
 def period_scale_factor(e: float, spec: TaskSpec) -> float:

@@ -2,12 +2,15 @@
 
 A scenario bundles everything one run needs: the control loops (plant,
 controller gains, timing spec), the processor level set, the operating
-mode, and the timing/trace knobs.  Scenarios are frozen and checked as
-they are built; the simulator trusts them and never mutates them.
+mode, and the timing/trace knobs.  Scenarios and their parts are frozen
+and checked as they are built, each value type its own fields only, by
+the one kind rule of `policy.checked`; the simulator trusts them and
+never mutates them.
 
 File format is YAML with millisecond/microsecond-suffixed keys; see
 ``to_mapping`` for the exact layout.  ``load_scenario(save_scenario(s))``
-reproduces ``s`` exactly.  Both directions handle the block layout that
+reproduces ``s`` exactly: an int given for a float field is stored, and
+so saved, as that float.  Both directions handle the block layout that
 ``yaml.safe_dump(m, sort_keys=False)`` writes themselves, so saving or
 loading such a file never imports PyYAML.  PyYAML reads every other file
 (comments, quotes, flow collections, other scalar forms or indents) and
@@ -22,7 +25,7 @@ import re
 from .pid import PidGains
 from .plant import TransferFunction
 from .policy import (AdaptationParams, ConfigurationError, CpuLevels, TaskSpec,
-                     Value, ideal_speed)
+                     Value, checked, ideal_speed)
 
 __all__ = [
     "MODES",
@@ -49,9 +52,10 @@ class LoopSpec(Value):
     """One control loop: timing spec, plant model, controller gains."""
 
     _fields = ("task", "plant", "gains")
+    _kinds = (TaskSpec, TransferFunction, PidGains)
 
     def __init__(self, task: TaskSpec, plant: TransferFunction, gains: PidGains):
-        self._set(task=task, plant=plant, gains=gains)
+        self._set(task, plant, gains)
 
 
 class Scenario(Value):
@@ -59,13 +63,16 @@ class Scenario(Value):
 
     The constructor, and so `with_`, raises one `ConfigurationError` listing
     every problem with its field path, as `from_mapping` does for a file:
-    first the kind of each field and part, then, once all are right, the
-    ranges and cross-field checks.
+    first the kind of each field, then, once all are right, the ranges and
+    cross-field checks.  Each loop is a `LoopSpec`, which checked its own
+    parts as it was built.
     """
 
     _fields = ("name", "loops", "cpu", "mode", "duration_s", "perturbation_s",
                "micro_step_us", "trace_cadence_ms", "seed", "c_jitter",
                "switch_overhead_us")
+    _kinds = (str, (LoopSpec,), CpuLevels, str, float, float, int,
+              float | None, int, float, int)
 
     def __init__(self, name: str, loops, cpu: CpuLevels, mode: str = "qapm",
                  duration_s: float = 12.0, perturbation_s: float = 1.0,
@@ -77,28 +84,11 @@ class Scenario(Value):
                  # [1 - c_jitter, 1 + c_jitter]; 0 disables the draw entirely.
                  c_jitter: float = 0.0,
                  switch_overhead_us: int = 0):
-        self._set(name=name, loops=loops, cpu=cpu, mode=mode,
-                  duration_s=duration_s, perturbation_s=perturbation_s,
-                  micro_step_us=micro_step_us,
-                  trace_cadence_ms=trace_cadence_ms, seed=seed,
-                  c_jitter=c_jitter, switch_overhead_us=switch_overhead_us)
+        (name, loops, cpu, mode, duration_s, perturbation_s, micro_step_us,
+         trace_cadence_ms, seed, c_jitter, switch_overhead_us) = self._set(
+            name, loops, cpu, mode, duration_s, perturbation_s, micro_step_us,
+            trace_cadence_ms, seed, c_jitter, switch_overhead_us)
         errors: list[str] = []
-        reader = _MappingReader(errors)
-        fields = vars(self)
-        for key, kind in _SCALARS:
-            if not (key == "trace_cadence_ms" and trace_cadence_ms is None):
-                reader.get(fields, "", key, kind)
-        reader.get(fields, "", "cpu", CpuLevels)
-        if reader.get(fields, "", "loops", tuple) is not None:
-            self._set(loops=tuple(loops))
-            for i, lp in enumerate(self.loops):
-                path = f"loops[{i}]"
-                if reader.get({path: lp}, "", path, LoopSpec) is not None:
-                    for key, kind in zip(LoopSpec._fields,
-                                         (TaskSpec, TransferFunction, PidGains)):
-                        reader.get(vars(lp), path + ".", key, kind)
-        if errors:
-            raise ConfigurationError("; ".join(errors))
         if mode not in MODES:
             errors.append(f"mode: {mode!r} not one of {'/'.join(MODES)}")
         if not name:
@@ -124,11 +114,11 @@ class Scenario(Value):
         if switch_overhead_us < 0:
             errors.append(f"switch_overhead_us: must be a non-negative "
                           f"integer, got {switch_overhead_us!r}")
-        ids = [lp.task.id for lp in self.loops]
+        ids = [lp.task.id for lp in loops]
         if len(set(ids)) != len(ids):
             errors.append(f"loops: duplicate task ids {ids}")
-        if self.loops:
-            u = ideal_speed((lp.task.c_nom, lp.task.h0) for lp in self.loops)
+        if loops:
+            u = ideal_speed((lp.task.c_nom, lp.task.h0) for lp in loops)
             if u > 1.0 + 1e-9:
                 errors.append(f"loops: nominal workload sum(c_nom/h0) = "
                               f"{u:.6f} exceeds 1; task set infeasible")
@@ -207,49 +197,39 @@ def _tick_exact(seconds: float) -> bool:
 # The mapping layer is what the YAML file holds.  Numeric keys carry unit
 # suffixes; times under loops are milliseconds, global durations seconds.
 
+# The top-level scalar fields of a scenario file, in file order, and the
+# kind each holds; a missing one takes its `_DEFAULTS` value.
+_SCALARS = [(key, kind) for key, kind in zip(Scenario._fields, Scenario._kinds)
+            if key not in ("loops", "cpu")]
+# Every field after name, loops and cpu has a default; so has a file's name.
+_DEFAULTS = dict(zip(Scenario._fields[3:], Scenario.__init__.__defaults__),
+                 name="scenario")
+
+
 def to_mapping(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "mode": sc.mode,
-        "duration_s": sc.duration_s,
-        "perturbation_s": sc.perturbation_s,
-        "micro_step_us": sc.micro_step_us,
-        "trace_cadence_ms": sc.trace_cadence_ms,
-        "seed": sc.seed,
-        "c_jitter": sc.c_jitter,
-        "switch_overhead_us": sc.switch_overhead_us,
-        "cpu": {
-            "name": sc.cpu.name,
-            "ideal": sc.cpu.ideal,
-            "levels": list(sc.cpu.levels),
-        },
-        "loops": [
-            {
-                "id": lp.task.id,
-                "plant": {"num": list(lp.plant.num), "den": list(lp.plant.den)},
-                "gains": {"kp": lp.gains.kp, "ki": lp.gains.ki, "kd": lp.gains.kd},
-                "c_nom_ms": lp.task.c_nom * 1000.0,
-                "h0_ms": lp.task.h0 * 1000.0,
-                "h_max_ms": lp.task.h_max * 1000.0,
-                "adaptation": {
-                    "beta": lp.task.adaptation.beta,
-                    "e_min": lp.task.adaptation.e_min,
-                    "e_max": lp.task.adaptation.e_max,
-                },
-            }
-            for lp in sc.loops
-        ],
-    }
-
-
-# Each kind of field accepts its own type, a tuple also a list, and an int
-# is accepted, and converted, where a float is expected; a bool, though an
-# int, is no number.
-_ACCEPTS = {float: (int, float), tuple: (tuple, list)}
+    m = {key: getattr(sc, key) for key, _ in _SCALARS}
+    m["cpu"] = {"name": sc.cpu.name, "ideal": sc.cpu.ideal,
+                "levels": list(sc.cpu.levels)}
+    m["loops"] = [
+        {
+            "id": lp.task.id,
+            "plant": {"num": list(lp.plant.num), "den": list(lp.plant.den)},
+            "gains": dict(zip(PidGains._fields, lp.gains._values())),
+            "c_nom_ms": lp.task.c_nom * 1000.0,
+            "h0_ms": lp.task.h0 * 1000.0,
+            "h_max_ms": lp.task.h_max * 1000.0,
+            "adaptation": dict(zip(AdaptationParams._fields,
+                                   lp.task.adaptation._values())),
+        }
+        for lp in sc.loops
+    ]
+    return m
 
 
 class _MappingReader:
-    """Pulls typed fields out of a nested dict, collecting path-tagged errors."""
+    """Pulls fields of a kind (see `checked`) out of a nested dict,
+    collecting path-tagged errors; a field missing or of the wrong kind
+    reads as its default."""
 
     def __init__(self, errors: list[str]):
         self.errors = errors
@@ -260,35 +240,11 @@ class _MappingReader:
                 self.errors.append(f"{path}{key}: missing")
             return default
         v = m[key]
-        if not isinstance(v, _ACCEPTS.get(kind, kind)) or (
-                isinstance(v, bool) and kind is not bool):
-            self.errors.append(f"{path}{key}: expected {kind.__name__}, got {v!r}")
-            return default
-        if kind is float:
-            try:
-                return float(v)
-            except OverflowError:
-                self.errors.append(f"{path}{key}: integer out of float range")
-                return default
-        return v
-
-
-# The top-level scalar fields of a scenario file, in reading order, and the
-# kind each holds; a missing one takes its `_DEFAULTS` value.
-_SCALARS = (
-    ("name", str),
-    ("mode", str),
-    ("duration_s", float),
-    ("perturbation_s", float),
-    ("micro_step_us", int),
-    ("trace_cadence_ms", float),
-    ("seed", int),
-    ("c_jitter", float),
-    ("switch_overhead_us", int),
-)
-# Every field after name, loops and cpu has a default; so has a file's name.
-_DEFAULTS = dict(zip(Scenario._fields[3:], Scenario.__init__.__defaults__),
-                 name="scenario")
+        if type(v) is kind:
+            return v
+        n = len(self.errors)
+        v = checked(self.errors, path + key, v, kind)
+        return v if len(self.errors) == n else default
 
 
 def from_mapping(m: dict) -> Scenario:
@@ -299,14 +255,10 @@ def from_mapping(m: dict) -> Scenario:
     errors: list[str] = []
     r = _MappingReader(errors)
 
-    scalars = {}
-    for key, kind in _SCALARS:
-        if key == "trace_cadence_ms" and key in m and m[key] is None:
-            scalars[key] = None  # records no trace
-        else:
-            scalars[key] = r.get(m, "", key, kind, default=_DEFAULTS[key])
+    scalars = {key: r.get(m, "", key, kind, default=_DEFAULTS[key])
+               for key, kind in _SCALARS}
 
-    cpu = resolve_cpu("cpu-ideal")
+    cpu = None  # set below unless an error is recorded
     cpu_field = m.get("cpu", "cpu-ideal")
     if isinstance(cpu_field, str):
         try:
@@ -318,17 +270,16 @@ def from_mapping(m: dict) -> Scenario:
         levels = r.get(cm, "cpu.", "levels", list, default=[1.0], required=True)
         try:
             cpu = CpuLevels(
-                levels=tuple(float(v) for v in levels),
+                levels=levels,
                 ideal=r.get(cm, "cpu.", "ideal", bool, default=False),
                 name=r.get(cm, "cpu.", "name", str, default="custom"),
             )
-        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
+        except ConfigurationError as exc:
             errors.append(f"cpu.levels: {exc}")
     else:
         errors.append(f"cpu: expected name or mapping, got {cpu_field!r}")
 
-    default_adapt = {"beta": _ADAPT.beta, "e_min": _ADAPT.e_min,
-                     "e_max": _ADAPT.e_max}
+    default_adapt = dict(zip(AdaptationParams._fields, _ADAPT._values()))
     adapt_m = r.get(m, "", "adaptation", dict, default=None)
     if adapt_m is not None:
         for k in default_adapt:
@@ -357,31 +308,20 @@ def from_mapping(m: dict) -> Scenario:
             continue
         try:
             plant = TransferFunction(
-                num=tuple(float(v) for v in r.get(plant_m, path + "plant.", "num",
-                                                  list, default=[], required=True)),
-                den=tuple(float(v) for v in r.get(plant_m, path + "plant.", "den",
-                                                  list, default=[], required=True)),
-            )
-        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
+                r.get(plant_m, path + "plant.", "num", list, default=[], required=True),
+                r.get(plant_m, path + "plant.", "den", list, default=[], required=True))
+        except ConfigurationError as exc:
             errors.append(f"{path}plant: {exc}")
             continue
         try:
-            gains = PidGains(
-                kp=r.get(gains_m, path + "gains.", "kp", float, default=0.0),
-                ki=r.get(gains_m, path + "gains.", "ki", float, default=0.0),
-                kd=r.get(gains_m, path + "gains.", "kd", float, default=0.0),
-            )
-            task = TaskSpec(
-                id=lid,
-                c_nom=c_nom_ms / 1000.0,
-                h0=h0_ms / 1000.0,
-                h_max=h_max_ms / 1000.0,
-                adaptation=AdaptationParams(**la),
-            )
-        except (ConfigurationError, ValueError) as exc:
+            gains = PidGains(*[r.get(gains_m, path + "gains.", k, float, default=0.0)
+                               for k in PidGains._fields])
+            task = TaskSpec(lid, c_nom_ms / 1000.0, h0_ms / 1000.0,
+                            h_max_ms / 1000.0, AdaptationParams(**la))
+        except ConfigurationError as exc:
             errors.append(f"loops[{i}]: {exc}")
             continue
-        loops.append(LoopSpec(task=task, plant=plant, gains=gains))
+        loops.append(LoopSpec(task, plant, gains))
 
     if errors:
         raise ConfigurationError("; ".join(errors))

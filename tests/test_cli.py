@@ -191,8 +191,16 @@ def test_validate_rejects_broken_file(tmp_path):
      "    num:\n    - .inf\n    den:\n    - 50.0\n",
      "loops[0].plant: coefficients must be finite: num=(inf,) "
      "den=(50.0, 1000.0)"),
+    # numbers of the wrong kind: a quoted one (read by PyYAML) and a bool
+    ("    num:\n    - 1.0\n    den:\n    - 50.0\n",
+     "    num: ['1.0']\n    den:\n    - 50.0\n",
+     "loops[0].plant: num[0]: expected float, got '1.0'"),
+    ("  ideal: true\n  levels:\n  - 1.0\n",
+     "  ideal: false\n  levels:\n  - true\n  - 1.0\n",
+     "cpu.levels: levels[0]: expected float, got True"),
 ), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload",
-        "nan-level", "inf-h-max", "inf-numerator"))
+        "nan-level", "inf-h-max", "inf-numerator", "quoted-coefficient",
+        "bool-level"))
 def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
     # Every configuration `run` rejects, `validate` rejects too, with the
     # same one line naming the field.

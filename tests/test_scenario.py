@@ -3,13 +3,14 @@
 import copy
 import math
 import pickle
+import re
 import sys
 
 import pytest
 import yaml
 
 from qapm.pid import PidGains
-from qapm.policy import AdaptationParams, ConfigurationError, CpuLevels
+from qapm.policy import AdaptationParams, ConfigurationError, CpuLevels, Value
 from qapm.scenario import (
     MODES,
     _block,
@@ -345,6 +346,73 @@ def test_value_types_are_frozen_values():
         task.with_(h_max=task.h0 / 2)
     for clone in (pickle.loads(pickle.dumps(sc)), copy.copy(sc), copy.deepcopy(sc)):
         assert clone == sc
+
+
+_LOOP = builtin_table1().loops[0]
+_CPU1 = resolve_cpu("cpu-1")
+
+
+@pytest.mark.parametrize("value, changes, field", (
+    (_LOOP.task, {"adaptation": None}, "adaptation"),
+    (_LOOP.task, {"id": "x"}, "id"),
+    (_LOOP.task, {"id": 1.5}, "id"),
+    (_LOOP.task, {"c_nom": "0.002"}, "c_nom"),
+    (_LOOP.task.adaptation, {"beta": "x"}, "beta"),
+    (_LOOP.gains, {"kp": True, "ki": 0.0, "kd": 0.0}, "kp"),  # a bool is no number
+    (_CPU1, {"levels": ("0.5", 1.0)}, "levels[0]"),
+    (_CPU1, {"ideal": "yes"}, "ideal"),
+    (_CPU1, {"name": 5}, "name"),
+    (_LOOP.plant, {"num": ("1.0",)}, "num[0]"),
+    (_LOOP, {"task": None}, "task"),
+    (_LOOP, {"plant": "x"}, "plant"),
+    (_LOOP, {"gains": (1.0, 0.0, 0.0)}, "gains"),
+), ids=("TaskSpec-adaptation", "TaskSpec-id-str", "TaskSpec-id-float",
+        "TaskSpec-c_nom", "AdaptationParams-beta", "PidGains-bool",
+        "CpuLevels-str-level", "CpuLevels-ideal", "CpuLevels-name",
+        "TransferFunction-str-coefficient", "LoopSpec-task", "LoopSpec-plant",
+        "LoopSpec-gains"))
+def test_value_types_reject_a_field_of_the_wrong_kind(value, changes, field):
+    # Each value type checks the kinds of its own fields as it is built
+    # and raises only a one-line ConfigurationError naming the field.
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(field)}: [^\n]*$"):
+        value.with_(**changes)
+
+
+def test_every_value_type_gives_each_field_one_kind():
+    # A field added later without a kind would be neither checked nor
+    # stored.
+    types, todo = [], [Value]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        types += subs
+        todo += subs
+    assert {t.__name__ for t in types} >= {
+        "AdaptationParams", "TaskSpec", "CpuLevels", "TransferFunction",
+        "PidGains", "LoopSpec", "Scenario"}
+    for t in types:
+        assert len(t._kinds) == len(t._fields), t.__name__
+
+
+def test_ints_in_float_fields_save_as_floats(tmp_path):
+    # An int given for a float field is stored as that float, so it saves
+    # as the float does and loads back equal.
+    loops = builtin_table1().loops
+    built = {}
+    for label, duration, gains in (("ints", 2, PidGains(1, 0, 0)),
+                                   ("floats", 2.0, PidGains(1.0, 0.0, 0.0))):
+        built[label] = builtin_table1().with_(
+            duration_s=duration,
+            loops=(loops[0].with_(gains=gains),) + loops[1:])
+    texts = []
+    for label, sc in built.items():
+        path = tmp_path / f"{label}.yaml"
+        save_scenario(sc, path)
+        texts.append(path.read_bytes())
+        assert load_scenario(path) == sc
+    assert texts[0] == texts[1]
+    assert b"duration_s: 2.0\n" in texts[0]
+    assert built["ints"] == built["floats"]
 
 
 def test_from_mapping_reports_field_paths():

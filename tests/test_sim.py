@@ -704,13 +704,14 @@ _LOOPS = builtin_table1().loops
     ("seed", {"seed": True}),
     ("switch_overhead_us", {"switch_overhead_us": True}),
     ("duration_s", {"duration_s": 10**400}),  # no float holds it
-    # So is the type of the name, the processor, each loop and its parts.
+    # So is the type of the name, the processor and each loop; a loop's
+    # parts are checked as the `LoopSpec` is built (see test_scenario).
     ("name", {"name": 5}),
     ("cpu", {"cpu": "cpu-2", "duration_s": 0.01}),
     ("loops[0]", {"loops": (1,)}),
-    ("loops[0].task", {"loops": (_LOOPS[0].with_(task=None),)}),
-    ("loops[1].plant", {"loops": (_LOOPS[0], _LOOPS[1].with_(plant="x"))}),
-    ("loops[0].gains", {"loops": (_LOOPS[0].with_(gains=(1.0, 0.0, 0.0)),)}),
+    ("mode", {"mode": 1}),
+    ("trace_cadence_ms", {"trace_cadence_ms": True}),  # null or a number
+    ("loops[1]", {"loops": (_LOOPS[0], _LOOPS[1].task)}),
     ("loops", {"loops": 5}),  # checked before it is made a tuple
 ))
 def test_run_loop_rejects_an_invalid_scenario(field, changes):
