@@ -6,11 +6,20 @@ simulator summed from its speed-change list (see `sim`).  The trace is
 held as the simulator recorded it, one tuple per visit and each plant's
 samples; `TraceRecorder` alone reads a visit, and forms the CSV lines, the
 rows and the chart series from them only when asked for.
+
+The writers give the bytes `csv.writer` and ``json.dumps(indent=2)`` would
+give, but build them with C-level ``map``/``zip``/``join`` over columns
+rather than with Python code per row or value.  What is left is the
+formatting of the numbers, which the bytes of the files fix: each float is
+its `repr`, the shortest text that reads back as the same float, and no
+cheaper format gives that text.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from operator import itemgetter, mul, sub
 
 __all__ = [
     "RunReport",
@@ -22,6 +31,10 @@ __all__ = [
 TRACE_COLUMNS = (
     "time_s", "loop", "r", "y", "e", "u", "h_eff_ms", "alpha", "energy_inst",
 )
+
+# Visits per write in `TraceRecorder.write_csv`: a block's text is held
+# whole, so larger blocks raise the peak memory of a run with --out.
+_BLOCK = 32
 
 
 def sig6(v: float) -> float:
@@ -43,20 +56,15 @@ class TraceRecorder:
         self.visits = visits
         self.loops = loops
 
-    def _by_visit(self):
-        """(tick, r, alpha, (loop id, y, u, h) per loop) per visit."""
-        ids = [lid for lid, _ in self.loops]
-        for (tick, r, alpha, periods, us), ys in zip(
-                self.visits, zip(*[y for _, y in self.loops])):
-            yield tick, r, alpha, zip(ids, ys, us, periods)
-
     @property
     def rows(self) -> list[tuple]:
         """The rows as tuples, built on each read."""
+        ids = [lid for lid, _ in self.loops]
         return [(tick * 1e-6, lid, r, y, r - y, u, h * 1000.0, alpha,
                  alpha * alpha)
-                for tick, r, alpha, per_loop in self._by_visit()
-                for lid, y, u, h in per_loop]
+                for (tick, r, alpha, periods, us), ys in zip(
+                    self.visits, zip(*[y for _, y in self.loops]))
+                for lid, y, u, h in zip(ids, ys, us, periods)]
 
     def energy_series(self) -> dict[str, list[tuple[float, float]]]:
         """The chart series "E(t)": (time_s, energy draw)."""
@@ -71,19 +79,36 @@ class TraceRecorder:
 
     def write_csv(self, path) -> None:
         """The rows as `csv.writer` writes them: each float in its shortest
-        round-trip form, CRLF line ends, no quoting (no field needs it)."""
-        # t, alpha and the energy draw are formatted once per visit, u and
-        # h_eff once per distinct value; y and e rarely repeat.
-        text = _FloatText()
+        round-trip form, CRLF line ends, no quoting (no field needs it).
+
+        A block of `_BLOCK` visits at a time is transposed into columns and
+        written at once, so no Python code runs per row and no more than a
+        block's text is held.  t, r and the ``alpha,alpha**2`` tail are
+        formatted once per visit, u and h_eff once per distinct nonzero
+        value (`_FloatText`), y and e, which rarely repeat, once per row.
+        Each loop's rows are joined from its columns, then the loops' rows
+        are interleaved visit by visit.
+        """
+        num = _FloatText().__getitem__
+        ids = [str(lid) for lid, _ in self.loops]
+        ys = [y for _, y in self.loops]
+        visits = self.visits
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-            for tick, r, alpha, per_loop in self._by_visit():
-                head = f"{tick * 1e-6!r},"
-                tail = f",{text[alpha]},{text[alpha * alpha]}\r\n"
-                fh.writelines(
-                    f"{head}{lid},{r!r},{y!r},{r - y!r},{text[u]},"
-                    f"{text[h * 1000.0]}{tail}"
-                    for lid, y, u, h in per_loop)
+            for k in range(0, len(visits), _BLOCK):
+                ticks, rs, alphas, periods, us = zip(*visits[k:k + _BLOCK])
+                ts = list(map(repr, map(mul, ticks, repeat(1e-6))))
+                rts = list(map(repr, rs))
+                tails = list(map("{},{}\r\n".format, map(num, alphas),
+                                 map(num, map(mul, alphas, alphas))))
+                per_loop = [
+                    map(",".join, zip(
+                        ts, repeat(lid), rts, map(repr, y),
+                        map(repr, map(sub, rs, y)), map(num, u),
+                        map(num, map(mul, h, repeat(1000.0))), tails))
+                    for lid, y, u, h in zip(ids, [y[k:k + _BLOCK] for y in ys],
+                                            zip(*us), zip(*periods))]
+                fh.write("".join(chain.from_iterable(zip(*per_loop))))
 
 
 class _FloatText(dict):
@@ -122,7 +147,8 @@ class RunReport:
         # (tick, alpha) per actual speed change, tick 0 included
         self.speed_changes = speed_changes
 
-    def to_json_dict(self) -> dict:
+    def _head(self) -> dict:
+        """Every key of the report but its two long lists."""
         return {
             "scenario": self.scenario,
             "mode": self.mode,
@@ -138,6 +164,11 @@ class RunReport:
                          for kk, vv in st.items()}
                 for k, st in self.period_stats_ms.items()
             },
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self._head(),
             "utilization": [
                 [sig6(t), sig6(ai), sig6(a)] for t, ai, a in self.utilization
             ],
@@ -147,11 +178,36 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """`to_json_dict` as ``json.dumps(..., indent=2)`` lays it out.
+
+        The head goes through `json.dumps`; the two long lists, its last
+        keys, are written here in the same layout with one %-format per
+        entry, as the standard library's encoder runs Python code per value
+        when it indents.  Their values are times and speeds of a run, all
+        finite, so each prints as its `repr`, as `json` prints it.
+        """
+        head = json.dumps(self._head(), indent=2)[:-2]
+        u, sc = self.utilization, self.speed_changes
+        utilization = _json_rows([map(itemgetter(i), u) for i in range(3)])
+        speed_changes = _json_rows([
+            map(mul, map(itemgetter(0), sc), repeat(1e-6)),
+            map(itemgetter(1), sc)])
+        return (f'{head},\n  "utilization": {utilization},\n'
+                f'  "speed_changes": {speed_changes}\n}}\n')
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
+
+
+def _json_rows(columns) -> str:
+    """The rows whose values ``columns`` holds, one iterable per column,
+    each value rounded as `sig6` rounds it, laid out as ``json.dumps``
+    lays out such a list as a value in an ``indent=2`` object."""
+    entry = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
+    rounded = [map(float, map(format, c, repeat(".6g"))) for c in columns]
+    rows = ",\n".join(map(entry.__mod__, zip(*rounded)))
+    return f"[\n{rows}\n  ]" if rows else "[]"
 
 
 # --- minimal SVG line charts ------------------------------------------------

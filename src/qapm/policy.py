@@ -153,9 +153,15 @@ class AdaptationParams(Value):
                 f"need 0 <= e_min < e_max, got e_min={e_min} e_max={e_max}"
             )
         # The ends of the exponential interpolation, fixed per parameter
-        # set; not fields, so not in repr, eq or the constructor.
-        self.__dict__.update(_exp_lo=math.exp(-beta * e_max),
-                             _exp_hi=math.exp(-beta * e_min))
+        # set; not fields, so not in repr, eq or the constructor.  Equal
+        # ends, from a beta too small or too large for float, leave
+        # `period_scale_factor` nothing to interpolate between.
+        lo, hi = math.exp(-beta * e_max), math.exp(-beta * e_min)
+        if lo == hi:
+            raise ConfigurationError(
+                f"beta must make exp(-beta*e_min) and exp(-beta*e_max) "
+                f"differ, got beta={beta} (both {hi})")
+        self.__dict__.update(_exp_lo=lo, _exp_hi=hi)
 
 
 class TaskSpec(Value):

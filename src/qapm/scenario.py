@@ -126,28 +126,32 @@ class Scenario(Value):
             raise ConfigurationError("; ".join(errors))
 
 
+# The five benchmark processors, keyed by name; built once, as the values
+# are immutable.
+_CPUS = {
+    "cpu-1": CpuLevels((0.5, 1.0), name="cpu-1"),
+    "cpu-2": CpuLevels((0.45, 0.64, 0.92, 1.0), name="cpu-2"),
+    "cpu-3": CpuLevels((0.36, 0.55, 0.64, 0.73, 0.82, 0.91, 1.0), name="cpu-3"),
+    "cpu-4": CpuLevels(
+        (0.285, 0.333, 0.380, 0.428, 0.476, 0.523, 0.571, 0.619,
+         0.666, 0.714, 0.761, 0.809, 0.857, 0.904, 0.952, 1.0),
+        name="cpu-4",
+    ),
+    "cpu-ideal": CpuLevels((1.0,), ideal=True, name="cpu-ideal"),
+}
+
+
 def builtin_cpus() -> dict[str, CpuLevels]:
-    """The five benchmark processors, keyed by name."""
-    return {
-        "cpu-1": CpuLevels((0.5, 1.0), name="cpu-1"),
-        "cpu-2": CpuLevels((0.45, 0.64, 0.92, 1.0), name="cpu-2"),
-        "cpu-3": CpuLevels((0.36, 0.55, 0.64, 0.73, 0.82, 0.91, 1.0), name="cpu-3"),
-        "cpu-4": CpuLevels(
-            (0.285, 0.333, 0.380, 0.428, 0.476, 0.523, 0.571, 0.619,
-             0.666, 0.714, 0.761, 0.809, 0.857, 0.904, 0.952, 1.0),
-            name="cpu-4",
-        ),
-        "cpu-ideal": CpuLevels((1.0,), ideal=True, name="cpu-ideal"),
-    }
+    """The five benchmark processors, keyed by name, in a new dict."""
+    return dict(_CPUS)
 
 
 def resolve_cpu(name: str) -> CpuLevels:
-    cpus = builtin_cpus()
     try:
-        return cpus[name]
+        return _CPUS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown cpu {name!r}; builtins: {', '.join(sorted(cpus))}"
+            f"unknown cpu {name!r}; builtins: {', '.join(sorted(_CPUS))}"
         ) from None
 
 

@@ -198,9 +198,14 @@ def test_validate_rejects_broken_file(tmp_path):
     ("  ideal: true\n  levels:\n  - 1.0\n",
      "  ideal: false\n  levels:\n  - true\n  - 1.0\n",
      "cpu.levels: levels[0]: expected float, got True"),
+    # a beta that leaves period adaptation nothing to interpolate
+    ("h0_ms: 10.0\n  h_max_ms: 40.0\n  adaptation:\n    beta: 40.0\n",
+     "h0_ms: 10.0\n  h_max_ms: 40.0\n  adaptation:\n    beta: 1.0e-300\n",
+     "loops[0]: beta must make exp(-beta*e_min) and exp(-beta*e_max) "
+     "differ, got beta=1e-300 (both 1.0)"),
 ), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload",
         "nan-level", "inf-h-max", "inf-numerator", "quoted-coefficient",
-        "bool-level"))
+        "bool-level", "tiny-beta"))
 def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
     # Every configuration `run` rejects, `validate` rejects too, with the
     # same one line naming the field.

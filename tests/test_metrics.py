@@ -1,11 +1,14 @@
 """IAE and energy accounting, trace CSV, report serialization."""
 
 import csv
+import io
 import json
+import tracemalloc
 
 import pytest
 
 from qapm.metrics import (
+    _BLOCK,
     TRACE_COLUMNS,
     RunReport,
     TraceRecorder,
@@ -170,6 +173,111 @@ def test_trace_csv_round_trip(tmp_path):
         f"h{lid}": [(row[0], row[6]) for row in rec.rows[i::2]]
         for i, lid in enumerate((1, 2))}
     assert TraceRecorder([], [(1, [])]).rows == []
+
+
+# --- writer parity -------------------------------------------------------------
+#
+# write_csv and to_json build their text block by block and entry by entry;
+# the standard library's writers over rows and to_json_dict are the oracles.
+
+def csv_oracle(trace) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(trace.rows)
+    return buf.getvalue().encode()
+
+
+def json_oracle(report) -> str:
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+PARITY_RUNS = {
+    "one-loop": lambda: Scenario(name="one", loops=builtin_table1().loops[:1],
+                                 cpu=resolve_cpu("cpu-2"), duration_s=0.5),
+    "off-grid-cadence": lambda: builtin_table1(
+        cpu=resolve_cpu("cpu-3")).with_(duration_s=0.3, trace_cadence_ms=0.3),
+    "osdvs-cpu-1": lambda: builtin_table1(
+        cpu=resolve_cpu("cpu-1"), mode="osdvs").with_(duration_s=0.5),
+    "dvs-only-cpu-1": lambda: builtin_table1(
+        cpu=resolve_cpu("cpu-1"), mode="dvs-only").with_(duration_s=0.5),
+}
+
+
+def assert_writers_match_oracles(res, tmp_path):
+    path = tmp_path / "trace.csv"
+    res.trace.write_csv(path)
+    assert path.read_bytes() == csv_oracle(res.trace)
+    assert res.report.to_json() == json_oracle(res.report)
+    res.report.write_json(tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == json_oracle(res.report)
+
+
+@pytest.mark.parametrize("key", PARITY_RUNS)
+def test_writers_match_the_standard_library(tmp_path, key):
+    assert_writers_match_oracles(run_loop(PARITY_RUNS[key]()), tmp_path)
+
+
+@pytest.mark.parametrize("visits", (1, _BLOCK, _BLOCK + 1))
+def test_writers_match_the_standard_library_around_a_block(tmp_path, visits):
+    # visits at 0, 1, ..., visits - 1 ms
+    res = run_loop(builtin_table1().with_(duration_s=(2 * visits - 1) / 2000))
+    assert len(res.trace.visits) == visits
+    assert_writers_match_oracles(res, tmp_path)
+
+
+def test_writers_match_the_standard_library_at_zero_duration(tmp_path):
+    res = run_loop(builtin_table1().with_(duration_s=0.0))
+    assert res.trace.visits == []
+    assert_writers_match_oracles(res, tmp_path)
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        ",".join(TRACE_COLUMNS) + "\r\n").encode()
+    assert '"utilization": [],' in res.report.to_json()
+
+
+def test_writers_match_the_standard_library_on_overload(tmp_path,
+                                                        overload_scenario):
+    res = run_loop(overload_scenario)
+    assert res.report.misses > 0
+    assert_writers_match_oracles(res, tmp_path)
+
+
+def test_writers_keep_the_sign_of_zero(tmp_path):
+    # Zeros are never cached as text: 0.0 and -0.0 are equal keys.
+    rec = TraceRecorder(
+        [(0, 0.0, 1.0, [0.010, 0.010], (0.0, -0.0)),
+         (1000, -0.0, 1.0, [0.010, 0.010], (-0.0, 0.0)),
+         (2000, 0.0, 1.0, [0.010, 0.010], (0.0, 0.0))],
+        [(1, [0.0, -0.0, 0.0]), (2, [-0.0, 0.0, -0.0])],
+    )
+    path = tmp_path / "trace.csv"
+    rec.write_csv(path)
+    text = path.read_bytes()
+    assert text == csv_oracle(rec)
+    assert b"-0.0" in text and b",0.0," in text
+    rep = make_report()
+    rep.utilization, rep.speed_changes = [], []
+    assert rep.to_json() == json_oracle(rep)
+    assert rep.to_json().endswith('"utilization": [],\n  "speed_changes": []\n}\n')
+
+
+def test_write_csv_holds_a_block_not_the_file(tmp_path):
+    # The peak memory of writing the 2 s cpu-2 trace stays far below the
+    # file's size: text is formed and written a block at a time.
+    res = run_loop(builtin_table1(cpu=resolve_cpu("cpu-2")).with_(
+        duration_s=2.0))
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res.trace.write_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == 829_997
+    assert peak < size / 2, (peak, size)
 
 
 def make_report():

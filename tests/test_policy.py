@@ -433,6 +433,11 @@ def test_adaptation_params_validation():
         AdaptationParams(beta=40.0, e_min=0.3, e_max=0.3)
     with pytest.raises(ConfigurationError):
         AdaptationParams(beta=40.0, e_min=0.5, e_max=0.3)
+    # a beta whose interpolation ends coincide: both 1.0, both 0.0
+    for beta in (1.0e-300, 1.0e5):
+        with pytest.raises(ConfigurationError, match=r"^beta must make .* "
+                           rf"differ, got beta={beta}"):
+            AdaptationParams(beta=beta, e_min=0.02, e_max=0.3)
 
 
 def test_task_spec_validation():

@@ -78,6 +78,20 @@ def test_builtin_cpus():
             assert all(a < b for a, b in zip(cpu.levels, cpu.levels[1:]))
 
 
+def test_builtin_cpus_are_built_once():
+    # resolve_cpu hands out the one table's processors; the dict
+    # builtin_cpus returns is the caller's own.
+    assert resolve_cpu("cpu-2") is resolve_cpu("cpu-2")
+    cpus = builtin_cpus()
+    assert cpus["cpu-2"] is resolve_cpu("cpu-2")
+    cpus["cpu-2"] = resolve_cpu("cpu-1")
+    del cpus["cpu-3"]
+    assert resolve_cpu("cpu-2").levels == (0.45, 0.64, 0.92, 1.0)
+    assert resolve_cpu("cpu-3").name == "cpu-3"
+    assert set(builtin_cpus()) == {"cpu-1", "cpu-2", "cpu-3", "cpu-4",
+                                   "cpu-ideal"}
+
+
 def test_resolve_cpu_unknown_name():
     with pytest.raises(ConfigurationError, match="cpu-9"):
         resolve_cpu("cpu-9")
