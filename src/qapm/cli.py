@@ -9,6 +9,7 @@ import sys
 
 from .metrics import line_chart_svg
 from .plant import DivergenceError
+from .policy import ConfigurationError
 from .scenario import (
     MODES,
     Scenario,
@@ -107,86 +108,81 @@ def _load(args) -> Scenario:
     return sc.with_(**kw)
 
 
-def _emit_run(out_dir: str, sc: Scenario, result, svg: bool) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    save_scenario(sc, os.path.join(out_dir, "scenario.yaml"))
-    result.trace.write_csv(os.path.join(out_dir, "trace.csv"))
-    result.report.write_json(os.path.join(out_dir, "report.json"))
-    if svg:
-        with open(os.path.join(out_dir, "energy.svg"), "w") as f:
-            f.write(line_chart_svg(result.trace.energy_series(),
-                                   "instantaneous energy draw",
-                                   "t [s]", "alpha^2"))
-        with open(os.path.join(out_dir, "periods.svg"), "w") as f:
-            f.write(line_chart_svg(result.trace.period_series(),
-                                   "effective sampling periods",
-                                   "t [s]", "h [ms]"))
+def _e_avg(e_avg) -> float:
+    """E_AVG for printing, or nan for a run of zero duration, which has none."""
+    return float("nan") if e_avg is None else e_avg
 
 
-def _e_avg(rep) -> float:
-    """The report's E_AVG, or nan for a run of zero duration, which has none."""
-    return float("nan") if rep.e_avg is None else rep.e_avg
-
-
-def _failed(exc: DivergenceError, prefix: str) -> int:
-    """Report on one ``prefix:`` line how a plant diverged in ``run_loop``,
-    and return its exit code."""
-    print(f"{prefix}: {exc}", file=sys.stderr)
-    return EXIT_DIVERGED
-
-
-def _cmd_run(args) -> int:
-    try:
-        sc = _load(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not args.out:
+def _run_case(sc: Scenario, out_dir, svg: bool, label=None):
+    """Run one case and write its files into ``out_dir``, which is made
+    first, so that outputs that cannot be written fail before the run;
+    without ``out_dir`` no trace is recorded.  Return what the caller
+    prints: the report's cpu name, E_AVG, J_SUM and misses, or None once a
+    diverging plant has been reported."""
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    else:
         sc = sc.with_(trace_cadence_ms=None)  # no file to write the trace to
     try:
         result = run_loop(sc)
     except DivergenceError as exc:
-        return _failed(exc, "error")
+        prefix = "error" if label is None else f"error [{label}]"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return None
+    if out_dir:
+        save_scenario(sc, os.path.join(out_dir, "scenario.yaml"))
+        result.trace.write_csv(os.path.join(out_dir, "trace.csv"))
+        result.report.write_json(os.path.join(out_dir, "report.json"))
+        if svg:
+            with open(os.path.join(out_dir, "energy.svg"), "w") as f:
+                f.write(line_chart_svg(result.trace.energy_series(),
+                                       "instantaneous energy draw",
+                                       "t [s]", "alpha^2"))
+            with open(os.path.join(out_dir, "periods.svg"), "w") as f:
+                f.write(line_chart_svg(result.trace.period_series(),
+                                       "effective sampling periods",
+                                       "t [s]", "h [ms]"))
     rep = result.report
-    if args.out:
-        _emit_run(args.out, sc, result, args.svg)
-    print(f"{rep.scenario} mode={rep.mode} cpu={rep.cpu} E_AVG={_e_avg(rep):.4f} "
-          f"J_SUM={rep.j_sum:.4f} misses={rep.misses}")
-    if args.strict and rep.misses:
-        print(f"error: {rep.misses} deadline miss(es)", file=sys.stderr)
+    return rep.cpu, rep.e_avg, rep.j_sum, rep.misses
+
+
+def _cmd_run(args) -> int:
+    if args.svg and not args.out:
+        raise ConfigurationError("--svg needs --out to write its charts to")
+    sc = _load(args)
+    case = _run_case(sc, args.out, args.svg)
+    if case is None:
+        return EXIT_DIVERGED
+    cpu, e_avg, j_sum, misses = case
+    print(f"{sc.name} mode={sc.mode} cpu={cpu} E_AVG={_e_avg(e_avg):.4f} "
+          f"J_SUM={j_sum:.4f} misses={misses}")
+    if args.strict and misses:
+        print(f"error: {misses} deadline miss(es)", file=sys.stderr)
         return EXIT_STRICT_MISS
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        base = _load(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base = _load(args)
     cpus = builtin_cpus()
-    reports = {}
+    figures = {}  # label: (E_AVG, J_SUM, misses)
     for label, mode, cpu_name in SWEEP_CASES:
-        sc = base.with_(mode=mode, cpu=cpus[cpu_name])
-        try:
-            result = run_loop(sc)
-        except DivergenceError as exc:
-            return _failed(exc, f"error [{label}]")
-        rep = reports[label] = result.report
-        _emit_run(os.path.join(args.out, label), sc, result, svg=False)
-        print(f"{label:10s} E_AVG={_e_avg(rep):.4f} "
-              f"J_SUM={rep.j_sum:.3f} misses={rep.misses}")
+        case = _run_case(base.with_(mode=mode, cpu=cpus[cpu_name]),
+                         os.path.join(args.out, label), False, label)
+        if case is None:
+            return EXIT_DIVERGED
+        _, e_avg, j_sum, misses = case
+        figures[label] = e_avg, j_sum, misses
+        print(f"{label:10s} E_AVG={_e_avg(e_avg):.4f} "
+              f"J_SUM={j_sum:.3f} misses={misses}")
 
-    labels = [c[0] for c in SWEEP_CASES]
-    lines = ["case," + ",".join(labels),
-             "E_AVG," + ",".join(f"{_e_avg(reports[c]):.6g}" for c in labels),
-             "J_SUM," + ",".join(f"{reports[c].j_sum:.6g}" for c in labels)]
+    lines = ["case," + ",".join(figures),
+             "E_AVG," + ",".join(f"{_e_avg(e):.6g}" for e, _, _ in figures.values()),
+             "J_SUM," + ",".join(f"{j:.6g}" for _, j, _ in figures.values())]
     with open(os.path.join(args.out, "summary.csv"), "w") as f:
         f.write("\n".join(lines) + "\n")
-    summary = {
-        c: {"E_AVG": reports[c].e_avg, "J_SUM": reports[c].j_sum,
-            "misses": reports[c].misses} for c in labels
-    }
+    summary = {c: {"E_AVG": e, "J_SUM": j, "misses": m}
+               for c, (e, j, m) in figures.items()}
     with open(os.path.join(args.out, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -194,11 +190,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        load_scenario(args.scenario)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    load_scenario(args.scenario)
     print("ok")
     return EXIT_OK
 
@@ -209,7 +201,7 @@ def main(argv=None) -> int:
                "validate": _cmd_validate}[args.command]
     try:
         return command(args)
-    except OSError as exc:  # a file that cannot be read or written
+    except (ConfigurationError, OSError) as exc:  # bad input or a file error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

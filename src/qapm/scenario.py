@@ -339,6 +339,8 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = _read_block(fh.read())
+        except UnicodeDecodeError as exc:  # not a text file
+            raise ConfigurationError(str(exc)) from exc
         except _NeedsYaml:
             fh.seek(0)
             data = _yaml_load(fh, path)

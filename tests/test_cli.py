@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -254,6 +255,40 @@ def test_out_naming_a_file_is_config_error(tmp_path, command):
     assert str(taken) in p.stderr
 
 
+@pytest.mark.parametrize("command, extra, names", (
+    ("run", ["--out", "{taken}"], ["{taken}"]),
+    ("sweep", ["--all-cpus", "--out", "{taken}"], ["{taken}"]),
+    ("run", ["--svg"], ["--svg", "--out"]),
+), ids=("run-out-file", "sweep-out-file", "svg-without-out"))
+def test_unwritable_outputs_fail_before_any_run(tmp_path, monkeypatch, capsys,
+                                                command, extra, names):
+    # Outputs that cannot be written end with one error line and exit 2
+    # before anything is simulated.
+    def no_run(sc):
+        raise AssertionError("run_loop called")
+
+    monkeypatch.setattr(cli, "run_loop", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    extra = [a.format(taken=taken) for a in extra]
+    rc = cli.main([command, "--builtin", "table1", "--duration", "0.01", *extra])
+    out, err = capsys.readouterr()
+    assert rc == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(n.format(taken=taken) in err for n in names), err
+
+
+def test_non_utf8_scenario_file_is_config_error(tmp_path):
+    path = tmp_path / "binary.yaml"
+    path.write_bytes(b"name: \xff\xfe\n")
+    for command in ("run", "validate"):
+        p = run_cli(command, "--scenario", str(path))
+        assert p.returncode == 2, p.stderr
+        assert p.stderr == ("error: 'utf-8' codec can't decode byte 0xff in "
+                            "position 6: invalid start byte\n"), p.stderr
+
+
 def test_out_of_range_integer_is_config_error(tmp_path):
     # An integer too large for a float, where a float is read, is a
     # configuration error tagged with its field, not a traceback.  So is
@@ -411,6 +446,24 @@ def test_sweep_emits_summary_table(tmp_path):
     assert all(a > b for a, b in zip(e_row, e_row[1:]))
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == set(cases)
+
+
+def test_sweep_keeps_no_finished_case(tmp_path, monkeypatch, capsys):
+    # Once a case's line is printed, its SimResult and RunReport are
+    # garbage: the next case runs without them.
+    refs = []
+
+    def spy(sc):
+        for ref in refs[-2:]:
+            assert ref() is None
+        result = run_loop(sc)
+        refs.extend((weakref.ref(result), weakref.ref(result.report)))
+        return result
+
+    monkeypatch.setattr(cli, "run_loop", spy)
+    assert cli.main(["sweep", "--builtin", "table1", "--all-cpus",
+                     "--duration", "0.5", "--out", str(tmp_path / "sw")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(refs) // 2 == 6
 
 
 def test_sweep_without_out_is_usage_error():
