@@ -46,6 +46,13 @@ _OVERRIDES = (
 )
 
 
+def _out_dir(path: str) -> str:
+    """An ``--out`` value, which must name a directory."""
+    if not path:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return path
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qapm",
@@ -70,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run length in seconds")
     run.add_argument("--seed", type=int,
                      help="RNG seed for the execution-time jitter hook")
-    run.add_argument("--out",
+    run.add_argument("--out", type=_out_dir,
                      help="output directory (default: report to stdout only)")
     run.add_argument("--trace-cadence", type=float,
                      help="trace sample spacing in ms")
@@ -88,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ssrc.add_argument("--builtin", choices=["table1"])
     sweep.add_argument("--all-cpus", action="store_true", required=True,
                        help="osdvs plus the full scheme on each CPU set")
-    sweep.add_argument("--out", required=True, help="output directory")
+    sweep.add_argument("--out", type=_out_dir, required=True,
+                       help="output directory")
     sweep.add_argument("--duration", type=float)
     sweep.add_argument("--seed", type=int)
 

@@ -1,10 +1,11 @@
 """Discrete PID controller with an explicit, variable sampling interval.
 
 The control task passes the period just decided for the job it releases,
-the interval to its next sample and the job's deadline, not the time since
-its previous sample: the output is held about that long, and a period the
-power manager rescales changes the integral and derivative weights on the
-very job that starts it.
+not the time since its previous sample: the output is held about that
+long, and a period the power manager rescales changes the integral and
+derivative weights on the very job that starts it.  Under ``qapm`` that
+period is the job's deadline minus its release; the nominal modes pass the
+loop's nominal period h0, which that interval rounds to whole ticks.
 """
 
 from __future__ import annotations

@@ -6,12 +6,14 @@ calls.  Integration is classical fixed-step RK4, applied as the exact
 per-step linear map it is for such a plant, and accumulates the integral
 of absolute error against the current reference at micro-step resolution.
 A plant given a sample cadence also writes its output at every multiple of
-that cadence it integrates across.  One kernel does all of it.  Its source
-is unrolled for the plant order n and compiled once per order, on the first
-plant of that order; each plant binds it to its own coefficients, as keyword
-defaults that the kernel reads as locals.  The kernel's micro-step loop
-takes |r - y| by a sign test and adds y's leading 0.0 once per run of
-steps; both are exact because the reference is never -0.0 (see `_TEMPLATE`).
+that cadence it integrates across: on the micro-step grid the y computed
+there, elsewhere one RK4 step from the last grid instant (or the span's
+start) before it.  One kernel does all of it.  Its source is unrolled for
+the plant order n and compiled once per order, on the first plant of that
+order; each plant binds it to its own coefficients, as keyword defaults
+that the kernel reads as locals.  The kernel's micro-step loop takes
+|r - y| by a sign test and adds y's leading 0.0 once per run of steps;
+both are exact because the reference is never -0.0 (see `_TEMPLATE`).
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ class StateSpacePlant:
     span is split at micro-step boundaries does not change the sum.
 
     With ``sample_every_us`` set, ``samples[k]`` is y at k * sample_every_us
-    from the start, appended while a span crosses that instant: the y of
-    the step that ends there, or else one RK4 step on temporaries from the
-    last point the span computed, its start or a grid instant.
+    from the start, appended while a span crosses that instant.  At a grid
+    instant it is the y computed there; anywhere else it is one RK4 step on
+    temporaries from the last grid instant before it, or from the span's
+    start while the span is still off the grid.
     """
 
     def __init__(self, a, b, c, micro_step_us: int,
@@ -184,9 +187,11 @@ def _kernel(n: int):
     ``advance(x, u, r, iae, t, span_us, at, every, out)`` bound to the plant,
     which integrates from time ``t`` on the grid of multiples of the micro
     step.  It appends to ``out`` y at the offsets ``at``, ``at + every``, ...
-    that lie within the span, and returns ``(x, y, iae, at, finite)``: ``at``
-    is the offset of the next one from the span's end, ``finite`` whether y
-    and the state are."""
+    that lie within the span: the y computed there at a grid instant, else
+    one RK4 step from the last grid instant before it or, while the span is
+    still off the grid, from its start.  It returns ``(x, y, iae, at,
+    finite)``: ``at`` is the offset of the next one from the span's end,
+    ``finite`` whether y and the state are."""
     make = _KERNELS.get(n)
     if make is None:
         namespace: dict = {}
@@ -208,6 +213,10 @@ def _kernel(n: int):
 # adds it after the loop: the sums differ only in the sign of a zero.  In
 # the loop y only enters |r - y|, as r - y if r >= y else y - r, which is
 # -(r - y) exactly; with r never -0.0, a -0.0 y gives the same bits.
+# One rule gives every sample, at two sites: at a grid instant it is the y
+# computed there, elsewhere one RK4 step on temporaries from the last grid
+# instant or, in the lead-region loop, from the span's start.  The main
+# loop takes every sample from the lead step's end to the span's end.
 _TEMPLATE = """\
 def make(a, b, c, step_us):
     {a_vars}, = a
@@ -248,31 +257,22 @@ def make(a, b, c, step_us):
             lead = span
         if lead:
             while at < lead:
-                if at:
-                    {s_vars}, = rk4({x_vars}, {d_vars}, at * 1e-6)
-                    out.append({y_s})
-                else:
-                    out.append(y)
+                {s_vars}, = rk4({x_vars}, {d_vars}, at * 1e-6)
+                out.append({y_s})
                 at += every
             {x_vars}, = rk4({x_vars}, {d_vars}, lead * 1e-6)
             y = {y}
             f = abs(r - y)
             iae += (e + f) * (lead * 0.5e-6)
             e = f
-            if at == lead:
-                out.append(y)
-                at += every
             span -= lead
             at -= lead
         full, rem = divmod(span, step_us)
         {g}
-        # Samples up to ``last`` are read in the loop; one at the end of a
-        # final partial step reads that step's y, below.
-        last = span - 1 if rem else span
         done = 0
         while True:
             # Micro steps up to the sample at ``at``; all of them if none.
-            upto = full if at > last else at // step_us
+            upto = full if at > span else at // step_us
             for _ in range(upto - done):
                 {x_vars}, = {map},
                 y = {y_loop}
@@ -280,7 +280,7 @@ def make(a, b, c, step_us):
                 iae += (e + f) * half_h
                 e = f
             y = 0.0 + y
-            if at > last:
+            if at > span:
                 break
             done = upto
             part = at - upto * step_us
@@ -294,9 +294,6 @@ def make(a, b, c, step_us):
             {x_vars}, = rk4({x_vars}, {d_vars}, rem * 1e-6)
             y = {y}
             iae += (e + abs(r - y)) * (rem * 0.5e-6)
-            if at == span:
-                out.append(y)
-                at += every
         # y sums c_i * x_i over every i, zero coefficients included, so it
         # is finite only when the state is; y - y is nan when it is not.
         return [{x_vars}], y, iae, at - span, y - y == 0.0

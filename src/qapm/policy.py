@@ -307,7 +307,8 @@ def decide(
     Returns ``(base_periods, periods, ticks, alpha_ideal, alpha)``: the
     error-adapted periods before reclaiming and the periods in force, both
     in seconds; the trigger's period in whole microsecond ticks, which
-    ``periods[trigger]`` equals; the workload and the speed to run at.
+    ``periods[trigger]`` equals under ``qapm``; the workload and the speed
+    to run at.
     ``work`` is each loop's execution time at full speed (the trigger's
     for the job being released), and ``in_flight[j]`` the period, in
     ticks, that loop j's job in flight was released with, or None before
@@ -332,8 +333,9 @@ def decide(
     ``h_max``.
 
     ``osdvs`` and ``dvs-only`` keep the nominal periods; osDVS runs at the
-    workload itself, DVS-only at its quantized level.  Pure: the inputs
-    are not modified.
+    workload itself, DVS-only at its quantized level; ``periods[trigger]``
+    is h0 there, from which ``ticks * 1e-6`` can differ in the last bit.
+    Pure: the inputs are not modified.
     """
     spec = specs[trigger]
     if mode != "qapm":

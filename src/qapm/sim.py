@@ -56,10 +56,9 @@ decrease is held here, not in the decision, until the jobs in flight at
 decision time have completed (the slow-down guard).
 
 The simulator owns the speed ``alpha`` and its change list.  The run's
-energy, the integral of alpha^2, is summed over that list at the end, and
-busy time over the dispatch segments.  Float sums run left to right, as
-`sum` did before Python 3.12 compensated it, so no result depends on the
-interpreter.
+energy, the integral of alpha^2, is summed over that list at the end.
+Float sums run left to right, as `sum` did before Python 3.12 compensated
+it, so no result depends on the interpreter.
 
 Time is integer microsecond ticks.  Event order at equal ticks is fixed:
 completions, then reference steps, then releases in task-id order, then
@@ -121,14 +120,12 @@ class _LoopRuntime:
 
 class SimResult:
     def __init__(self, report: RunReport, trace: TraceRecorder, jobs: list,
-                 segments: list, busy_ticks: int, idle_ticks: int):
+                 segments: list):
         self.report = report
         self.trace = trace
         self.jobs = jobs
         # (start_tick, end_tick, task_id)
         self.segments = segments
-        self.busy_ticks = busy_ticks
-        self.idle_ticks = idle_ticks
 
 
 def _advance(plant, tick, r):
@@ -392,7 +389,6 @@ def _result(sc, end_tick, loops, speed_changes, visits, utilization, jobs,
     ends = [t for t, _ in speed_changes[1:]] + [end_tick]
     for (t0, a), t1 in zip(speed_changes, ends):
         integral += a * a * (t1 - t0) * 1e-6
-    busy_ticks = sum(end - start for start, end, _ in segments)
     duration_s = end_tick * 1e-6
     period_stats = {}
     for lr in loops:
@@ -425,11 +421,4 @@ def _result(sc, end_tick, loops, speed_changes, visits, utilization, jobs,
         utilization=utilization,
         speed_changes=speed_changes,
     )
-    return SimResult(
-        report=report,
-        trace=trace,
-        jobs=jobs,
-        segments=segments,
-        busy_ticks=busy_ticks,
-        idle_ticks=end_tick - busy_ticks,
-    )
+    return SimResult(report=report, trace=trace, jobs=jobs, segments=segments)

@@ -473,6 +473,25 @@ def test_sweep_without_out_is_usage_error():
     assert p.stdout == ""
 
 
+@pytest.mark.parametrize("command", ("run", "sweep"))
+def test_empty_out_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    # An empty --out names no directory: exit 2 naming the flag, with
+    # nothing run and nothing written to the working directory.
+    def no_run(sc):
+        raise AssertionError("run_loop called")
+
+    monkeypatch.setattr(cli, "run_loop", no_run)
+    monkeypatch.chdir(tmp_path)
+    args = ["--all-cpus"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--builtin", "table1", *args, "--out", ""])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2, err
+    assert out == ""
+    assert "--out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_diverging_plant_exits_4_naming_loop_and_time(tmp_path):
     # A proportional gain of 1e9 on loop 1 drives its plant to inf.
     sc = builtin_table1()

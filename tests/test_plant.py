@@ -341,10 +341,13 @@ def test_kernel_equals_generic_loops_exactly(micro):
     # The unrolled kernel must apply the same float operations in the same
     # order as the loops, so state, IAE and samples are equal, not merely
     # close.  Spans that end off the micro-step grid leave the next span to
-    # step back onto it first.  A sample is the output at the last point
-    # the span computed (its start or a grid instant), advanced by one RK4
-    # step when it lies past that point.  Zero and negative coefficients,
-    # a plant at rest and a zero input exercise signed zeros.
+    # step back onto it first.  A sample at a grid instant is the output
+    # there; any other is one RK4 step from the last grid instant before
+    # it, or from the span's start while the span is off the grid.  Each
+    # order meets the two boundaries of that rule: a sample at the end of
+    # the lead step back onto the grid, and one at a span end off the grid.
+    # Zero and negative coefficients, a plant at rest and a zero input
+    # exercise signed zeros.
     rng = random.Random(7000 + micro)
 
     def coef():
@@ -355,33 +358,52 @@ def test_kernel_equals_generic_loops_exactly(micro):
              for i in range(n) for j in range(n)]
         b = [coef() for _ in range(n)]
         c = [-1.0] + [coef() for _ in range(n - 1)]
-        # every micro step, or at a cadence off the grid
-        every = (micro, rng.randint(1, 3 * micro))[n % 2]
-        p = StateSpacePlant(a, b, c, micro_step_us=micro, sample_every_us=every)
-        x, iae, now, samples = list(p.x), 0.0, 0, []
-        for k in range(10):
-            full = rng.randint(1, 20) * micro
-            part = rng.randint(1, micro - 1)
-            # at rest first; then with a partial final step, whole steps
-            # only, or a partial step only
-            span = 0 if k == 0 else (full + part, full, part)[k % 3]
-            u = 0.0 if k < 2 else rng.choice((0.0, rng.uniform(-2.0, 2.0)))
-            r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
-            p.actuate(u)
-            p.integrate(span, r)
-            for at in range(len(samples) * every, now + span + 1, every):
-                done = max(now, at // micro * micro)
-                x_done = generic_march(a, b, c, x, u, r, 0.0, done - now,
-                                       micro, now)[0]
-                if at > done:
-                    x_done = generic_rk4_step(a, b, x_done, u,
-                                              (at - done) * 1e-6)
-                samples.append(generic_output(c, x_done))
-            assert bits(p.samples) == bits(samples), (n, span)
-            x, y, iae = generic_march(a, b, c, x, u, r, iae, span, micro, now)
-            now += span
-            assert bits(p.x) == bits(x), (n, span)
-            assert bits([p.iae, p.sample()]) == bits([iae, y]), (n, span)
+        met = set()
+        # every micro step, then at a cadence off the grid
+        off_grid = rng.randint(0, 2) * micro + rng.randint(1, micro - 1)
+        for every in (micro, off_grid):
+            p = StateSpacePlant(a, b, c, micro_step_us=micro,
+                                sample_every_us=every)
+            x, iae, now, samples = list(p.x), 0.0, 0, []
+            for k in range(12):
+                full = rng.randint(1, 20) * micro
+                part = rng.randint(1, micro - 1)
+                lead = -now % micro
+                if k < 10:
+                    # at rest first; then with a partial final step, whole
+                    # steps only, or a partial step only
+                    span = 0 if k == 0 else (full + part, full, part)[k % 3]
+                elif every == micro:
+                    # off the grid, then across a sample at the lead's end
+                    span = lead + full if lead else part
+                else:
+                    # to the next sample instant off the grid
+                    at = len(samples) * every
+                    span = at + (at % micro == 0) * every - now
+                u = 0.0 if k < 2 else rng.choice((0.0, rng.uniform(-2.0, 2.0)))
+                r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
+                p.actuate(u)
+                p.integrate(span, r)
+                for at in range(len(samples) * every, now + span + 1, every):
+                    if lead and at == now + lead:
+                        met.add("lead step end")
+                    if at == now + span and at % micro:
+                        met.add("span end off the grid")
+                    done = max(now, at // micro * micro)
+                    x_done = generic_march(a, b, c, x, u, r, 0.0, done - now,
+                                           micro, now)[0]
+                    if at > done:
+                        x_done = generic_rk4_step(a, b, x_done, u,
+                                                  (at - done) * 1e-6)
+                    samples.append(generic_output(c, x_done))
+                assert bits(p.samples) == bits(samples), (n, every, span)
+                x, y, iae = generic_march(a, b, c, x, u, r, iae, span, micro,
+                                          now)
+                now += span
+                assert bits(p.x) == bits(x), (n, every, span)
+                assert bits([p.iae, p.sample()]) == bits([iae, y]), \
+                    (n, every, span)
+        assert met == {"lead step end", "span end off the grid"}, n
 
 
 def test_sample_at_a_step_end_is_the_output_there():
