@@ -4,8 +4,8 @@ A `RunReport` holds what one run measured: the IAE each plant accumulated
 at micro-step resolution (see `plant.StateSpacePlant`), and the energy the
 simulator summed from its speed-change list (see `sim`).  The trace is
 held as the simulator recorded it, one tuple per visit and each plant's
-samples; `TraceRecorder` alone reads a visit, and forms the CSV lines, the
-rows and the chart series from them only when asked for.
+samples; `TraceRecorder` alone reads a visit, and forms the CSV lines and
+the chart series from them only when asked for.
 
 The writers give the bytes `csv.writer` and ``json.dumps(indent=2)`` would
 give, but build them with C-level ``map``/``zip``/``join`` over columns
@@ -18,8 +18,8 @@ cheaper format gives that text.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from operator import itemgetter, mul, sub
+from itertools import repeat
+from operator import itemgetter, mul
 
 __all__ = [
     "RunReport",
@@ -28,12 +28,8 @@ __all__ = [
     "sig6",
 ]
 
-TRACE_COLUMNS = (
-    "time_s", "loop", "r", "y", "e", "u", "h_eff_ms", "alpha", "energy_inst",
-)
-
-# Visits per write in `TraceRecorder.write_csv`: a block's text is held
-# whole, so larger blocks raise the peak memory of a run with --out.
+# Visits per write in `TraceRecorder.write_csv`: a block's text and number
+# texts are held whole, so larger blocks raise the peak memory of --out.
 _BLOCK = 32
 
 
@@ -43,31 +39,21 @@ def sig6(v: float) -> float:
 
 
 class TraceRecorder:
-    """The trace of a run, rows in `TRACE_COLUMNS` order.
+    """The trace of a run, one row per visit.
 
     ``visits`` holds (tick, r, alpha, periods, u) per trace visit, the
     periods in force (seconds) and the held actuator values by loop index,
     and ``loops`` holds (loop id, y) per loop, y one sample per visit.  Row
-    k * len(loops) + i is loop i's at visit k: time_s = tick * 1e-6,
-    e = r - y, h_eff_ms = h * 1000.0 and the energy draw alpha * alpha.
+    k is visit k: time_s = tick * 1e-6, r and alpha, then per loop, in
+    listing order, y, u and h_eff_ms = h * 1000.0.
     """
 
     def __init__(self, visits, loops):
         self.visits = visits
         self.loops = loops
 
-    @property
-    def rows(self) -> list[tuple]:
-        """The rows as tuples, built on each read."""
-        ids = [lid for lid, _ in self.loops]
-        return [(tick * 1e-6, lid, r, y, r - y, u, h * 1000.0, alpha,
-                 alpha * alpha)
-                for (tick, r, alpha, periods, us), ys in zip(
-                    self.visits, zip(*[y for _, y in self.loops]))
-                for lid, y, u, h in zip(ids, ys, us, periods)]
-
     def energy_series(self) -> dict[str, list[tuple[float, float]]]:
-        """The chart series "E(t)": (time_s, energy draw)."""
+        """The chart series "E(t)": (time_s, energy draw alpha * alpha)."""
         return {"E(t)": [(tick * 1e-6, alpha * alpha)
                          for tick, _, alpha, _, _ in self.visits]}
 
@@ -78,37 +64,32 @@ class TraceRecorder:
                 for i, (lid, _) in enumerate(self.loops)}
 
     def write_csv(self, path) -> None:
-        """The rows as `csv.writer` writes them: each float in its shortest
-        round-trip form, CRLF line ends, no quoting (no field needs it).
+        """The rows as `csv.writer` writes them under the header
+        ``time_s,r,alpha`` and ``y<id>,u<id>,h_eff_ms<id>`` per loop: each
+        float in its shortest round-trip form, CRLF line ends, no quoting
+        (no field needs it).
 
         A block of `_BLOCK` visits at a time is transposed into columns and
         written at once, so no Python code runs per row and no more than a
-        block's text is held.  t, r and the ``alpha,alpha**2`` tail are
-        formatted once per visit, u and h_eff once per distinct nonzero
-        value (`_FloatText`), y and e, which rarely repeat, once per row.
-        Each loop's rows are joined from its columns, then the loops' rows
-        are interleaved visit by visit.
+        block's text is held.  t, r and y are formatted once per row,
+        alpha, u and h_eff, which repeat often, once per distinct nonzero
+        value in the block (`_FloatText`).
         """
-        num = _FloatText().__getitem__
-        ids = [str(lid) for lid, _ in self.loops]
         ys = [y for _, y in self.loops]
         visits = self.visits
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+            fh.write(",".join(["time_s", "r", "alpha"] + [
+                f"{name}{lid}" for lid, _ in self.loops
+                for name in ("y", "u", "h_eff_ms")]) + "\r\n")
             for k in range(0, len(visits), _BLOCK):
                 ticks, rs, alphas, periods, us = zip(*visits[k:k + _BLOCK])
-                ts = list(map(repr, map(mul, ticks, repeat(1e-6))))
-                rts = list(map(repr, rs))
-                tails = list(map("{},{}\r\n".format, map(num, alphas),
-                                 map(num, map(mul, alphas, alphas))))
-                per_loop = [
-                    map(",".join, zip(
-                        ts, repeat(lid), rts, map(repr, y),
-                        map(repr, map(sub, rs, y)), map(num, u),
-                        map(num, map(mul, h, repeat(1000.0))), tails))
-                    for lid, y, u, h in zip(ids, [y[k:k + _BLOCK] for y in ys],
-                                            zip(*us), zip(*periods))]
-                fh.write("".join(chain.from_iterable(zip(*per_loop))))
+                num = _FloatText().__getitem__
+                columns = [map(repr, map(mul, ticks, repeat(1e-6))),
+                           map(repr, rs), map(num, alphas)]
+                for y, u, h in zip(ys, zip(*us), zip(*periods)):
+                    columns += (map(repr, y[k:k + _BLOCK]), map(num, u),
+                                map(num, map(mul, h, repeat(1000.0))))
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 class _FloatText(dict):
@@ -166,19 +147,9 @@ class RunReport:
             },
         }
 
-    def to_json_dict(self) -> dict:
-        return {
-            **self._head(),
-            "utilization": [
-                [sig6(t), sig6(ai), sig6(a)] for t, ai, a in self.utilization
-            ],
-            "speed_changes": [
-                [sig6(tick * 1e-6), sig6(a)] for tick, a in self.speed_changes
-            ],
-        }
-
     def to_json(self) -> str:
-        """`to_json_dict` as ``json.dumps(..., indent=2)`` lays it out.
+        """The report as ``json.dumps(..., indent=2)`` lays out its keys,
+        the two long lists last.
 
         The head goes through `json.dumps`; the two long lists, its last
         keys, are written here in the same layout with one %-format per

@@ -30,16 +30,16 @@ those events needs its state, by one `StateSpacePlant.integrate` call to
 that event's tick; other loops' events do not touch it.  The plant keeps
 its own place on the grid (see `plant.StateSpacePlant`).
 
-The trace has one row per loop at every multiple of ``trace_cadence_ms``
-up to the end of the run.  A trace visit at tick t appends one tuple of
-what is in force then, (t, r, alpha, periods, u per loop), and advances no
-plant.  Each plant writes its own y(t) while it integrates across t (see
+The trace has one row at every multiple of ``trace_cadence_ms`` up to the
+end of the run.  A trace visit at tick t appends one tuple of what is in
+force then, (t, r, alpha, periods, u per loop), and advances no plant.
+Each plant writes its own y(t) while it integrates across t (see
 `plant.StateSpacePlant`).  The run hands the visits and each plant's
-samples, uncopied, to a `metrics.TraceRecorder`, which alone forms the
-rows from them.  The trace therefore touches neither the step partition
-nor the job accounting nor the dispatcher, so every result but the trace
-itself is the same at any trace cadence.  A cadence of None records no
-trace at all.
+samples, uncopied, to a `metrics.TraceRecorder`, which alone forms the CSV
+rows and the chart series from them.  The trace therefore touches neither
+the step partition nor the job accounting nor the dispatcher, so every
+result but the trace itself is the same at any trace cadence.  A cadence
+of None records no trace at all.
 
 Each release makes one power-manager decision, `policy.decide`, from the
 simulator's plain lists: the adapted base periods, each loop's last drawn

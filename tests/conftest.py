@@ -2,7 +2,9 @@
 
 The six benchmark runs (osDVS baseline plus the five processor variants
 under the full scheme) are expensive enough to run once per session and
-share between the simulator tests and the acceptance gate.
+share between the simulator tests and the acceptance gate.  `long_rows`
+lays a trace out one row per loop per visit, for the tests that read a
+loop's values over time.
 """
 
 import pytest
@@ -36,3 +38,16 @@ def overload_scenario():
         for lp in sc.loops
     )
     return sc.with_(loops=loops, c_jitter=0.5, seed=3, duration_s=2.0)
+
+
+def long_rows(trace):
+    """The trace as one tuple per loop per visit, visit by visit and loops
+    in listing order: (time_s, loop id, r, y, e, u, h_eff_ms, alpha,
+    energy_inst), with time_s = tick * 1e-6, e = r - y, h_eff_ms =
+    h * 1000.0 and energy_inst = alpha * alpha."""
+    ids = [lid for lid, _ in trace.loops]
+    return [(tick * 1e-6, lid, r, y, r - y, u, h * 1000.0, alpha,
+             alpha * alpha)
+            for (tick, r, alpha, periods, us), ys in zip(
+                trace.visits, zip(*[y for _, y in trace.loops]))
+            for lid, y, u, h in zip(ids, ys, us, periods)]

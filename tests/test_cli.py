@@ -15,6 +15,8 @@ from qapm import cli
 from qapm.scenario import builtin_table1, save_scenario
 from qapm.sim import run_loop
 
+from conftest import long_rows
+
 CLI = [sys.executable, "-m", "qapm"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -67,8 +69,38 @@ def test_run_without_out_records_no_trace(tmp_path, monkeypatch, capsys):
     for extra in (["--out", str(tmp_path / "run")], []):
         assert cli.main(args + extra) == 0
         lines.append(capsys.readouterr().out)
-    assert [len(r.trace.rows) for r in results] == [1001 * 4, 0]
+    assert [len(long_rows(r.trace)) for r in results] == [1001 * 4, 0]
     assert lines[0] == lines[1]
+
+
+def test_run_out_without_trace_writes_the_header_only(tmp_path, capsys):
+    # A scenario that records no trace still gets a trace.csv with --out.
+    path = tmp_path / "untraced.yaml"
+    save_scenario(builtin_table1().with_(duration_s=0.1,
+                                         trace_cadence_ms=None), path)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert (out / "trace.csv").read_bytes() == (
+        b"time_s,r,alpha,y1,u1,h_eff_ms1,y2,u2,h_eff_ms2,"
+        b"y3,u3,h_eff_ms3,y4,u4,h_eff_ms4\r\n")
+
+
+@pytest.mark.parametrize("args, cases", [
+    (["run", "--cpu", "cpu-2"], [""]),
+    (["sweep", "--all-cpus"], [label for label, _, _ in cli.SWEEP_CASES]),
+], ids=["run", "sweep"])
+def test_out_dirs_hold_what_the_benchmark_checks(tmp_path, capsys, args,
+                                                 cases):
+    # perfbench/run.py (`_check_run_dir`) fails an invocation whose run
+    # directory lacks one of these files or the trace.csv header.
+    out = tmp_path / "out"
+    assert cli.main(args + ["--builtin", "table1", "--duration", "0.05",
+                            "--out", str(out)]) == 0
+    for case in cases:
+        json.loads((out / case / "report.json").read_text())
+        assert (out / case / "scenario.yaml").is_file()
+        with open(out / case / "trace.csv", encoding="utf-8") as fh:
+            assert fh.readline().startswith("time_s,")
 
 
 # SHA-256 of the charts `run --builtin table1 --cpu cpu-2 --duration 1 --out
@@ -320,7 +352,7 @@ def test_out_of_range_integer_is_config_error(tmp_path):
 # layout is the cause, and log old -> new.
 RUN_FILES_SHA256 = {
     "scenario.yaml": "0e8bfb62a2affba757237a7b297bc0c9de1683639fdbb8463646c17d080856f8",
-    "trace.csv": "65242a2f28ad91b225a57d38ac7bcf2e25266916c86f230565f38c6d95ea563d",
+    "trace.csv": "b14ef09c522fec46082100d95ea0ba05a3e67093cb47be732bbfece7bbb8e6f2",
 }
 # (j_sum, e_avg, misses) of that run, as report.json holds them, asserted
 # before the hashes so that a failing pin names what moved.  Re-pin with
@@ -348,17 +380,17 @@ SWEEP_FILES_SHA256 = {
     "summary.json": "5f3ffe7bd2cd601f77d151aa36301ca9ac20cd0d9b5ea91a1c9ec3304c444294",
     "summary.csv": "ec3965a842e4b23500f0305de72a296be69ab95f02a32f6b1acb2bc146c9dcf7",
     "osdvs/report.json": "29ecd5d518242584cc4523cfa59e0f1266a5d81f382f608ac44614fec9262229",
-    "osdvs/trace.csv": "9554887f6daeac2bda9babcae162a4e1fd09c42a0a0f88ea9427050358261f95",
+    "osdvs/trace.csv": "8d6a6df1f3f92ac9076a37beeae5a8e694292dc013f9b3d55ddb56e57a14d8f9",
     "cpu-1/report.json": "883ca9e1a14f875880bc0dd5ff4b4f9e402b21976bab60fdf2f5ae4b1e6edb18",
-    "cpu-1/trace.csv": "3f80f27161e1e7cfbbb6095156d41bcf2703252e4cc1e355dca95cbc41c4fe67",
+    "cpu-1/trace.csv": "a4ced0f015e10fb7a4bf2b6d9e24d0d0a6a6da4a74196f833aec26ece7599064",
     "cpu-2/report.json": "9969dbf49957458f9daf9cf312e6bb6d6bfb8bf08ab5d97ba8cf1ca5a6953399",
-    "cpu-2/trace.csv": "560d11b6ded15d3e1d8fb84b90a920f44f4bf9ca0c6207f31f6dd673f7881eb0",
+    "cpu-2/trace.csv": "1dc155da613c4c706b4b40405090d4090e04f195bd8a4f425d9d6f36ed7a50cd",
     "cpu-3/report.json": "0b415496c5ca8cb58363c0b770cdb3e805be7c9475521b84e3aedf82280cf4e0",
-    "cpu-3/trace.csv": "05cda338cf1210f9320eaad634bb2bf93fbaa332abd36522e56c4d71e85f2f63",
+    "cpu-3/trace.csv": "c0da75f88b5117e169255767e5c167792f9d15cbb854f77d4c42a16aae6f13e8",
     "cpu-4/report.json": "f4419e0db2365cd039f4dec33598a8ad5c15dbe9b82c564701c46684532a4aa9",
-    "cpu-4/trace.csv": "98bbd92a85497535c9b53f7d47a6f0ac8769b25625969f83d8811bf77f9bc4ed",
+    "cpu-4/trace.csv": "da9daa53987962ed39258fcf68f08ed136a8af1b71c00efcd629e13228422552",
     "cpu-ideal/report.json": "9bb398cadc16241ab78ec0c798ef9c44e80466e59e45b7a62c0126eec608dade",
-    "cpu-ideal/trace.csv": "811e10a09738bfd45bd9413413aaa880a1fbaa7374f2ba63ea840559b0663ddb",
+    "cpu-ideal/trace.csv": "5004a90aa3a3fa2d2ed5e21bf7882e50e3f3b4b56d6925d71357c3805bcb37be",
 }
 # (J_SUM, E_AVG, misses) of each case, unrounded as summary.json holds
 # them, asserted before the hashes so that a failing pin names what moved.

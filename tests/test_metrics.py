@@ -9,7 +9,6 @@ import pytest
 
 from qapm.metrics import (
     _BLOCK,
-    TRACE_COLUMNS,
     RunReport,
     TraceRecorder,
     line_chart_svg,
@@ -19,6 +18,8 @@ from qapm.plant import StateSpacePlant
 from qapm.policy import CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
 from qapm.sim import run_loop
+
+from conftest import long_rows
 
 
 # --- IAE --------------------------------------------------------------------
@@ -139,6 +140,27 @@ def test_sig6():
     assert sig6(0.0) == 0.0
 
 
+TABLE1_HEADER = ("time_s,r,alpha,y1,u1,h_eff_ms1,y2,u2,h_eff_ms2,"
+                 "y3,u3,h_eff_ms3,y4,u4,h_eff_ms4\r\n")
+
+
+def long_rows_from_csv(path) -> list[tuple]:
+    """The long rows (see `conftest.long_rows`) rebuilt from a trace.csv:
+    loop ids from the y<id> columns, e = r - y, energy_inst = alpha**2."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    ids = [int(name[1:]) for name in header[3::3]]
+    assert header == ["time_s", "r", "alpha"] + [
+        f"{name}{lid}" for lid in ids for name in ("y", "u", "h_eff_ms")]
+    out = []
+    for row in rows:
+        t, r, alpha = map(float, row[:3])
+        ys, us, hs = (map(float, row[c::3]) for c in (3, 4, 5))
+        for lid, y, u, h in zip(ids, ys, us, hs):
+            out.append((t, lid, r, y, r - y, u, h, alpha, alpha * alpha))
+    return out
+
+
 def test_trace_csv_round_trip(tmp_path):
     # two visits of two loops: (tick, r, alpha, periods in seconds, u) per
     # visit, (loop id, y) per loop
@@ -151,45 +173,106 @@ def test_trace_csv_round_trip(tmp_path):
     rec.write_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(TRACE_COLUMNS)
-    assert len(rows) == 5
-    # rows in order of visit, then loop, e = r - y; floats are written
-    # with repr, so they parse back exactly
-    assert [(float(t), int(loop)) for t, loop, *_ in rows[1:]] == [
-        (0.001, 1), (0.001, 2), (0.002, 1), (0.002, 2)]
-    assert float(rows[2][3]) == 0.3333333333333333
-    assert rows[3][3:5] == ["-0.0", "0.0"]
-    parsed = [(float(row[0]), int(row[1]), *map(float, row[2:]))
-              for row in rows[1:]]
-    assert parsed == rec.rows
-    assert rec.rows[1][4] == 1.0 - 0.3333333333333333
-    # time_s = tick * 1e-6, h_eff_ms = h * 1000.0, energy = alpha * alpha
-    assert [row[6:] for row in rec.rows] == [
-        (10.0, 0.5, 0.25), (7.0, 0.5, 0.25), (10.0, 1.0, 1.0), (8.0, 1.0, 1.0)]
-    # the chart series are the rows' columns
-    assert rec.energy_series() == {
-        "E(t)": [(row[0], row[8]) for row in rec.rows[::2]]}
-    assert rec.period_series() == {
-        f"h{lid}": [(row[0], row[6]) for row in rec.rows[i::2]]
-        for i, lid in enumerate((1, 2))}
-    assert TraceRecorder([], [(1, [])]).rows == []
+    # one row per visit: time_s = tick * 1e-6, then y, u and h_eff_ms =
+    # h * 1000.0 of each loop; floats are written with repr, so they parse
+    # back exactly
+    assert rows == [
+        ["time_s", "r", "alpha", "y1", "u1", "h_eff_ms1",
+         "y2", "u2", "h_eff_ms2"],
+        ["0.001", "1.0", "0.5", "0.25", "12.5", "10.0",
+         "0.3333333333333333", "-1.0", "7.0"],
+        ["0.002", "0.0", "1.0", "-0.0", "12.5", "10.0", "0.1", "0.0", "8.0"]]
+    # the long rows, e and energy_inst included, are rebuilt exactly
+    assert repr(long_rows_from_csv(path)) == repr(long_rows(rec))
+    assert long_rows(rec)[1][4] == 1.0 - 0.3333333333333333
+    # the chart series: E(t) = alpha * alpha and h<loop id> = h_eff_ms
+    assert rec.energy_series() == {"E(t)": [(0.001, 0.25), (0.002, 1.0)]}
+    assert rec.period_series() == {"h1": [(0.001, 10.0), (0.002, 10.0)],
+                                   "h2": [(0.001, 7.0), (0.002, 8.0)]}
+
+
+@pytest.mark.parametrize("loops, header", [
+    ((), "time_s,r,alpha"),
+    ((2, 0), "time_s,r,alpha,y3,u3,h_eff_ms3,y1,u1,h_eff_ms1"),
+], ids=["no-loops", "ids-3-then-1"])
+def test_trace_csv_columns_follow_the_listing(tmp_path, loops, header):
+    sc = builtin_table1().with_(duration_s=0.0405)
+    res = run_loop(sc.with_(loops=tuple(sc.loops[i] for i in loops)))
+    assert len(res.trace.visits) == 41
+    path = tmp_path / "trace.csv"
+    res.trace.write_csv(path)
+    text = path.read_bytes()
+    assert text.startswith(header.encode() + b"\r\n")
+    assert text.count(b"\r\n") == 42
+    assert text == csv_oracle(res.trace)
+    assert repr(long_rows_from_csv(path)) == repr(long_rows(res.trace))
+
+
+@pytest.mark.parametrize("key", ["cpu-2-2s", "overload", "off-grid-cadence"])
+def test_trace_csv_holds_every_long_row(tmp_path, overload_scenario, key):
+    # Each row of the one-row-per-loop layout, e and energy_inst included,
+    # is rebuilt from the file bit for bit.
+    sc = {"cpu-2-2s": builtin_table1(cpu=resolve_cpu("cpu-2")).with_(
+              duration_s=2.0),
+          "overload": overload_scenario,
+          "off-grid-cadence": PARITY_RUNS["off-grid-cadence"]()}[key]
+    res = run_loop(sc)
+    path = tmp_path / "trace.csv"
+    res.trace.write_csv(path)
+    rebuilt = long_rows_from_csv(path)
+    assert len(rebuilt) == len(res.trace.visits) * 4
+    assert repr(rebuilt) == repr(long_rows(res.trace))
 
 
 # --- writer parity -------------------------------------------------------------
 #
 # write_csv and to_json build their text block by block and entry by entry;
-# the standard library's writers over rows and to_json_dict are the oracles.
+# the standard library's writers over plain rows and dicts are the oracles.
 
 def csv_oracle(trace) -> bytes:
+    """trace.csv as `csv.writer` writes the trace one row per visit."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(TRACE_COLUMNS)
-    writer.writerows(trace.rows)
+    writer.writerow(["time_s", "r", "alpha"] + [
+        f"{name}{lid}" for lid, _ in trace.loops
+        for name in ("y", "u", "h_eff_ms")])
+    for k, (tick, r, alpha, periods, us) in enumerate(trace.visits):
+        row = [tick * 1e-6, r, alpha]
+        for i, (_, y) in enumerate(trace.loops):
+            row += [y[k], us[i], periods[i] * 1000.0]
+        writer.writerow(row)
     return buf.getvalue().encode()
 
 
+def json_dict(report) -> dict:
+    """report.json's content: the report's fields, numbers rounded by
+    `sig6`, speed-change ticks as seconds."""
+    return {
+        "scenario": report.scenario,
+        "mode": report.mode,
+        "cpu": report.cpu,
+        "duration_s": sig6(report.duration_s),
+        "seed": report.seed,
+        "j_per_loop": {str(k): sig6(v) for k, v in report.j.items()},
+        "j_sum": sig6(report.j_sum),
+        "e_avg": None if report.e_avg is None else sig6(report.e_avg),
+        "misses": report.misses,
+        "period_stats_ms": {
+            str(k): {kk: sig6(vv) if isinstance(vv, float) else vv
+                     for kk, vv in st.items()}
+            for k, st in report.period_stats_ms.items()
+        },
+        "utilization": [
+            [sig6(t), sig6(ai), sig6(a)] for t, ai, a in report.utilization
+        ],
+        "speed_changes": [
+            [sig6(tick * 1e-6), sig6(a)] for tick, a in report.speed_changes
+        ],
+    }
+
+
 def json_oracle(report) -> str:
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return json.dumps(json_dict(report), indent=2) + "\n"
 
 
 PARITY_RUNS = {
@@ -230,8 +313,7 @@ def test_writers_match_the_standard_library_at_zero_duration(tmp_path):
     res = run_loop(builtin_table1().with_(duration_s=0.0))
     assert res.trace.visits == []
     assert_writers_match_oracles(res, tmp_path)
-    assert (tmp_path / "trace.csv").read_bytes() == (
-        ",".join(TRACE_COLUMNS) + "\r\n").encode()
+    assert (tmp_path / "trace.csv").read_bytes() == TABLE1_HEADER.encode()
     assert '"utilization": [],' in res.report.to_json()
 
 
@@ -276,7 +358,7 @@ def test_write_csv_holds_a_block_not_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert size == 829_997
+    assert size == 478_787
     assert peak < size / 2, (peak, size)
 
 
@@ -293,7 +375,7 @@ def make_report():
 def test_report_json_round_trip(tmp_path):
     rep = make_report()
     d = json.loads(rep.to_json())
-    assert d == rep.to_json_dict()
+    assert d == json_dict(rep)
     assert d["scenario"] == "table1"
     assert d["j_sum"] == 3.75
     path = tmp_path / "report.json"
@@ -309,8 +391,7 @@ def test_report_json_stable():
 def test_zero_duration_report_has_no_average():
     rep = make_report()
     rep.e_avg = None
-    d = rep.to_json_dict()
-    assert d["e_avg"] is None
+    assert json.loads(rep.to_json())["e_avg"] is None
 
 
 def test_line_chart_svg():

@@ -19,6 +19,8 @@ from qapm.policy import ConfigurationError, CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
 from qapm.sim import _RESIDUE_TICKS, run_loop
 
+from conftest import long_rows
+
 NOMINAL_WORKLOAD = 1207.0 / 1260.0
 
 
@@ -410,7 +412,7 @@ def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
     for cadence in (0.25, 0.5, 1.0, 2.0, 10.0, None):
         calls.clear()
         res = run_loop(sc.with_(trace_cadence_ms=cadence))
-        assert len(res.trace.rows) == (
+        assert len(long_rows(res.trace)) == (
             0 if cadence is None else (round(2000 / cadence) + 1) * 4)
         seen = (
             len(calls),
@@ -431,8 +433,8 @@ def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
 def test_trace_rows_do_not_depend_on_cadence():
     # Each row is the same bit for bit whichever cadence samples its tick.
     sc = builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0)
-    fine = run_loop(sc.with_(trace_cadence_ms=0.25)).trace.rows
-    rows = run_loop(sc).trace.rows
+    fine = long_rows(run_loop(sc.with_(trace_cadence_ms=0.25)).trace)
+    rows = long_rows(run_loop(sc).trace)
     assert len(rows) == 2001 * 4
     every_4th_tick = [row for i, row in enumerate(fine) if i // 4 % 4 == 0]
     assert [repr(r) for r in rows] == [repr(r) for r in every_4th_tick]
@@ -453,7 +455,7 @@ def test_report_iae_is_each_plants_running_sum(monkeypatch):
     assert j == {lp.task.id: p.iae for lp, p in zip(sc.loops, plants)}
     # Independent check: the trapezoid integral of |e| over the trace.
     for lid in j:
-        rows = [(t, abs(e)) for t, loop, _, _, e, *_ in res.trace.rows
+        rows = [(t, abs(e)) for t, loop, _, _, e, *_ in long_rows(res.trace)
                 if loop == lid]
         trace_iae = sum((t1 - t0) * (e0 + e1) / 2
                         for (t0, e0), (t1, e1) in zip(rows, rows[1:]))
@@ -465,7 +467,7 @@ def test_reference_is_a_square_wave_from_one():
     # sample at a step instant already sees the new value.
     res = run_loop(builtin_table1().with_(duration_s=2.5))
     seen = {}
-    for t, _, r, *_ in res.trace.rows:
+    for t, _, r, *_ in long_rows(res.trace):
         tick = round(t * 1e6)
         seen.setdefault(tick, set()).add(r)
     assert len(seen) == 2501
@@ -476,7 +478,7 @@ def test_reference_is_a_square_wave_from_one():
 def test_trace_row_counts(bench_runs):
     # 1 ms cadence inclusive of both endpoints, four loops
     for res in bench_runs.values():
-        assert len(res.trace.rows) == 12_001 * 4
+        assert len(long_rows(res.trace)) == 12_001 * 4
 
 
 def test_all_loops_release_at_time_zero(bench_runs):
@@ -573,7 +575,7 @@ def record_sha256(res):
         [(j.task_id, j.release, j.deadline, j.completion, j.missed)
          for j in res.jobs],
         res.segments, rep.speed_changes, rep.utilization, rep.j,
-        rep.energy_integral, *busy_idle(res), res.trace.rows,
+        rep.energy_integral, *busy_idle(res), long_rows(res.trace),
     )
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
