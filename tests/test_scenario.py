@@ -437,6 +437,30 @@ def test_from_mapping_reports_field_paths():
         from_mapping(m)
 
 
+_BUILTINS = "cpu-1, cpu-2, cpu-3, cpu-4, cpu-ideal"
+
+
+@pytest.mark.parametrize("key, value, message", (
+    ("name", "", "name: must be non-empty"),
+    ("seed", -1, "seed: must be a non-negative integer, got -1"),
+    ("switch_overhead_us", -5,
+     "switch_overhead_us: must be a non-negative integer, got -5"),
+    (None, [], "scenario root: expected mapping, got list"),
+    ("cpu", "cpu-9", f"cpu: unknown cpu 'cpu-9'; builtins: {_BUILTINS}"),
+    ("cpu", 5, "cpu: expected name or mapping, got 5"),
+    ("loops", [3], "loops[0]: expected mapping, got 3"),
+    ("cpu", {"levels": [0.0, 1.0]}, "cpu.levels: levels must be positive, got 0.0"),
+), ids=("empty-name", "negative-seed", "negative-switch-overhead", "list-root",
+        "unknown-cpu", "cpu-int", "loop-int", "zero-level"))
+def test_from_mapping_rejects_with_one_message(key, value, message):
+    # The builtin's mapping with ``key`` set to ``value`` (the whole
+    # mapping when ``key`` is None) raises exactly ``message``.
+    m = value if key is None else {**to_mapping(builtin_table1()), key: value}
+    with pytest.raises(ConfigurationError) as info:
+        from_mapping(m)
+    assert str(info.value) == message
+
+
 def test_from_mapping_requires_loops():
     with pytest.raises(ConfigurationError, match="loops"):
         from_mapping({"name": "x"})
