@@ -8,7 +8,10 @@ the one kind rule of `policy.checked`; the simulator trusts them and
 never mutates them.
 
 File format is YAML with millisecond/microsecond-suffixed keys; see
-``to_mapping`` for the exact layout.  ``load_scenario(save_scenario(s))``
+``to_mapping`` for the exact layout.  A file is read part by part through
+the value types' own fields and kinds: a key that names no field is an
+error, and each error starts with the dotted path of the field at fault,
+or of the part whose range check failed.  ``load_scenario(save_scenario(s))``
 reproduces ``s`` exactly: an int given for a float field is stored, and
 so saved, as that float.  Both directions handle the block layout that
 ``yaml.safe_dump(m, sort_keys=False)`` writes themselves, so saving or
@@ -201,17 +204,19 @@ def _tick_exact(seconds: float) -> bool:
 # The mapping layer is what the YAML file holds.  Numeric keys carry unit
 # suffixes; times under loops are milliseconds, global durations seconds.
 
-# The top-level scalar fields of a scenario file, in file order, and the
-# kind each holds; a missing one takes its `_DEFAULTS` value.
-_SCALARS = [(key, kind) for key, kind in zip(Scenario._fields, Scenario._kinds)
-            if key not in ("loops", "cpu")]
+# The scalar fields of a scenario file's top level, in file order, and of
+# each of its loops, with the kind each holds.
+_SCALARS = {key: kind for key, kind in zip(Scenario._fields, Scenario._kinds)
+            if key not in ("loops", "cpu")}
+_LOOP_SCALARS = {"id": TaskSpec._kinds[0], "c_nom_ms": float, "h0_ms": float,
+                 "h_max_ms": float}
 # Every field after name, loops and cpu has a default; so has a file's name.
 _DEFAULTS = dict(zip(Scenario._fields[3:], Scenario.__init__.__defaults__),
                  name="scenario")
 
 
 def to_mapping(sc: Scenario) -> dict:
-    m = {key: getattr(sc, key) for key, _ in _SCALARS}
+    m = {key: getattr(sc, key) for key in _SCALARS}
     m["cpu"] = {"name": sc.cpu.name, "ideal": sc.cpu.ideal,
                 "levels": list(sc.cpu.levels)}
     m["loops"] = [
@@ -230,106 +235,99 @@ def to_mapping(sc: Scenario) -> dict:
     return m
 
 
-class _MappingReader:
-    """Pulls fields of a kind (see `checked`) out of a nested dict,
-    collecting path-tagged errors; a field missing or of the wrong kind
-    reads as its default."""
+def _get(m: dict, path: str, key: str, kind, errors: list[str], defaults):
+    """Field ``key`` of the file's mapping ``m`` as a ``kind`` (see
+    `checked`), named ``path + key`` in ``errors``; ``defaults[key]`` when
+    ``m`` leaves it out, and missing when ``defaults`` has none either."""
+    if key not in m:
+        if key not in defaults:
+            errors.append(f"{path}{key}: missing")
+        return defaults.get(key)
+    v = m[key]
+    if type(kind) is tuple and type(v) is not list:
+        kind = list  # so the error names the form a file gives
+    return checked(errors, path + key, v, kind)
 
-    def __init__(self, errors: list[str]):
-        self.errors = errors
 
-    def get(self, m, path, key, kind, default=None, required=False):
-        if key not in m:
-            if required:
-                self.errors.append(f"{path}{key}: missing")
-            return default
-        v = m[key]
-        if type(v) is kind:
-            return v
-        n = len(self.errors)
-        v = checked(self.errors, path + key, v, kind)
-        return v if len(self.errors) == n else default
+def _read(m: dict, path: str, kinds: dict, errors: list[str], defaults,
+          parts=()) -> dict:
+    """The fields ``kinds`` names, each read by its kind (see `_get`), from
+    the file's mapping ``m`` at ``path``; a key of ``m`` that is neither
+    one of them nor one of ``parts`` is an unknown field."""
+    errors.extend(f"{path}{key}: unknown field" for key in m
+                  if key not in kinds and key not in parts)
+    return {key: _get(m, path, key, kind, errors, defaults)
+            for key, kind in kinds.items()}
+
+
+def _build(path: str, errors: list[str], make, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None and its range error under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigurationError as exc:
+        errors.append(f"{path}: {exc}")
+
+
+def _part(kind, m: dict, key: str, path: str, errors: list[str], defaults):
+    """The ``kind`` value that the mapping ``m[key]`` describes in the
+    type's own ``_fields`` and ``_kinds`` (see `_read`), built under
+    ``path + key``; None when it is missing or anything in it is at fault."""
+    part = _get(m, path, key, dict, errors, {})
+    if part is None:
+        return None
+    n = len(errors)
+    fields = _read(part, f"{path}{key}.", dict(zip(kind._fields, kind._kinds)),
+                   errors, defaults)
+    return _build(path + key, errors, kind, **fields) if len(errors) == n else None
 
 
 def from_mapping(m: dict) -> Scenario:
     """Build a Scenario from a plain mapping; raises ConfigurationError
-    listing every problem found, each tagged with its field path."""
+    listing every problem found, each starting with the dotted path of its
+    field, or of the part whose range check failed."""
     if not isinstance(m, dict):
         raise ConfigurationError(f"scenario root: expected mapping, got {type(m).__name__}")
     errors: list[str] = []
-    r = _MappingReader(errors)
+    scalars = _read(m, "", _SCALARS, errors, _DEFAULTS,
+                    ("cpu", "loops", "adaptation"))
 
-    scalars = {key: r.get(m, "", key, kind, default=_DEFAULTS[key])
-               for key, kind in _SCALARS}
-
-    cpu = None  # set below unless an error is recorded
-    cpu_field = m.get("cpu", "cpu-ideal")
-    if isinstance(cpu_field, str):
-        try:
-            cpu = resolve_cpu(cpu_field)
-        except ConfigurationError as exc:
-            errors.append(f"cpu: {exc}")
-    elif isinstance(cpu_field, dict):
-        cm = cpu_field
-        levels = r.get(cm, "cpu.", "levels", list, default=[1.0], required=True)
-        try:
-            cpu = CpuLevels(
-                levels=levels,
-                ideal=r.get(cm, "cpu.", "ideal", bool, default=False),
-                name=r.get(cm, "cpu.", "name", str, default="custom"),
-            )
-        except ConfigurationError as exc:
-            errors.append(f"cpu.levels: {exc}")
+    cpu = m.get("cpu", "cpu-ideal")
+    if isinstance(cpu, str):
+        cpu = _build("cpu", errors, resolve_cpu, cpu)
+    elif isinstance(cpu, dict):
+        cpu = _part(CpuLevels, m, "cpu", "", errors,
+                    {"ideal": False, "name": "custom"})
     else:
-        errors.append(f"cpu: expected name or mapping, got {cpu_field!r}")
+        errors.append(f"cpu: expected name or mapping, got {cpu!r}")
 
-    default_adapt = dict(zip(AdaptationParams._fields, _ADAPT._values()))
-    adapt_m = r.get(m, "", "adaptation", dict, default=None)
-    if adapt_m is not None:
-        for k in default_adapt:
-            default_adapt[k] = r.get(adapt_m, "adaptation.", k, float,
-                                     default=default_adapt[k])
+    # The file's adaptation is the default of each loop's, field by field;
+    # the builtin's stands in for one at fault, which is reported already.
+    adapt = _ADAPT if "adaptation" not in m else _part(
+        AdaptationParams, m, "adaptation", "", errors, vars(_ADAPT)) or _ADAPT
 
     loops: list[LoopSpec] = []
-    loop_list = r.get(m, "", "loops", list, default=[], required=True) or []
-    for i, lm in enumerate(loop_list):
+    for i, lm in enumerate(_get(m, "", "loops", list, errors, {}) or ()):
         path = f"loops[{i}]."
         if not isinstance(lm, dict):
             errors.append(f"loops[{i}]: expected mapping, got {lm!r}")
             continue
-        lid = r.get(lm, path, "id", int, default=i + 1)
-        plant_m = r.get(lm, path, "plant", dict, default=None, required=True)
-        gains_m = r.get(lm, path, "gains", dict, default=None, required=True)
-        c_nom_ms = r.get(lm, path, "c_nom_ms", float, default=None, required=True)
-        h0_ms = r.get(lm, path, "h0_ms", float, default=None, required=True)
-        h_max_ms = r.get(lm, path, "h_max_ms", float, default=None, required=True)
-        la = dict(default_adapt)
-        la_m = r.get(lm, path, "adaptation", dict, default=None)
-        if la_m is not None:
-            for k in la:
-                la[k] = r.get(la_m, path + "adaptation.", k, float, default=la[k])
-        if None in (plant_m, gains_m, c_nom_ms, h0_ms, h_max_ms):
-            continue
-        try:
-            plant = TransferFunction(
-                r.get(plant_m, path + "plant.", "num", list, default=[], required=True),
-                r.get(plant_m, path + "plant.", "den", list, default=[], required=True))
-        except ConfigurationError as exc:
-            errors.append(f"{path}plant: {exc}")
-            continue
-        try:
-            gains = PidGains(*[r.get(gains_m, path + "gains.", k, float, default=0.0)
-                               for k in PidGains._fields])
-            task = TaskSpec(lid, c_nom_ms / 1000.0, h0_ms / 1000.0,
-                            h_max_ms / 1000.0, AdaptationParams(**la))
-        except ConfigurationError as exc:
-            errors.append(f"loops[{i}]: {exc}")
-            continue
-        loops.append(LoopSpec(task, plant, gains))
+        n = len(errors)
+        lid, c_nom_ms, h0_ms, h_max_ms = _read(
+            lm, path, _LOOP_SCALARS, errors, {"id": i + 1},
+            ("plant", "gains", "adaptation")).values()
+        plant = _part(TransferFunction, lm, "plant", path, errors, {})
+        gains = _part(PidGains, lm, "gains", path, errors,
+                      dict.fromkeys(PidGains._fields, 0.0))
+        adaptation = adapt if "adaptation" not in lm else _part(
+            AdaptationParams, lm, "adaptation", path, errors, vars(adapt))
+        task = len(errors) == n and _build(
+            f"loops[{i}]", errors, TaskSpec, lid, c_nom_ms / 1000.0,
+            h0_ms / 1000.0, h_max_ms / 1000.0, adaptation)
+        if task:
+            loops.append(LoopSpec(task, plant, gains))
 
     if errors:
         raise ConfigurationError("; ".join(errors))
-
     return Scenario(loops=loops, cpu=cpu, **scalars)
 
 

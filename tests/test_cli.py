@@ -216,7 +216,7 @@ def test_validate_rejects_broken_file(tmp_path):
     # non-finite numbers, which the run could not turn into ticks
     ("  ideal: true\n  levels:\n  - 1.0\n",
      "  ideal: false\n  levels:\n  - .nan\n  - 1.0\n",
-     "cpu.levels: levels must be finite, got (nan, 1.0)"),
+     "cpu: levels must be finite, got (nan, 1.0)"),
     ("h0_ms: 10.0\n  h_max_ms: 40.0\n", "h0_ms: 10.0\n  h_max_ms: .inf\n",
      "loops[0]: task 1: need 0 < c_nom <= h0 <= h_max < inf, "
      "got c_nom=0.002 h0=0.01 h_max=inf"),
@@ -227,18 +227,22 @@ def test_validate_rejects_broken_file(tmp_path):
     # numbers of the wrong kind: a quoted one (read by PyYAML) and a bool
     ("    num:\n    - 1.0\n    den:\n    - 50.0\n",
      "    num: ['1.0']\n    den:\n    - 50.0\n",
-     "loops[0].plant: num[0]: expected float, got '1.0'"),
+     "loops[0].plant.num[0]: expected float, got '1.0'"),
     ("  ideal: true\n  levels:\n  - 1.0\n",
      "  ideal: false\n  levels:\n  - true\n  - 1.0\n",
-     "cpu.levels: levels[0]: expected float, got True"),
+     "cpu.levels[0]: expected float, got True"),
     # a beta that leaves period adaptation nothing to interpolate
     ("h0_ms: 10.0\n  h_max_ms: 40.0\n  adaptation:\n    beta: 40.0\n",
      "h0_ms: 10.0\n  h_max_ms: 40.0\n  adaptation:\n    beta: 1.0e-300\n",
-     "loops[0]: beta must make exp(-beta*e_min) and exp(-beta*e_max) "
-     "differ, got beta=1e-300 (both 1.0)"),
+     "loops[0].adaptation: beta must make exp(-beta*e_min) and "
+     "exp(-beta*e_max) differ, got beta=1e-300 (both 1.0)"),
+    # misspelled keys, rejected rather than read as their defaults
+    ("c_jitter: 0.0\n", "c_jiter: 0.2\n", "c_jiter: unknown field"),
+    ("- id: 1\n", "- id: 1\n  adaptaton:\n    beta: 5.0\n",
+     "loops[0].adaptaton: unknown field"),
 ), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload",
         "nan-level", "inf-h-max", "inf-numerator", "quoted-coefficient",
-        "bool-level", "tiny-beta"))
+        "bool-level", "tiny-beta", "misspelled-top-key", "misspelled-loop-key"))
 def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
     # Every configuration `run` rejects, `validate` rejects too, with the
     # same one line naming the field.
@@ -334,8 +338,9 @@ def test_out_of_range_integer_is_config_error(tmp_path):
     for head, old, new, field in (
             ("", "duration_s: 12.0", f"duration_s: {big}", "duration_s: "),
             ("", "    kp: 10000.0", f"    kp: {big}", "loops[0].gains.kp: "),
-            ("", "    - 1000.0", f"    - {big}", "loops[0].plant: "),
-            ("", "  levels:\n  - 1.0", f"  levels:\n  - {big}", "cpu.levels: "),
+            ("", "    - 1000.0", f"    - {big}", "loops[0].plant.den[1]: "),
+            ("", "  levels:\n  - 1.0", f"  levels:\n  - {big}",
+             "cpu.levels[0]: "),
             ("", "seed: 0", f"seed: {huge}", "seed: "),
             ("", "duration_s: 12.0", f"duration_s: {huge}", "duration_s: "),
             (comment, "seed: 0", f"seed: {huge}", f"{path}: "),

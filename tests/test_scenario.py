@@ -1,10 +1,12 @@
 """Scenario assembly, builtin benchmark, validation, YAML persistence."""
 
 import copy
+import importlib.util
 import math
 import pickle
 import re
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -440,25 +442,98 @@ def test_from_mapping_reports_field_paths():
 _BUILTINS = "cpu-1, cpu-2, cpu-3, cpu-4, cpu-ideal"
 
 
-@pytest.mark.parametrize("key, value, message", (
-    ("name", "", "name: must be non-empty"),
-    ("seed", -1, "seed: must be a non-negative integer, got -1"),
-    ("switch_overhead_us", -5,
+@pytest.mark.parametrize("where, key, value, message", (
+    ((), "name", "", "name: must be non-empty"),
+    ((), "seed", -1, "seed: must be a non-negative integer, got -1"),
+    ((), "switch_overhead_us", -5,
      "switch_overhead_us: must be a non-negative integer, got -5"),
-    (None, [], "scenario root: expected mapping, got list"),
-    ("cpu", "cpu-9", f"cpu: unknown cpu 'cpu-9'; builtins: {_BUILTINS}"),
-    ("cpu", 5, "cpu: expected name or mapping, got 5"),
-    ("loops", [3], "loops[0]: expected mapping, got 3"),
-    ("cpu", {"levels": [0.0, 1.0]}, "cpu.levels: levels must be positive, got 0.0"),
+    ((), None, [], "scenario root: expected mapping, got list"),
+    ((), "cpu", "cpu-9", f"cpu: unknown cpu 'cpu-9'; builtins: {_BUILTINS}"),
+    ((), "cpu", 5, "cpu: expected name or mapping, got 5"),
+    ((), "loops", [3], "loops[0]: expected mapping, got 3"),
+    ((), "cpu", {"levels": [0.0, 1.0]}, "cpu: levels must be positive, got 0.0"),
+    # a key that names no field, at each level of the file
+    ((), "c_jiter", 0.2, "c_jiter: unknown field"),
+    (("loops", 0), "adaptaton", {"beta": 5.0},
+     "loops[0].adaptaton: unknown field"),
+    (("loops", 0, "plant"), "numer", [1.0], "loops[0].plant.numer: unknown field"),
+    (("loops", 1, "gains"), "kpp", 1.0, "loops[1].gains.kpp: unknown field"),
+    (("loops", 0, "adaptation"), "bta", 1.0,
+     "loops[0].adaptation.bta: unknown field"),
+    (("adaptation",), "bta", 1.0, "adaptation.bta: unknown field"),
+    (("cpu",), "level", [1.0], "cpu.level: unknown field"),
+    # a field of the wrong kind, named by its full path
+    (("loops", 0, "plant"), "den", [50.0, "x"],
+     "loops[0].plant.den[1]: expected float, got 'x'"),
+    (("cpu",), "levels", "x", "cpu.levels: expected list, got 'x'"),
+    (("loops", 0, "gains"), "kd", True, "loops[0].gains.kd: expected float, got True"),
+    # a failed range check, named by the path of its part
+    (("loops", 0, "gains"), "kp", math.nan,
+     "loops[0].gains: gain kp must be a number, got nan"),
+    (("loops", 0, "adaptation"), "e_min", 0.5,
+     "loops[0].adaptation: need 0 <= e_min < e_max, got e_min=0.5 e_max=0.3"),
+    (("adaptation",), "beta", -1.0, "adaptation: beta must be positive, got -1.0"),
+    (("loops", 0, "plant"), "num", [], "loops[0].plant: numerator is zero"),
 ), ids=("empty-name", "negative-seed", "negative-switch-overhead", "list-root",
-        "unknown-cpu", "cpu-int", "loop-int", "zero-level"))
-def test_from_mapping_rejects_with_one_message(key, value, message):
-    # The builtin's mapping with ``key`` set to ``value`` (the whole
-    # mapping when ``key`` is None) raises exactly ``message``.
-    m = value if key is None else {**to_mapping(builtin_table1()), key: value}
+        "unknown-cpu", "cpu-int", "loop-int", "zero-level",
+        "unknown-top", "unknown-loop", "unknown-plant", "unknown-gains",
+        "unknown-loop-adaptation", "unknown-adaptation", "unknown-cpu-field",
+        "den-str", "levels-str", "kd-bool", "kp-nan", "e-min-range",
+        "adaptation-beta", "num-empty"))
+def test_from_mapping_rejects_with_one_message(where, key, value, message):
+    # The builtin's mapping, with a file-wide adaptation block, with
+    # ``key`` set to ``value`` in the part at ``where`` (the whole mapping
+    # replaced by ``value`` when ``key`` is None) raises exactly ``message``.
+    m = {**to_mapping(builtin_table1()), "adaptation": {"beta": 40.0}}
+    part = m
+    for step in where:
+        part = part[step]
+    if key is None:
+        m = value
+    else:
+        part[key] = value
     with pytest.raises(ConfigurationError) as info:
         from_mapping(m)
     assert str(info.value) == message
+
+
+def test_from_mapping_lists_each_part_of_a_loop_at_fault():
+    m = to_mapping(builtin_table1())
+    lm = m["loops"][0]
+    lm["plant"]["num"] = ["1"]
+    lm["gains"]["kp"] = "x"
+    lm["adaptation"]["beta"] = -1.0
+    with pytest.raises(ConfigurationError) as info:
+        from_mapping(m)
+    assert str(info.value) == (
+        "loops[0].plant.num[0]: expected float, got '1'; "
+        "loops[0].gains.kp: expected float, got 'x'; "
+        "loops[0].adaptation: beta must be positive, got -1.0")
+
+
+def test_file_adaptation_is_each_loops_default():
+    m = to_mapping(builtin_table1())
+    for lm in m["loops"][1:]:
+        del lm["adaptation"]
+    m["adaptation"] = {"beta": 5.0}
+    loops = from_mapping(m).loops
+    assert loops[0].task.adaptation == AdaptationParams(40.0, 0.02, 0.3)
+    assert {lp.task.adaptation for lp in loops[1:]} == {
+        AdaptationParams(5.0, 0.02, 0.3)}
+
+
+def test_saved_files_and_the_benchmark_scenario_hold_only_known_fields(tmp_path):
+    path = tmp_path / "s.yaml"
+    for label, sc in _writer_cases():
+        save_scenario(sc, path)
+        assert load_scenario(path) == sc, label
+    # The scenario file the benchmark's jitter-cpu4 workload runs.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).parents[1] / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    sc = from_mapping(bench.jitter_scenario(1))
+    assert (sc.cpu, sc.c_jitter, sc.seed) == (resolve_cpu("cpu-4"), 0.2, 1)
 
 
 def test_from_mapping_requires_loops():
