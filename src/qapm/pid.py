@@ -10,7 +10,7 @@ loop's nominal period h0, which that interval rounds to whole ticks.
 
 from __future__ import annotations
 
-from .policy import ConfigurationError, Value
+from .policy import Value
 
 __all__ = ["PidGains", "Pid"]
 
@@ -20,9 +20,7 @@ class PidGains(Value):
     _kinds = (float, float, float)
 
     def __init__(self, kp: float, ki: float, kd: float):
-        for name, v in zip(self._fields, self._set(kp, ki, kd)):
-            if v != v:
-                raise ConfigurationError(f"gain {name} must be a number, got {v!r}")
+        self._set(kp, ki, kd)
 
 
 class Pid:

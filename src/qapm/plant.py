@@ -40,8 +40,8 @@ class DivergenceError(ArithmeticError):
 class TransferFunction(Value):
     """SISO transfer function, coefficients in ascending powers of s.
 
-    Must have finite coefficients and be strictly proper: numerator degree
-    below denominator degree, which is at most `MAX_STATE`.
+    Must be strictly proper, numerator degree below denominator degree, at
+    most `MAX_STATE`, with a finite monic form (divided by den[-1]).
     """
 
     _fields = ("num", "den")
@@ -49,8 +49,6 @@ class TransferFunction(Value):
 
     def __init__(self, num, den):
         n, d = map(_strip, self._set(num, den))
-        if not all(map(math.isfinite, n + d)):
-            raise ConfigurationError(f"coefficients must be finite: num={n} den={d}")
         if len(d) < 2:
             raise ConfigurationError(f"denominator degree must be >= 1: {den}")
         if not n:
@@ -63,11 +61,10 @@ class TransferFunction(Value):
         if len(d) - 1 > MAX_STATE:
             raise ConfigurationError(
                 f"order {len(d) - 1} exceeds supported maximum {MAX_STATE}")
+        if not all([math.isfinite(v / d[-1]) for v in n + d]):
+            raise ConfigurationError(
+                f"monic form overflows: num={n} den={d} divided by {d[-1]}")
         self.__dict__.update(num=n, den=d)  # stored stripped
-
-    @property
-    def order(self) -> int:
-        return len(self.den) - 1
 
 
 def _strip(coeffs: tuple[float, ...]) -> tuple[float, ...]:

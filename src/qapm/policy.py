@@ -52,29 +52,33 @@ def checked(errors: list[str], path: str, v, kind):
 
     ``kind`` is a type, ``k | None``, or ``(k,)`` for a tuple or list of
     ``k``, which is returned as a tuple, its item ``i`` named ``path[i]``.
-    An int is converted where a float is expected; a bool, though an int,
-    is no number.
+    A ``float`` kind takes a finite float, or an int converted to one; NaN
+    and +-inf are rejected, and a bool, though an int, is no number.
     """
-    if type(v) is kind:
-        return v
     if type(kind) is tuple:
         if not isinstance(v, (tuple, list)):
             errors.append(f"{path}: expected tuple, got {v!r}")
             return None
         item = kind[0]
-        return tuple([x if type(x) is item else checked(errors, f"{path}[{i}]", x, item)
+        return tuple([checked(errors, f"{path}[{i}]", x, item)
                       for i, x in enumerate(v)])
     if type(kind) is UnionType:
         return None if v is None else checked(errors, path, v, kind.__args__[0])
     if type(v) is not bool:
         if kind is float and isinstance(v, (int, float)):
             try:
-                return float(v)
+                v = float(v)
             except OverflowError:
                 errors.append(f"{path}: integer out of float range")
                 return None
+            if math.isfinite(v):
+                return v
+            errors.append(f"{path}: must be finite, got {v}")
+            return None
         if isinstance(v, kind):
             return v
+    elif kind is bool:
+        return v
     errors.append(f"{path}: expected {kind.__name__}, got {v!r}")
     return None
 
@@ -85,7 +89,8 @@ class Value:
     A subclass lists its fields in ``_fields``, in the order its
     ``__init__`` takes them, and the kind of each, as `checked` takes it,
     in ``_kinds``.  Its ``__init__`` hands the fields to ``_set`` before
-    its range checks, so those only ever see fields of the right kind.
+    its range checks, so those only ever see fields of the right kind,
+    floats finite.
     Equality, hashing, repr, `with_`, copy and pickle go by type and those
     fields.
     """
@@ -96,9 +101,9 @@ class Value:
     def _set(self, *values) -> tuple:
         """Store ``values``, one per field, each checked and converted to
         its kind, and return them; raises one `ConfigurationError` naming
-        every field of the wrong kind."""
+        every field of the wrong kind or not finite (see `checked`)."""
         errors: list[str] = []
-        values = tuple([v if type(v) is k else checked(errors, f, v, k)
+        values = tuple([checked(errors, f, v, k)
                         for f, v, k in zip(self._fields, values, self._kinds)])
         if errors:
             raise ConfigurationError("; ".join(errors))
@@ -146,7 +151,7 @@ class AdaptationParams(Value):
 
     def __init__(self, beta: float, e_min: float, e_max: float):
         beta, e_min, e_max = self._set(beta, e_min, e_max)
-        if not (beta > 0 and math.isfinite(beta)):
+        if not beta > 0:
             raise ConfigurationError(f"beta must be positive, got {beta}")
         if not (0 <= e_min < e_max):
             raise ConfigurationError(
@@ -179,9 +184,9 @@ class TaskSpec(Value):
                  adaptation: AdaptationParams):
         id, c_nom, h0, h_max, adaptation = self._set(id, c_nom, h0, h_max,
                                                      adaptation)
-        if not (0 < c_nom <= h0 <= h_max < math.inf):
+        if not (0 < c_nom <= h0 <= h_max):
             raise ConfigurationError(
-                f"task {id}: need 0 < c_nom <= h0 <= h_max < inf, "
+                f"task {id}: need 0 < c_nom <= h0 <= h_max, "
                 f"got c_nom={c_nom} h0={h0} h_max={h_max}"
             )
         # The largest period scale factor, not a field (see AdaptationParams).
@@ -203,8 +208,6 @@ class CpuLevels(Value):
         if not ideal:
             if not levels:
                 raise ConfigurationError("level set is empty")
-            if not all(map(math.isfinite, levels)):
-                raise ConfigurationError(f"levels must be finite, got {levels}")
             if levels[0] <= 0:
                 raise ConfigurationError(f"levels must be positive, got {levels[0]}")
             if any(a >= b for a, b in zip(levels, levels[1:])):

@@ -12,12 +12,15 @@ File format is YAML with millisecond/microsecond-suffixed keys; see
 the value types' own fields and kinds: a key that names no field is an
 error, and each error starts with the dotted path of the field at fault,
 or of the part whose range check failed.  ``load_scenario(save_scenario(s))``
-reproduces ``s`` exactly: an int given for a float field is stored, and
-so saved, as that float.  Both directions handle the block layout that
-``yaml.safe_dump(m, sort_keys=False)`` writes themselves, so saving or
-loading such a file never imports PyYAML.  PyYAML reads every other file
-(comments, quotes, flow collections, other scalar forms or indents) and
-writes a name that needs quoting.
+reproduces ``s`` when each loop time is a millisecond value / 1000.0, as a
+file's and the builtin's are; the ``_ms`` keys hold ``x * 1000.0``, so
+``c_nom=4.9e-05`` set in code reloads as ``4.9000000000000005e-05``.  An
+int given for a float field is stored, and so saved, as that float.  Both
+directions handle the block layout that ``yaml.safe_dump(m,
+sort_keys=False)`` writes themselves, so saving or loading such a file
+never imports PyYAML.  PyYAML reads every other file (comments, quotes,
+flow collections, other scalar forms or indents) and writes a name that
+needs quoting, or a NaN or infinity, which no valid scenario holds.
 """
 
 from __future__ import annotations
@@ -413,14 +416,11 @@ def _scalar(v) -> str:
     if kind is int:
         return str(v)
     if kind is float:
-        if v != v:
-            return ".nan"
-        if v in (math.inf, -math.inf):
-            return ".inf" if v > 0 else "-.inf"
         text = repr(v).lower()
         if "." not in text and "e" in text:
             text = text.replace("e", ".0e", 1)  # 1e17 -> 1.0e17
-        return text
+        if _FLOAT.fullmatch(text):  # finite; PyYAML writes .inf and .nan
+            return text
     if kind is str and _PLAIN.fullmatch(v) and v.lower() not in _YAML11_WORDS:
         return v
     if kind is list and not v:
@@ -453,8 +453,7 @@ def _block(m: dict, pad: str):
 _LINE = re.compile(r"( *)(- )?(?:([A-Za-z][A-Za-z0-9_-]*):(?: (.+))?|(.+))")
 _INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
 _FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?")
-_CONSTANTS = {"null": None, "true": True, "false": False,
-              ".inf": math.inf, "-.inf": -math.inf, ".nan": math.nan}
+_CONSTANTS = {"null": None, "true": True, "false": False}
 
 
 def _value(text: str, path: str, errors: list[str]):

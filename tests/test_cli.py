@@ -213,17 +213,25 @@ def test_validate_rejects_broken_file(tmp_path):
     ("c_nom_ms: 2.0\n", "c_nom_ms: 6.0\n",
      "loops: nominal workload sum(c_nom/h0) = 2.873810 exceeds 1; "
      "task set infeasible"),
-    # non-finite numbers, which the run could not turn into ticks
+    # non-finite numbers, which the run could not turn into ticks or
+    # states, each rejected by the kind rule with its field's path
     ("  ideal: true\n  levels:\n  - 1.0\n",
      "  ideal: false\n  levels:\n  - .nan\n  - 1.0\n",
-     "cpu: levels must be finite, got (nan, 1.0)"),
+     "cpu.levels[0]: must be finite, got nan"),
     ("h0_ms: 10.0\n  h_max_ms: 40.0\n", "h0_ms: 10.0\n  h_max_ms: .inf\n",
-     "loops[0]: task 1: need 0 < c_nom <= h0 <= h_max < inf, "
-     "got c_nom=0.002 h0=0.01 h_max=inf"),
+     "loops[0].h_max_ms: must be finite, got inf"),
     ("    num:\n    - 1.0\n    den:\n    - 50.0\n",
      "    num:\n    - .inf\n    den:\n    - 50.0\n",
-     "loops[0].plant: coefficients must be finite: num=(inf,) "
-     "den=(50.0, 1000.0)"),
+     "loops[0].plant.num[0]: must be finite, got inf"),
+    ("    kp: 10000.0\n", "    kp: .inf\n",
+     "loops[0].gains.kp: must be finite, got inf"),
+    ("    e_max: 0.3\n- id: 2\n", "    e_max: .inf\n- id: 2\n",
+     "loops[0].adaptation.e_max: must be finite, got inf"),
+    # a plant whose monic form, on division by the leading denominator
+    # coefficient, overflows
+    ("    - 50.0\n    - 1000.0\n", "    - 1.0\n    - 1.0e-310\n",
+     "loops[0].plant: monic form overflows: num=(1.0,) den=(1.0, 1e-310) "
+     "divided by 1e-310"),
     # numbers of the wrong kind: a quoted one (read by PyYAML) and a bool
     ("    num:\n    - 1.0\n    den:\n    - 50.0\n",
      "    num: ['1.0']\n    den:\n    - 50.0\n",
@@ -241,7 +249,8 @@ def test_validate_rejects_broken_file(tmp_path):
     ("- id: 1\n", "- id: 1\n  adaptaton:\n    beta: 5.0\n",
      "loops[0].adaptaton: unknown field"),
 ), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload",
-        "nan-level", "inf-h-max", "inf-numerator", "quoted-coefficient",
+        "nan-level", "inf-h-max", "inf-numerator", "inf-gain", "inf-e-max",
+        "tiny-leading-coefficient", "quoted-coefficient",
         "bool-level", "tiny-beta", "misspelled-top-key", "misspelled-loop-key"))
 def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
     # Every configuration `run` rejects, `validate` rejects too, with the

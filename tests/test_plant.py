@@ -52,13 +52,13 @@ def test_dc_gains_of_benchmark_plants():
 
 
 def test_orders():
-    assert LOOP1_TF.order == 1
-    assert LOOP2_TF.order == 2
+    assert len(LOOP1_TF.den) - 1 == 1
+    assert len(LOOP2_TF.den) - 1 == 2
 
 
 def test_trailing_zero_coefficients_stripped():
     tf = TransferFunction((1.0, 0.0), (50.0, 1000.0, 0.0))
-    assert tf.order == 1
+    assert len(tf.den) - 1 == 1
     assert tf.num == (1.0,)
 
 
@@ -73,11 +73,19 @@ def test_rejects_improper_or_degenerate():
 
 def test_construction_validation():
     # The order is checked where the plant is specified.
-    assert TransferFunction((1.0,), (1.0,) * (MAX_STATE + 1)).order == MAX_STATE
+    tf = TransferFunction((1.0,), (1.0,) * (MAX_STATE + 1))
+    assert len(tf.den) - 1 == MAX_STATE
     with pytest.raises(ConfigurationError,
                        match=f"^order {MAX_STATE + 1} exceeds supported "
                              f"maximum {MAX_STATE}$"):
         TransferFunction((1.0,), (1.0,) * (MAX_STATE + 2))
+    # The realization divides every coefficient by the leading denominator
+    # one; a plant whose quotients overflow is rejected here.
+    for num, den in (((1.0,), (1.0, 1e-310)), ((1e300,), (1.0, 1e-10)),
+                     ((1.0,), (-1e300, 2.0, 1e-10))):
+        with pytest.raises(ConfigurationError, match="^monic form overflows"):
+            TransferFunction(num, den)
+    assert TransferFunction((1e-300,), (1e300, 1e-8)).den == (1e300, 1e-8)
 
 
 def test_canonical_realization_first_order():

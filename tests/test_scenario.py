@@ -208,7 +208,8 @@ def _writer_cases():
         duration_s=2, perturbation_s=1, c_jitter=0,
         cpu=CpuLevels((0.5, 1), name="two-level"))
     lp = sc.loops[0]
-    odd = lp.with_(gains=PidGains(kp=1e17, ki=math.inf, kd=-math.inf))
+    odd = lp.with_(gains=PidGains(kp=1e17, ki=1.7976931348623157e308,
+                                  kd=-5e-324))
     yield "odd floats", sc.with_(
         c_jitter=1e-05, duration_s=1e17, loops=(odd,) + sc.loops[1:])
     yield "no loops", sc.with_(loops=())
@@ -234,13 +235,11 @@ def test_saved_file_is_what_pyyaml_writes(tmp_path):
         save_scenario(sc, path)
         expected = yaml.safe_dump(to_mapping(sc), sort_keys=False)
         assert path.read_text(encoding="utf-8") == expected, label
-    # .nan and .inf are written as PyYAML writes them; a name it quotes is
-    # left to it.
-    edited = _edited_mappings()
-    m = edited["nan and inf"]
-    assert "".join(_block(m, "")) == yaml.safe_dump(m, sort_keys=False)
-    with pytest.raises(_NeedsYaml):
-        "".join(_block(edited["name ''"], ""))
+    # .nan and .inf, which no valid scenario holds, and a name PyYAML
+    # quotes are left to it.
+    for m in _edited_mappings().values():
+        with pytest.raises(_NeedsYaml):
+            "".join(_block(m, ""))
 
 
 def _jitter_cpu4_text():
@@ -410,6 +409,31 @@ def test_every_value_type_gives_each_field_one_kind():
         assert len(t._kinds) == len(t._fields), t.__name__
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf),
+                         ids=("nan", "inf", "-inf"))
+def test_every_float_field_must_be_finite(bad):
+    # A float kind means a finite float: each value type rejects a NaN or
+    # an infinity in any float field, or in any item of a float tuple,
+    # with the one message of the kind rule, ideal CPUs included.
+    sc = builtin_table1()
+    values = (sc, _LOOP.task, _LOOP.task.adaptation, _LOOP.gains,
+              _LOOP.plant, _CPU1, sc.cpu)
+    checks = 0
+    for value in values:
+        for field, kind in zip(value._fields, value._kinds):
+            if kind == (float,):
+                new, name = (bad,) + getattr(value, field)[1:], f"{field}[0]"
+            elif kind in (float, float | None):
+                new, name = bad, field
+            else:
+                continue
+            checks += 1
+            with pytest.raises(ConfigurationError) as info:
+                value.with_(**{field: new})
+            assert str(info.value) == f"{name}: must be finite, got {bad}"
+    assert checks == 17
+
+
 def test_ints_in_float_fields_save_as_floats(tmp_path):
     # An int given for a float field is stored as that float, so it saves
     # as the float does and loads back equal.
@@ -429,6 +453,29 @@ def test_ints_in_float_fields_save_as_floats(tmp_path):
     assert texts[0] == texts[1]
     assert b"duration_s: 2.0\n" in texts[0]
     assert built["ints"] == built["floats"]
+
+
+def test_millisecond_times_round_trip():
+    # A loop's times are saved as milliseconds, x * 1000.0, and read back
+    # as seconds, / 1000.0.  Every time a file gives in whole hundredths
+    # of a millisecond, up to 1 s, comes back as the seconds it was read
+    # as, so a scenario read from a file, or the builtin, reruns exactly.
+    for k in range(1, 100_001):
+        seconds = float(f"{k // 100}.{k % 100:02d}") / 1000.0
+        assert seconds * 1000.0 / 1000.0 == seconds, k
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="FOUND in CHANGES.md: the _ms keys cannot hold "
+                          "every seconds value; c_nom=4.9e-05 reloads as "
+                          "4.9000000000000005e-05 (ROADMAP item T)")
+def test_seconds_times_round_trip(tmp_path):
+    loops = builtin_table1().loops
+    task = loops[0].task.with_(c_nom=4.9e-05)
+    sc = builtin_table1().with_(loops=(loops[0].with_(task=task),) + loops[1:])
+    path = tmp_path / "s.yaml"
+    save_scenario(sc, path)
+    assert load_scenario(path) == sc
 
 
 def test_from_mapping_reports_field_paths():
@@ -462,14 +509,14 @@ _BUILTINS = "cpu-1, cpu-2, cpu-3, cpu-4, cpu-ideal"
      "loops[0].adaptation.bta: unknown field"),
     (("adaptation",), "bta", 1.0, "adaptation.bta: unknown field"),
     (("cpu",), "level", [1.0], "cpu.level: unknown field"),
-    # a field of the wrong kind, named by its full path
+    # a field of the wrong kind or not finite, named by its full path
     (("loops", 0, "plant"), "den", [50.0, "x"],
      "loops[0].plant.den[1]: expected float, got 'x'"),
     (("cpu",), "levels", "x", "cpu.levels: expected list, got 'x'"),
     (("loops", 0, "gains"), "kd", True, "loops[0].gains.kd: expected float, got True"),
-    # a failed range check, named by the path of its part
     (("loops", 0, "gains"), "kp", math.nan,
-     "loops[0].gains: gain kp must be a number, got nan"),
+     "loops[0].gains.kp: must be finite, got nan"),
+    # a failed range check, named by the path of its part
     (("loops", 0, "adaptation"), "e_min", 0.5,
      "loops[0].adaptation: need 0 <= e_min < e_max, got e_min=0.5 e_max=0.3"),
     (("adaptation",), "beta", -1.0, "adaptation: beta must be positive, got -1.0"),
