@@ -42,10 +42,11 @@ class TraceRecorder:
     """The trace of a run, one row per visit.
 
     ``visits`` holds (tick, r, alpha, periods, u) per trace visit, the
-    periods in force (seconds) and the held actuator values by loop index,
-    and ``loops`` holds (loop id, y) per loop, y one sample per visit.  Row
-    k is visit k: time_s = tick * 1e-6, r and alpha, then per loop, in
-    listing order, y, u and h_eff_ms = h * 1000.0.
+    periods in force (seconds) and the held actuator values per loop, and
+    ``loops`` holds (loop id, y) per loop, y one sample per visit; all
+    three per-loop lists are in the same order, the run's task-id order.
+    Row k is visit k: time_s = tick * 1e-6, r and alpha, then per loop, in
+    that order, y, u and h_eff_ms = h * 1000.0.
     """
 
     def __init__(self, visits, loops):

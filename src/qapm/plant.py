@@ -147,8 +147,10 @@ class StateSpacePlant:
         # Offset of the next sample instant from the current one.
         self._sample_in = 0 if sample_every_us else math.inf
         self._advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us)
-        self.x, self.y, self.iae, _, _ = self._advance(
-            [0.0] * n, 0.0, 0.0, 0.0, 0, 0, math.inf, None, None)
+        # At rest: y = 0.0 + c0*x0 + ... is +0.0, as every c_i is finite.
+        self.x = [0.0] * n
+        self.y = 0.0
+        self.iae = 0.0
 
     def sample(self) -> float:
         """Output y = C x as of the last advance; `actuate` leaves it valid."""

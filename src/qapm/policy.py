@@ -39,7 +39,7 @@ __all__ = [
 EXACT_LEVEL_TOL = 1e-12
 
 # Feasible float sums may land a few ulps above 1; treat that as 1.
-_ONE_SLACK = 1e-9
+ONE_SLACK = 1e-9
 
 
 class ConfigurationError(ValueError):
@@ -352,7 +352,7 @@ def decide(
     base = list(base_periods)
     base[trigger] = adapt_period(error, spec)
     alpha_ideal = ideal_speed(zip(work, base))
-    if alpha_ideal > 1.0 + _ONE_SLACK:
+    if alpha_ideal > 1.0 + ONE_SLACK:
         alpha = 1.0
         periods = base[:]
     else:
@@ -365,7 +365,7 @@ def decide(
         p = in_flight[j]
         demand += w / (periods[j] if j == trigger or p is None else p * 1e-6)
     if demand > alpha + EXACT_LEVEL_TOL:
-        if demand <= 1.0 + _ONE_SLACK:
+        if demand <= 1.0 + ONE_SLACK:
             alpha = quantize_speed(demand, levels)
         else:
             w = work[trigger]

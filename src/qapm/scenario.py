@@ -30,8 +30,8 @@ import re
 
 from .pid import PidGains
 from .plant import TransferFunction
-from .policy import (AdaptationParams, ConfigurationError, CpuLevels, TaskSpec,
-                     Value, checked, ideal_speed)
+from .policy import (ONE_SLACK, AdaptationParams, ConfigurationError,
+                     CpuLevels, TaskSpec, Value, checked, ideal_speed)
 
 __all__ = [
     "MODES",
@@ -125,7 +125,7 @@ class Scenario(Value):
             errors.append(f"loops: duplicate task ids {ids}")
         if loops:
             u = ideal_speed((lp.task.c_nom, lp.task.h0) for lp in loops)
-            if u > 1.0 + 1e-9:
+            if u > 1.0 + ONE_SLACK:
                 errors.append(f"loops: nominal workload sum(c_nom/h0) = "
                               f"{u:.6f} exceeds 1; task set infeasible")
         if errors:

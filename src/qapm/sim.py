@@ -18,6 +18,12 @@ decision is applied at a release (whether or not the speed changes), when
 it completes (before a held slow-down is applied), and when the dispatcher
 switches jobs.  The float sums depend on that order.
 
+The run holds its loops in task-id order, whatever order the scenario
+lists them in: loop i is the loop with the i-th lowest task id in every
+per-loop list, so in `decide`'s inputs and float sums, in the trace's
+columns and in the report's per-loop keys.  The results therefore do not
+depend on the listing.
+
 Each rule the loop applies at several places has one owner: `_advance`
 (a plant to a tick), `_charge`, `_completion_tick` (recomputed wherever the
 rate changes) and `_switch` (a speed with its stall).
@@ -45,7 +51,7 @@ Each release makes one power-manager decision, `policy.decide`, from the
 simulator's plain lists: the adapted base periods, each loop's last drawn
 execution time and the period, in ticks, of each loop's job in flight.  The
 periods in force it returns are one list, kept as returned, which the
-controller, the release and the trace read by loop index.
+controller, the release and the trace read in task-id order.
 Under ``qapm`` the decision also covers the job windows it leaves in
 force, so EDF meets every deadline; when even full speed falls short, the
 trigger's new period is lengthened just enough to fit, up to its
@@ -105,17 +111,6 @@ class Job:
         self.u = u                      # control output, applied at completion
         self.completion = None          # ticks, set when done
         self.missed = False
-
-
-class _LoopRuntime:
-    __slots__ = ("index", "task", "plant", "pid", "periods")
-
-    def __init__(self, index, task, plant, pid):
-        self.index = index              # position in the scenario's loops
-        self.task = task
-        self.plant = plant
-        self.pid = pid
-        self.periods = []               # period in force at each release, seconds
 
 
 class SimResult:
@@ -179,17 +174,14 @@ def run_loop(sc: Scenario) -> SimResult:
     end_tick = round(sc.duration_s * 1e6)
     trace_step = (None if sc.trace_cadence_ms is None
                   else round(sc.trace_cadence_ms * 1000))
-    loops = [
-        _LoopRuntime(
-            i,
-            lp.task,
-            tf_to_state_space(lp.plant, sc.micro_step_us,
-                              label=f"loop {lp.task.id}",
-                              sample_every_us=trace_step),
-            Pid(lp.gains),
-        )
-        for i, lp in enumerate(sc.loops)
-    ]
+    # Loop i is the loop with the i-th lowest task id, in every list below.
+    loops = sorted(sc.loops, key=lambda lp: lp.task.id)
+    specs = [lp.task for lp in loops]
+    plants = [tf_to_state_space(lp.plant, sc.micro_step_us,
+                                label=f"loop {lp.task.id}",
+                                sample_every_us=trace_step)
+              for lp in loops]
+    pids = [Pid(lp.gains) for lp in loops]
     # What the run records.
     # (tick, alpha) per actual speed change, tick 0 included
     speed_changes: list[tuple[int, float]] = [(0, 1.0)]
@@ -198,9 +190,11 @@ def run_loop(sc: Scenario) -> SimResult:
     utilization: list[tuple[float, float, float]] = []
     jobs: list[Job] = []
     segments: list[tuple[int, int, int]] = []
+    # period in force at each release, seconds, per loop
+    h_log: list[list[float]] = [[] for _ in specs]
     if end_tick == 0:
-        return _result(sc, end_tick, loops, speed_changes, visits,
-                       utilization, jobs, segments)
+        return _result(sc, end_tick, specs, plants, h_log, speed_changes,
+                       visits, utilization, jobs, segments)
 
     ref_step = round(sc.perturbation_s * 1e6)
     stall = sc.switch_overhead_us
@@ -209,22 +203,19 @@ def run_loop(sc: Scenario) -> SimResult:
     random = Random(sc.seed).random
     never = _NEVER
 
-    # The power manager's inputs, by loop index: the adapted periods,
-    # the last drawn execution time of each loop (jitter hook) and the
-    # period, in ticks, each loop's job in flight was released with.
-    # Its output ``periods`` is each loop's period in force, in seconds.
-    specs = [lr.task for lr in loops]
+    # The power manager's inputs: the adapted periods, the last drawn
+    # execution time of each loop (jitter hook) and the period, in ticks,
+    # each loop's job in flight was released with.  Its output ``periods``
+    # is each loop's period in force, in seconds.
     base_periods = [t.h0 for t in specs]
     periods = base_periods[:]
     work = [t.c_nom for t in specs]
     in_flight = [None] * len(specs)
-    # Each loop's next release, in task-id order, so that the first of
-    # equal ticks is the lowest task id, and the earliest of them.
-    by_task_id = sorted(loops, key=lambda lr: lr.task.id)
-    next_release = [0] * len(loops)
-    first_release = 0 if loops else never
-    plant_of = {lr.task.id: lr.plant for lr in loops}
-    plants = [lr.plant for lr in loops]
+    # Each loop's next release; the first of equal ticks is the lowest
+    # task id.
+    next_release = [0] * len(specs)
+    first_release = 0 if specs else never
+    plant_of = {t.id: plant for t, plant in zip(specs, plants)}
     ready = []              # heap of (deadline, release, task_id, job)
 
     alpha = 1.0
@@ -244,13 +235,12 @@ def run_loop(sc: Scenario) -> SimResult:
         # to the completion, then the reference step, then the release of
         # the lowest task id.
         tick = done_at
-        lr = None
+        idx = None
         if next_ref < tick:
             tick = next_ref
         if first_release < tick:
             tick = first_release
-            k = next_release.index(tick)
-            lr = by_task_id[k]
+            idx = next_release.index(tick)
         # Trace samples rank last at equal ticks.  A visit records the
         # values in force at its tick, ``periods`` uncopied, as nothing
         # mutates a list `decide` returned, and advances no plant.
@@ -262,13 +252,12 @@ def run_loop(sc: Scenario) -> SimResult:
             break
         now = tick
 
-        if lr is not None:
+        if idx is not None:
             # Release: sample the plant, decide, compute the control.
-            idx = lr.index
-            plant = lr.plant
+            plant = plants[idx]
             _advance(plant, now, r)
             e = r - plant.sample()
-            task = lr.task
+            task = specs[idx]
             w = task.c_nom
             if c_jitter > 0.0:
                 w *= 1.0 + c_jitter * (2.0 * random() - 1.0)
@@ -304,12 +293,12 @@ def run_loop(sc: Scenario) -> SimResult:
             else:
                 pending_alpha = a
             h = periods[idx]
-            u = lr.pid.compute(e, h)
+            u = pids[idx].compute(e, h)
             in_flight[idx] = ticks
             deadline = now + ticks
-            next_release[k] = deadline
+            next_release[idx] = deadline
             first_release = min(next_release)
-            lr.periods.append(h)
+            h_log[idx].append(h)
             job = Job(task.id, now, deadline, w, u)
             heappush(ready, (deadline, now, task.id, job))
             jobs.append(job)
@@ -346,8 +335,8 @@ def run_loop(sc: Scenario) -> SimResult:
             # Reference step: a square wave shared by all loops, 1 from
             # even steps, 0 from odd.  The ready set is unchanged, so is
             # the job to run.
-            for lr in loops:
-                _advance(lr.plant, now, r)
+            for plant in plants:
+                _advance(plant, now, r)
             r = 1.0 if now // ref_step % 2 == 0 else 0.0
             next_ref = now + ref_step
             if next_ref >= end_tick:  # no step at the final instant
@@ -374,16 +363,16 @@ def run_loop(sc: Scenario) -> SimResult:
     for _, _, _, job in ready:
         if job.deadline < end_tick and job.remaining > 0.0:
             job.missed = True
-    for lr in loops:
-        _advance(lr.plant, end_tick, r)
+    for plant in plants:
+        _advance(plant, end_tick, r)
     if running is not None and seg_start < end_tick:
         segments.append((seg_start, end_tick, running.task_id))
-    return _result(sc, end_tick, loops, speed_changes, visits, utilization,
-                   jobs, segments)
+    return _result(sc, end_tick, specs, plants, h_log, speed_changes, visits,
+                   utilization, jobs, segments)
 
 
-def _result(sc, end_tick, loops, speed_changes, visits, utilization, jobs,
-            segments) -> SimResult:
+def _result(sc, end_tick, specs, plants, h_log, speed_changes, visits,
+            utilization, jobs, segments) -> SimResult:
     """The report and the trace of a run from the lists it recorded."""
     integral = 0.0
     ends = [t for t, _ in speed_changes[1:]] + [end_tick]
@@ -391,21 +380,21 @@ def _result(sc, end_tick, loops, speed_changes, visits, utilization, jobs,
         integral += a * a * (t1 - t0) * 1e-6
     duration_s = end_tick * 1e-6
     period_stats = {}
-    for lr in loops:
+    for task, hs in zip(specs, h_log):
         # a loop that never released reports zeros
-        ms = [h * 1000.0 for h in lr.periods] or [0.0]
-        period_stats[lr.task.id] = {
+        ms = [h * 1000.0 for h in hs] or [0.0]
+        period_stats[task.id] = {
             "min": min(ms), "max": max(ms),
-            "mean": _sum(ms) / len(ms), "count": len(lr.periods),
+            "mean": _sum(ms) / len(ms), "count": len(hs),
         }
-    j = {lr.task.id: lr.plant.iae for lr in loops}
-    for lr in loops:
-        if len(lr.plant.samples) != len(visits):
+    j = {task.id: plant.iae for task, plant in zip(specs, plants)}
+    for plant in plants:
+        if len(plant.samples) != len(visits):
             raise RuntimeError(
-                f"{lr.plant.label}: {len(lr.plant.samples)} trace samples "
+                f"{plant.label}: {len(plant.samples)} trace samples "
                 f"for {len(visits)} visits")
-    trace = TraceRecorder(visits,
-                          [(lr.task.id, lr.plant.samples) for lr in loops])
+    trace = TraceRecorder(visits, [(task.id, plant.samples)
+                                   for task, plant in zip(specs, plants)])
     report = RunReport(
         scenario=sc.name,
         mode=sc.mode,

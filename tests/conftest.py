@@ -42,7 +42,7 @@ def overload_scenario():
 
 def long_rows(trace):
     """The trace as one tuple per loop per visit, visit by visit and loops
-    in listing order: (time_s, loop id, r, y, e, u, h_eff_ms, alpha,
+    in task-id order: (time_s, loop id, r, y, e, u, h_eff_ms, alpha,
     energy_inst), with time_s = tick * 1e-6, e = r - y, h_eff_ms =
     h * 1000.0 and energy_inst = alpha * alpha."""
     ids = [lid for lid, _ in trace.loops]

@@ -193,9 +193,9 @@ def test_trace_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("loops, header", [
     ((), "time_s,r,alpha"),
-    ((2, 0), "time_s,r,alpha,y3,u3,h_eff_ms3,y1,u1,h_eff_ms1"),
+    ((2, 0), "time_s,r,alpha,y1,u1,h_eff_ms1,y3,u3,h_eff_ms3"),
 ], ids=["no-loops", "ids-3-then-1"])
-def test_trace_csv_columns_follow_the_listing(tmp_path, loops, header):
+def test_trace_csv_columns_follow_the_task_ids(tmp_path, loops, header):
     sc = builtin_table1().with_(duration_s=0.0405)
     res = run_loop(sc.with_(loops=tuple(sc.loops[i] for i in loops)))
     assert len(res.trace.visits) == 41

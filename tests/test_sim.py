@@ -582,7 +582,11 @@ def record_sha256(res):
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
-def test_run_records_are_pinned(overload_scenario):
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["as-listed", "reversed"])
+def test_run_records_are_pinned(overload_scenario, reverse):
+    # A run holds its loops in task-id order, so a scenario that lists them
+    # reversed gives the same record and the same report.json bytes.
     cases = {
         "jitter-cpu4-seed1": jitter_cpu4(1),
         "jitter-cpu4-seed2": jitter_cpu4(2),
@@ -596,8 +600,10 @@ def test_run_records_are_pinned(overload_scenario):
     }
     got = {}
     for key, sc in cases.items():
-        res = run_loop(sc)
+        res = run_loop(sc.with_(loops=sc.loops[::-1]) if reverse else sc)
         got[key] = (record_sha256(res), res.report.misses)
+        if reverse:
+            assert res.report.to_json() == run_loop(sc).report.to_json(), key
     assert got == RECORD_SHA256
 
 
