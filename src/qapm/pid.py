@@ -32,7 +32,7 @@ class Pid:
     """
 
     def __init__(self, gains: PidGains):
-        self.gains = gains
+        self._kp, self._ki, self._kd = gains.kp, gains.ki, gains.kd
         self._integral = 0.0
         self._prev_error = 0.0
         self._primed = False
@@ -40,12 +40,11 @@ class Pid:
     def compute(self, error: float, h_s: float) -> float:
         """Control output for this sample; h_s > 0 is the sampling interval
         in seconds."""
-        g = self.gains
-        self._integral += g.ki * h_s * error
+        self._integral += self._ki * h_s * error
         if self._primed:
-            derivative = g.kd * (error - self._prev_error) / h_s
+            derivative = self._kd * (error - self._prev_error) / h_s
         else:
             derivative = 0.0
         self._prev_error = error
         self._primed = True
-        return g.kp * error + self._integral + derivative
+        return self._kp * error + self._integral + derivative

@@ -10,10 +10,15 @@ that cadence it integrates across: on the micro-step grid the y computed
 there, elsewhere one RK4 step from the last grid instant (or the span's
 start) before it.  One kernel does all of it.  Its source is unrolled for
 the plant order n and compiled once per order, on the first plant of that
-order; each plant binds it to its own coefficients, as keyword defaults
-that the kernel reads as locals.  The kernel's micro-step loop takes
-|r - y| by a sign test and adds y's leading 0.0 once per run of steps;
-both are exact because the reference is never -0.0 (see `_TEMPLATE`).
+order.  Each plant binds it, once, to everything fixed for the plant: its
+coefficients, micro step, sample cadence, samples list and label, and its
+state list (x, time, next-sample offset, IAE, y), as keyword defaults and
+closure cells that the kernel reads as locals.  One call,
+``advance(tick, r, u)``, then integrates the plant to ``tick``, rewrites
+that list and returns y; the plant's attributes are views of the list.
+The kernel takes |r - y| by a sign test and adds y's leading 0.0 once per
+run of micro steps; both give the bits the plain forms give (see
+`_TEMPLATE`).
 """
 
 from __future__ import annotations
@@ -113,14 +118,18 @@ class StateSpacePlant:
     dimensions, and a `Scenario` checks its micro step when it is built.
 
     One classical RK4 step of length h is, for this linear system with u
-    held, exactly the affine map x <- M x + N u.  Every advance goes
-    through one kernel, compiled once per plant order (see `_source`) and
-    bound to this plant's coefficients: it builds (M, N) for the micro
-    step with its own RK4 step.  The plant steps on the grid of multiples
-    of the micro step from its start, and ``time_us`` is how far it has
-    integrated.  A span that starts off the grid first takes one plain RK4
-    step back onto it, then every full micro step with the map, and a
-    shorter final step as one plain RK4 step; all in one kernel call.
+    held, exactly the affine map x <- M x + N u.  Every advance is one call
+    of ``advance(tick, r, u)``, the kernel compiled once per plant order
+    (see `_kernel`) and bound here to the plant; it returns y at ``tick``.
+    The simulator calls it directly with the input it holds; `actuate` and
+    `integrate` are the standalone form.  The kernel's state list is the
+    only copy of the state, and ``x``, ``time_us``, ``iae`` and `sample`
+    read it.  The kernel builds (M, N) for the micro step with its own RK4
+    step.  The plant steps on the grid of multiples of the micro step from
+    its start, and ``time_us`` is how far it has integrated.  A span that
+    starts off the grid first takes one plain RK4 step back onto it, then
+    every full micro step with the map, and a shorter final step as one
+    plain RK4 step; all in one kernel call.
     ``iae`` is the running integral of |r - y| over everything integrated
     so far: each step adds its trapezoid term straight into it, so how a
     span is split at micro-step boundaries does not change the sum.
@@ -140,21 +149,39 @@ class StateSpacePlant:
         self.c = [float(v) for v in c]
         self.u = 0.0
         self.micro_step_us = int(micro_step_us)
-        self.time_us = 0                # integrated up to, from the start
         self.label = label
         self.samples: list[float] = []
-        self._sample_every = sample_every_us
-        # Offset of the next sample instant from the current one.
-        self._sample_in = 0 if sample_every_us else math.inf
-        self._advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us)
-        # At rest: y = 0.0 + c0*x0 + ... is +0.0, as every c_i is finite.
-        self.x = [0.0] * n
-        self.y = 0.0
-        self.iae = 0.0
+        # At rest at time 0, with the first sample due now if any: y =
+        # 0.0 + c0*x0 + ... is +0.0, as every c_i is finite.
+        self._state = [[0.0] * n, 0, 0 if sample_every_us else math.inf,
+                       0.0, 0.0]
+        self.advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us,
+                                  sample_every_us, self.samples, label,
+                                  self._state)
+
+    @property
+    def x(self) -> list[float]:
+        """The state, the kernel's own list: the next advance starts from
+        what it holds."""
+        return self._state[0]
+
+    @x.setter
+    def x(self, values) -> None:
+        self._state[0] = [float(v) for v in values]
+
+    @property
+    def time_us(self) -> int:
+        """How far the plant has integrated, from the start."""
+        return self._state[1]
+
+    @property
+    def iae(self) -> float:
+        """The integral of |r - y| over everything integrated so far."""
+        return self._state[3]
 
     def sample(self) -> float:
         """Output y = C x as of the last advance; `actuate` leaves it valid."""
-        return self.y
+        return self._state[4]
 
     def actuate(self, u: float) -> None:
         """Replace the held actuator value."""
@@ -167,14 +194,7 @@ class StateSpacePlant:
         ``iae`` and appending y at each sample instant in the span to
         ``samples``.  Raises `DivergenceError`, naming the plant and the
         time, when the state is no longer finite."""
-        self.x, self.y, self.iae, self._sample_in, finite = self._advance(
-            self.x, self.u, r, self.iae, self.time_us, span_us,
-            self._sample_in, self._sample_every, self.samples)
-        self.time_us += span_us
-        if not finite:
-            raise DivergenceError(
-                f"{self.label}: state diverged (non-finite) "
-                f"by t = {self.time_us * 1e-6:.6f} s")
+        self.advance(self._state[1] + span_us, r, self.u)
 
 
 # Kernel factory per plant order, compiled on first use.
@@ -182,18 +202,24 @@ _KERNELS: dict = {}
 
 
 def _kernel(n: int):
-    """``make(a, b, c, micro_step_us)`` for plants of order ``n``; it returns
-    ``advance(x, u, r, iae, t, span_us, at, every, out)`` bound to the plant,
-    which integrates from time ``t`` on the grid of multiples of the micro
-    step.  It appends to ``out`` y at the offsets ``at``, ``at + every``, ...
-    that lie within the span: the y computed there at a grid instant, else
-    one RK4 step from the last grid instant before it or, while the span is
-    still off the grid, from its start.  It returns ``(x, y, iae, at,
-    finite)``: ``at`` is the offset of the next one from the span's end,
-    ``finite`` whether y and the state are."""
+    """``make(a, b, c, micro_step_us, every, out, label, state)`` for plants
+    of order ``n``.  It returns ``advance(tick, r, u)`` with everything else
+    bound: the coefficients, the micro step, the sample cadence ``every``
+    (None for no samples), the samples list ``out``, the plant's ``label``
+    and its ``state`` list [x, t, at, iae, y], which it reads and rewrites in
+    place.  A call integrates from ``t`` to ``tick`` on the grid of
+    multiples of the micro step, with the input held at ``u`` and the
+    reference at ``r``, and returns y at ``tick``.  It appends to ``out`` y
+    at the offsets ``at``, ``at + every``, ... from ``t`` that lie within
+    the span: the y computed there at a grid instant, else one RK4 step from
+    the last grid instant before it or, while the span is still off the
+    grid, from its start; ``at`` becomes the offset of the next one from
+    ``tick``.  When y or the state is no longer finite it raises
+    `DivergenceError`, naming ``label`` and ``tick``, with the state already
+    written."""
     make = _KERNELS.get(n)
     if make is None:
-        namespace: dict = {}
+        namespace: dict = {"DivergenceError": DivergenceError}
         exec(compile(_source(n), f"<qapm.plant kernel, order {n}>", "exec"),
              namespace)
         make = _KERNELS[n] = namespace["make"]
@@ -210,14 +236,16 @@ def _kernel(n: int):
 # per call.  All n*n terms are kept, zero coefficients included, so inf and
 # nan propagate as they would.  The micro-step loop leaves out y's 0.0 and
 # adds it after the loop: the sums differ only in the sign of a zero.  In
-# the loop y only enters |r - y|, as r - y if r >= y else y - r, which is
-# -(r - y) exactly; with r never -0.0, a -0.0 y gives the same bits.
+# the kernel |r - y| is r - y if r >= y else y - r, which is abs(r - y)
+# but for the sign of a zero when r is -0.0; it only enters the trapezoid
+# sums, which start from +0.0 and so end with the same bits.  A -0.0 y in
+# the loop, for a +0.0 one, moves only the sign of a zero the same way.
 # One rule gives every sample, at two sites: at a grid instant it is the y
 # computed there, elsewhere one RK4 step on temporaries from the last grid
 # instant or, in the lead-region loop, from the span's start.  The main
 # loop takes every sample from the lead step's end to the span's end.
 _TEMPLATE = """\
-def make(a, b, c, step_us):
+def make(a, b, c, step_us, every, out, label, st):
     {a_vars}, = a
     {b_vars}, = b
     {c_vars}, = c
@@ -242,13 +270,15 @@ def make(a, b, c, step_us):
     {m_vars}, = [col[i] for i in range({n}) for col in cols]
     {n_vars}, = rk4(*[0.0] * {n}, *[v * 1.0 for v in b], h)
 
-    def advance(x, u, r, iae, t, span, at, every, out,
+    def advance(tick, r, u, st=st, out=out, every=every,
                 {advance_bind},
                 step_us=step_us, half_h=step_us * 0.5e-6, rk4=rk4):
+        x, t, at, iae, y = st
         {x_vars}, = x
+        span = tick - t
         {d_vars}, = {bu},
         y = {y}
-        e = abs(r - y)
+        e = r - y if r >= y else y - r
         # Off the grid, a partial step back onto it first, or across the
         # whole span if that ends sooner.
         lead = -t % step_us
@@ -261,12 +291,13 @@ def make(a, b, c, step_us):
                 at += every
             {x_vars}, = rk4({x_vars}, {d_vars}, lead * 1e-6)
             y = {y}
-            f = abs(r - y)
+            f = r - y if r >= y else y - r
             iae += (e + f) * (lead * 0.5e-6)
             e = f
             span -= lead
             at -= lead
-        full, rem = divmod(span, step_us)
+        full = span // step_us
+        rem = span % step_us
         {g}
         done = 0
         while True:
@@ -292,10 +323,20 @@ def make(a, b, c, step_us):
         if rem:
             {x_vars}, = rk4({x_vars}, {d_vars}, rem * 1e-6)
             y = {y}
-            iae += (e + abs(r - y)) * (rem * 0.5e-6)
+            f = r - y if r >= y else y - r
+            iae += (e + f) * (rem * 0.5e-6)
+        st[0] = [{x_vars}]
+        st[1] = tick
+        st[2] = at - span
+        st[3] = iae
+        st[4] = y
         # y sums c_i * x_i over every i, zero coefficients included, so it
         # is finite only when the state is; y - y is nan when it is not.
-        return [{x_vars}], y, iae, at - span, y - y == 0.0
+        if y - y != 0.0:
+            raise DivergenceError(
+                f"{{label}}: state diverged (non-finite) "
+                f"by t = {{tick * 1e-6:.6f}} s")
+        return y
 
     return advance
 """

@@ -242,7 +242,9 @@ def adapt_period(e: float, spec: TaskSpec) -> float:
     there up to rounding).
     """
     h = period_scale_factor(e, spec) * spec.h0
-    return min(max(h, spec.h0), spec.h_max)
+    if h < spec.h0:
+        return spec.h0
+    return spec.h_max if h > spec.h_max else h
 
 
 def ideal_speed(tasks: Iterable[tuple[float, float]]) -> float:
@@ -267,7 +269,8 @@ def quantize_speed(alpha_ideal: float, levels: CpuLevels) -> float:
     exceeds the demand.  Ideal processors pass the value through.  A
     workload above full speed runs at full speed.
     """
-    alpha_ideal = min(alpha_ideal, 1.0)
+    if alpha_ideal > 1.0:
+        alpha_ideal = 1.0
     if levels.ideal:
         return alpha_ideal
     # The first level >= the demand less the tolerance; the top level is

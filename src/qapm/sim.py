@@ -24,21 +24,27 @@ per-loop list, so in `decide`'s inputs and float sums, in the trace's
 columns and in the report's per-loop keys.  The results therefore do not
 depend on the listing.
 
-Each rule the loop applies at several places has one owner: `_advance`
-(a plant to a tick), `_charge`, `_completion_tick` (recomputed wherever the
-rate changes) and `_switch` (a speed with its stall).
+Each rule the loop applies at several places has one owner: `_charge`,
+`_completion_tick` (recomputed wherever the rate changes) and `_switch` (a
+speed with its stall).
 
 Each plant integrates its dynamics, with the held actuator value, on the
 grid of micro-step instants k * micro_step_us counted from t = 0, and
 splits a step only where its own loop samples (release) or actuates
 (completion) and at reference steps.  It is advanced lazily, when one of
-those events needs its state, by one `StateSpacePlant.integrate` call to
-that event's tick; other loops' events do not touch it.  The plant keeps
-its own place on the grid (see `plant.StateSpacePlant`).
+those events needs its state, by one call of its kernel entry,
+``plant.advance(tick, r, u)``, which integrates it to that event's tick and
+returns y there; other loops' events do not touch it.  The plant's
+compiled kernel keeps its state and its place on the grid (see
+`plant.StateSpacePlant`); a call at a tick the plant has already reached
+integrates nothing.  The run keeps the held actuator values, one list in
+task-id order: a completion writes its loop's entry after advancing the
+plant, and every call passes the entry in force.
 
 The trace has one row at every multiple of ``trace_cadence_ms`` up to the
 end of the run.  A trace visit at tick t appends one tuple of what is in
-force then, (t, r, alpha, periods, u per loop), and advances no plant.
+force then, (t, r, alpha, periods, a copy of the held u), and advances no
+plant.
 Each plant writes its own y(t) while it integrates across t (see
 `plant.StateSpacePlant`).  The run hands the visits and each plant's
 samples, uncopied, to a `metrics.TraceRecorder`, which alone forms the CSV
@@ -76,7 +82,6 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from operator import attrgetter
 from random import Random
 
 from .metrics import RunReport, TraceRecorder
@@ -88,7 +93,6 @@ from .scenario import Scenario
 __all__ = ["Job", "SimResult", "run_loop"]
 
 _NEVER = math.inf  # tick of an event source with nothing pending
-_held_u = attrgetter("u")  # a plant's actuator value in force
 
 # A completion may round down to the previous tick, leaving at most one
 # tick of service unconsumed; anything larger is an accounting bug.
@@ -123,13 +127,6 @@ class SimResult:
         self.segments = segments
 
 
-def _advance(plant, tick, r):
-    """Integrate ``plant`` up to ``tick`` with the reference held at ``r``."""
-    span = tick - plant.time_us
-    if span > 0:
-        plant.integrate(span, r)
-
-
 def _charge(job, charged_at, blocked_until, now, alpha):
     """Take from ``job`` the work served at ``alpha`` from its last charge
     point ``charged_at`` to ``now``, less the switch stall that ends at
@@ -145,7 +142,8 @@ def _completion_tick(job, now, blocked_until, alpha):
     """The tick ``job`` completes at when it runs at ``alpha`` from ``now``,
     or from the end of the stall; floored, so the sub-tick residue is
     forgiven."""
-    return max(now, blocked_until) + int(job.remaining / alpha * 1e6)
+    start = now if now >= blocked_until else blocked_until
+    return start + int(job.remaining / alpha * 1e6)
 
 
 def _switch(speed_changes, now, alpha, stall, blocked_until):
@@ -182,6 +180,11 @@ def run_loop(sc: Scenario) -> SimResult:
                                 sample_every_us=trace_step)
               for lp in loops]
     pids = [Pid(lp.gains) for lp in loops]
+    # Each plant's kernel entry, ``advance(tick, r, u)`` -> y, and the
+    # actuator value each plant holds: a completion writes it, every
+    # advance passes it.
+    advances = [plant.advance for plant in plants]
+    held = [0.0] * len(loops)
     # What the run records.
     # (tick, alpha) per actual speed change, tick 0 included
     speed_changes: list[tuple[int, float]] = [(0, 1.0)]
@@ -215,7 +218,7 @@ def run_loop(sc: Scenario) -> SimResult:
     # task id.
     next_release = [0] * len(specs)
     first_release = 0 if specs else never
-    plant_of = {t.id: plant for t, plant in zip(specs, plants)}
+    index_of = {t.id: i for i, t in enumerate(specs)}
     ready = []              # heap of (deadline, release, task_id, job)
 
     alpha = 1.0
@@ -245,8 +248,7 @@ def run_loop(sc: Scenario) -> SimResult:
         # values in force at its tick, ``periods`` uncopied, as nothing
         # mutates a list `decide` returned, and advances no plant.
         while next_trace < tick and next_trace <= end_tick:
-            visits.append((next_trace, r, alpha, periods,
-                           tuple(map(_held_u, plants))))
+            visits.append((next_trace, r, alpha, periods, tuple(held)))
             next_trace += trace_step
         if tick > end_tick:
             break
@@ -254,9 +256,7 @@ def run_loop(sc: Scenario) -> SimResult:
 
         if idx is not None:
             # Release: sample the plant, decide, compute the control.
-            plant = plants[idx]
-            _advance(plant, now, r)
-            e = r - plant.sample()
+            e = r - advances[idx](now, r, held[idx])
             task = specs[idx]
             w = task.c_nom
             if c_jitter > 0.0:
@@ -328,15 +328,15 @@ def run_loop(sc: Scenario) -> SimResult:
                         alpha = pending_alpha
                         blocked_until = _switch(speed_changes, now, alpha,
                                                 stall, blocked_until)
-            plant = plant_of[job.task_id]
-            _advance(plant, now, r)
-            plant.actuate(job.u)
+            i = index_of[job.task_id]
+            advances[i](now, r, held[i])
+            held[i] = job.u
         else:
             # Reference step: a square wave shared by all loops, 1 from
             # even steps, 0 from odd.  The ready set is unchanged, so is
             # the job to run.
-            for plant in plants:
-                _advance(plant, now, r)
+            for advance, u in zip(advances, held):
+                advance(now, r, u)
             r = 1.0 if now // ref_step % 2 == 0 else 0.0
             next_ref = now + ref_step
             if next_ref >= end_tick:  # no step at the final instant
@@ -363,8 +363,8 @@ def run_loop(sc: Scenario) -> SimResult:
     for _, _, _, job in ready:
         if job.deadline < end_tick and job.remaining > 0.0:
             job.missed = True
-    for plant in plants:
-        _advance(plant, end_tick, r)
+    for advance, u in zip(advances, held):
+        advance(end_tick, r, u)
     if running is not None and seg_start < end_tick:
         segments.append((seg_start, end_tick, running.task_id))
     return _result(sc, end_tick, specs, plants, h_log, speed_changes, visits,

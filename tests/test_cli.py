@@ -475,6 +475,21 @@ def test_builtin_runs_do_not_import_yaml(tmp_path):
     assert (tmp_path / "sweep" / "cpu-4" / "scenario.yaml").is_file()
 
 
+def test_kernels_compile_inside_run_loop():
+    # Importing the command line and building a scenario compiles no plant
+    # kernel; the first run compiles one per plant order it meets, inside
+    # run_loop, where the benchmark's sim_speed_x times it.
+    code = ("import qapm.cli, qapm.plant as plant, qapm.scenario as s, "
+            "qapm.sim as sim; print(len(plant._KERNELS)); "
+            "sc = s.builtin_table1().with_(duration_s=0.01); "
+            "print(len(plant._KERNELS)); sim.run_loop(sc); "
+            "print(sorted(plant._KERNELS))")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == ["0", "0", "[1, 2]"]
+
+
 def test_sweep_emits_summary_table(tmp_path):
     out = tmp_path / "sweep"
     p = run_cli("sweep", "--builtin", "table1", "--all-cpus",

@@ -15,8 +15,7 @@ import pytest
 
 from qapm import policy, sim
 from qapm.pid import Pid, PidGains
-from qapm.plant import (DivergenceError, StateSpacePlant, TransferFunction,
-                        tf_to_state_space)
+from qapm.plant import DivergenceError, TransferFunction, tf_to_state_space
 from qapm.policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec
 from qapm.scenario import MODES, LoopSpec, Scenario, builtin_table1, resolve_cpu
 from qapm.sim import _RESIDUE_TICKS, run_loop
@@ -397,18 +396,34 @@ def test_report_sums_run_left_to_right(bench_runs):
             assert rep.period_stats_ms[tid]["mean"] == mean, (name, tid)
 
 
+def count_advances(monkeypatch):
+    """A list that records (label, span, tick) for every call the run makes
+    of a plant's kernel entry, ``advance(tick, r, u)``."""
+    calls = []
+    build = sim.tf_to_state_space
+
+    def counted_plant(*args, **kwargs):
+        plant = build(*args, **kwargs)
+        advance = plant.advance
+
+        def counted(tick, r, u):
+            span = tick - plant.time_us
+            y = advance(tick, r, u)
+            calls.append((plant.label, span, tick))
+            return y
+
+        plant.advance = counted
+        return plant
+
+    monkeypatch.setattr(sim, "tf_to_state_space", counted_plant)
+    return calls
+
+
 @pytest.mark.parametrize("cpu", ["cpu-1", "cpu-2", "cpu-ideal"])
 def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
     # A trace sample observes the run and changes nothing in it; not even
-    # how the plants' spans are cut, so the integrate calls are the same.
-    calls = []
-    integrate = StateSpacePlant.integrate
-
-    def counted(plant, *args):
-        calls.append(plant)
-        return integrate(plant, *args)
-
-    monkeypatch.setattr(StateSpacePlant, "integrate", counted)
+    # how the plants' spans are cut, so the kernel calls are the same.
+    calls = count_advances(monkeypatch)
     sc = builtin_table1(cpu=resolve_cpu(cpu)).with_(duration_s=2.0)
     first = None
     for cadence in (0.25, 0.5, 1.0, 2.0, 10.0, None):
@@ -417,7 +432,7 @@ def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
         assert len(long_rows(res.trace)) == (
             0 if cadence is None else (round(2000 / cadence) + 1) * 4)
         seen = (
-            len(calls),
+            calls[:],
             [(j.task_id, j.release, j.deadline, j.completion, j.missed)
              for j in res.jobs],
             res.report.speed_changes,
@@ -646,24 +661,21 @@ def test_pid_interval_is_the_released_jobs_period(monkeypatch):
 
 
 def test_one_integrate_call_per_plant_advance(monkeypatch):
-    # Each advance is one kernel call that ends at the instant of the event
-    # that needs the plant: its own loop's release or completion, a
-    # reference step, or the end of the run.  Each release makes one
-    # power-manager decision.  The jitter run steps off the micro-step grid
-    # at every completion.
-    calls = []
+    # Each event that needs a plant is one call of its kernel entry, which
+    # ends at the instant of that event: its own loop's release or
+    # completion, a reference step, or the end of the run.  The calls that
+    # integrate are pinned, and no two share a plant and an instant.  The
+    # only calls that integrate nothing are the reference step and the
+    # first release at t = 0, one each per plant.  Each release makes one
+    # power-manager decision.  The jitter run steps off the micro-step
+    # grid at every completion.
+    all_calls = count_advances(monkeypatch)
     decisions = []
-    integrate = StateSpacePlant.integrate
-
-    def counted(plant, span_us, r=0.0):
-        integrate(plant, span_us, r)
-        calls.append((plant.label, span_us, plant.time_us))
 
     def counted_decide(*args):
         decisions.append(args[1])
         return policy.decide(*args)
 
-    monkeypatch.setattr(StateSpacePlant, "integrate", counted)
     monkeypatch.setattr("qapm.sim.decide", counted_decide)
     cases = (
         (builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0),
@@ -671,9 +683,13 @@ def test_one_integrate_call_per_plant_advance(monkeypatch):
         (jitter_cpu4(1), 6_851, 3_404),
     )
     for sc, n_calls, n_decisions in cases:
-        calls.clear()
+        all_calls.clear()
         decisions.clear()
         res = run_loop(sc)
+        calls = [call for call in all_calls if call[1]]
+        labels = [f"loop {lp.task.id}" for lp in sc.loops]
+        assert sorted(call for call in all_calls if not call[1]) == \
+            sorted((label, 0, 0) for label in labels * 2)
         end, step = round(sc.duration_s * 1e6), round(sc.perturbation_s * 1e6)
         common = set(range(0, end, step)) | {end}  # reference steps, the end
         instants = {f"loop {lp.task.id}": set(common) for lp in sc.loops}
