@@ -34,17 +34,15 @@ class Pid:
     def __init__(self, gains: PidGains):
         self._kp, self._ki, self._kd = gains.kp, gains.ki, gains.kd
         self._integral = 0.0
-        self._prev_error = 0.0
-        self._primed = False
+        self._prev_error = None
 
     def compute(self, error: float, h_s: float) -> float:
         """Control output for this sample; h_s > 0 is the sampling interval
         in seconds."""
         self._integral += self._ki * h_s * error
-        if self._primed:
-            derivative = self._kd * (error - self._prev_error) / h_s
-        else:
+        if self._prev_error is None:
             derivative = 0.0
+        else:
+            derivative = self._kd * (error - self._prev_error) / h_s
         self._prev_error = error
-        self._primed = True
         return self._kp * error + self._integral + derivative

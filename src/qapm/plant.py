@@ -10,12 +10,12 @@ that cadence it integrates across: on the micro-step grid the y computed
 there, elsewhere one RK4 step from the last grid instant (or the span's
 start) before it.  One kernel does all of it.  Its source is unrolled for
 the plant order n and compiled once per order, on the first plant of that
-order.  Each plant binds it, once, to everything fixed for the plant: its
-coefficients, micro step, sample cadence, samples list and label, and its
-state list (x, time, next-sample offset, IAE, y), as keyword defaults and
-closure cells that the kernel reads as locals.  One call,
-``advance(tick, r, u)``, then integrates the plant to ``tick``, rewrites
-that list and returns y; the plant's attributes are views of the list.
+order.  Each plant binds it, once, to itself and to everything fixed for
+the plant: its coefficients, micro step, sample cadence, samples list and
+label, as keyword defaults and closure cells that the kernel reads as
+locals.  One call, ``advance(tick, r, u)``, then integrates the plant to
+``tick``, writes its state attributes (x, time, next-sample offset, IAE, y)
+and returns y.
 The kernel takes |r - y| by a sign test and adds y's leading 0.0 once per
 run of micro steps; both give the bits the plain forms give (see
 `_TEMPLATE`).
@@ -122,14 +122,16 @@ class StateSpacePlant:
     of ``advance(tick, r, u)``, the kernel compiled once per plant order
     (see `_kernel`) and bound here to the plant; it returns y at ``tick``.
     The simulator calls it directly with the input it holds; `actuate` and
-    `integrate` are the standalone form.  The kernel's state list is the
-    only copy of the state, and ``x``, ``time_us``, ``iae`` and `sample`
-    read it.  The kernel builds (M, N) for the micro step with its own RK4
-    step.  The plant steps on the grid of multiples of the micro step from
-    its start, and ``time_us`` is how far it has integrated.  A span that
-    starts off the grid first takes one plain RK4 step back onto it, then
-    every full micro step with the map, and a shorter final step as one
-    plain RK4 step; all in one kernel call.
+    `integrate` are the standalone form.  The state is the plant's own
+    attributes ``x``, ``time_us``, ``next_sample_us``, ``iae`` and ``y``,
+    which only the kernel writes after ``__init__``, but for an ``x`` a
+    caller assigns or edits in place: the kernel recomputes y from ``x`` on
+    entry, so the next advance starts from it.  The kernel builds (M, N) for the micro step
+    with its own RK4 step.  The plant steps on the grid of multiples of the
+    micro step from its start, and ``time_us`` is how far it has
+    integrated.  A span that starts off the grid first takes one plain RK4
+    step back onto it, then every full micro step with the map, and a
+    shorter final step as one plain RK4 step; all in one kernel call.
     ``iae`` is the running integral of |r - y| over everything integrated
     so far: each step adds its trapezoid term straight into it, so how a
     span is split at micro-step boundaries does not change the sum.
@@ -153,35 +155,16 @@ class StateSpacePlant:
         self.samples: list[float] = []
         # At rest at time 0, with the first sample due now if any: y =
         # 0.0 + c0*x0 + ... is +0.0, as every c_i is finite.
-        self._state = [[0.0] * n, 0, 0 if sample_every_us else math.inf,
-                       0.0, 0.0]
-        self.advance = _kernel(n)(self.a, self.b, self.c, self.micro_step_us,
-                                  sample_every_us, self.samples, label,
-                                  self._state)
-
-    @property
-    def x(self) -> list[float]:
-        """The state, the kernel's own list: the next advance starts from
-        what it holds."""
-        return self._state[0]
-
-    @x.setter
-    def x(self, values) -> None:
-        self._state[0] = [float(v) for v in values]
-
-    @property
-    def time_us(self) -> int:
-        """How far the plant has integrated, from the start."""
-        return self._state[1]
-
-    @property
-    def iae(self) -> float:
-        """The integral of |r - y| over everything integrated so far."""
-        return self._state[3]
+        self.x = [0.0] * n
+        self.time_us = 0
+        self.next_sample_us = 0 if sample_every_us else math.inf
+        self.iae = 0.0
+        self.y = 0.0
+        self.advance = _kernel(n)(self, sample_every_us)
 
     def sample(self) -> float:
         """Output y = C x as of the last advance; `actuate` leaves it valid."""
-        return self._state[4]
+        return self.y
 
     def actuate(self, u: float) -> None:
         """Replace the held actuator value."""
@@ -194,7 +177,7 @@ class StateSpacePlant:
         ``iae`` and appending y at each sample instant in the span to
         ``samples``.  Raises `DivergenceError`, naming the plant and the
         time, when the state is no longer finite."""
-        self.advance(self._state[1] + span_us, r, self.u)
+        self.advance(self.time_us + span_us, r, self.u)
 
 
 # Kernel factory per plant order, compiled on first use.
@@ -202,21 +185,21 @@ _KERNELS: dict = {}
 
 
 def _kernel(n: int):
-    """``make(a, b, c, micro_step_us, every, out, label, state)`` for plants
-    of order ``n``.  It returns ``advance(tick, r, u)`` with everything else
-    bound: the coefficients, the micro step, the sample cadence ``every``
-    (None for no samples), the samples list ``out``, the plant's ``label``
-    and its ``state`` list [x, t, at, iae, y], which it reads and rewrites in
-    place.  A call integrates from ``t`` to ``tick`` on the grid of
-    multiples of the micro step, with the input held at ``u`` and the
-    reference at ``r``, and returns y at ``tick``.  It appends to ``out`` y
-    at the offsets ``at``, ``at + every``, ... from ``t`` that lie within
-    the span: the y computed there at a grid instant, else one RK4 step from
-    the last grid instant before it or, while the span is still off the
-    grid, from its start; ``at`` becomes the offset of the next one from
-    ``tick``.  When y or the state is no longer finite it raises
-    `DivergenceError`, naming ``label`` and ``tick``, with the state already
-    written."""
+    """``make(p, every)`` for plants of order ``n``.  It returns
+    ``advance(tick, r, u)`` with everything else bound: the plant ``p``, its
+    coefficients, micro step, samples list ``out`` and ``label``, and the
+    sample cadence ``every`` (None for no samples).  A call reads ``p.x``,
+    the time ``t = p.time_us``, the next-sample offset
+    ``at = p.next_sample_us`` and ``p.iae``, integrates from ``t`` to
+    ``tick`` on the grid of multiples of the micro step, with the input held
+    at ``u`` and the reference at ``r``, writes those four and ``p.y`` back
+    and returns y at ``tick``.  It appends to ``out`` y at the offsets
+    ``at``, ``at + every``, ... from ``t`` that lie within the span: the y
+    computed there at a grid instant, else one RK4 step from the last grid
+    instant before it or, while the span is still off the grid, from its
+    start; ``at`` becomes the offset of the next one from ``tick``.  When y
+    or the state is no longer finite it raises `DivergenceError`, naming
+    ``label`` and ``tick``, with the state already written."""
     make = _KERNELS.get(n)
     if make is None:
         namespace: dict = {"DivergenceError": DivergenceError}
@@ -227,9 +210,9 @@ def _kernel(n: int):
 
 
 # Each placeholder is one line of source; ``{n}`` is the only input, and
-# coefficients arrive as arguments of ``make``, never as source text; rk4
-# and advance bind them as keyword defaults, read as locals.  Every sum keeps
-# the left-to-right order of a loop over the index, so results do not
+# coefficients come from the plant given to ``make``, never as source text;
+# rk4 and advance bind them as keyword defaults, read as locals.  Every sum
+# keeps the left-to-right order of a loop over the index, so results do not
 # depend on unrolling: row i of the map is g_i + m_i0*x0 + m_i1*x1 + ...,
 # the output 0.0 + c0*x0 + c1*x1 + ... (the 0.0 turns a -0.0 into +0.0),
 # each RK4 stage d_i + a_i0*s0 + a_i1*s1 + ... with d_i = b_i*u formed once
@@ -245,10 +228,11 @@ def _kernel(n: int):
 # instant or, in the lead-region loop, from the span's start.  The main
 # loop takes every sample from the lead step's end to the span's end.
 _TEMPLATE = """\
-def make(a, b, c, step_us, every, out, label, st):
-    {a_vars}, = a
-    {b_vars}, = b
-    {c_vars}, = c
+def make(p, every):
+    {a_vars}, = p.a
+    {b_vars}, = p.b
+    {c_vars}, = p.c
+    step_us, out, label = p.micro_step_us, p.samples, p.label
 
     def rk4({x_vars}, {d_vars}, h, {a_bind}):
         hh = h * 0.5
@@ -265,16 +249,16 @@ def make(a, b, c, step_us, every, out, label, st):
     # Column j of M is one step from the unit vector e_j with u = 0;
     # N is one step from x = 0 with u = 1.
     h = step_us * 1e-6
-    cols = [rk4(*[float(i == j) for i in range({n})], *[v * 0.0 for v in b], h)
-            for j in range({n})]
+    cols = [rk4(*[float(i == j) for i in range({n})],
+                *[v * 0.0 for v in p.b], h) for j in range({n})]
     {m_vars}, = [col[i] for i in range({n}) for col in cols]
-    {n_vars}, = rk4(*[0.0] * {n}, *[v * 1.0 for v in b], h)
+    {n_vars}, = rk4(*[0.0] * {n}, *[v * 1.0 for v in p.b], h)
 
-    def advance(tick, r, u, st=st, out=out, every=every,
+    def advance(tick, r, u, p=p, out=out, every=every,
                 {advance_bind},
                 step_us=step_us, half_h=step_us * 0.5e-6, rk4=rk4):
-        x, t, at, iae, y = st
-        {x_vars}, = x
+        {x_vars}, = p.x
+        t, at, iae = p.time_us, p.next_sample_us, p.iae
         span = tick - t
         {d_vars}, = {bu},
         y = {y}
@@ -325,11 +309,11 @@ def make(a, b, c, step_us, every, out, label, st):
             y = {y}
             f = r - y if r >= y else y - r
             iae += (e + f) * (rem * 0.5e-6)
-        st[0] = [{x_vars}]
-        st[1] = tick
-        st[2] = at - span
-        st[3] = iae
-        st[4] = y
+        p.x = [{x_vars}]
+        p.time_us = tick
+        p.next_sample_us = at - span
+        p.iae = iae
+        p.y = y
         # y sums c_i * x_i over every i, zero coefficients included, so it
         # is finite only when the state is; y - y is nan when it is not.
         if y - y != 0.0:

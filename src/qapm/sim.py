@@ -34,12 +34,13 @@ splits a step only where its own loop samples (release) or actuates
 (completion) and at reference steps.  It is advanced lazily, when one of
 those events needs its state, by one call of its kernel entry,
 ``plant.advance(tick, r, u)``, which integrates it to that event's tick and
-returns y there; other loops' events do not touch it.  The plant's
-compiled kernel keeps its state and its place on the grid (see
-`plant.StateSpacePlant`); a call at a tick the plant has already reached
-integrates nothing.  The run keeps the held actuator values, one list in
-task-id order: a completion writes its loop's entry after advancing the
-plant, and every call passes the entry in force.
+returns y there; other loops' events do not touch it.  The plant keeps
+its state and its place on the grid as its own attributes, which the
+kernel reads and writes (see `plant.StateSpacePlant`); a call at a tick
+the plant has already reached integrates nothing.  The run keeps the held
+actuator values, one list in task-id order: a completion writes its
+loop's entry after advancing the plant, and every call passes the entry
+in force.
 
 The trace has one row at every multiple of ``trace_cadence_ms`` up to the
 end of the run.  A trace visit at tick t appends one tuple of what is in

@@ -509,6 +509,25 @@ def test_sweep_emits_summary_table(tmp_path):
     assert set(summary) == set(cases)
 
 
+def test_sweep_from_scenario_file_equals_builtin_sweep(tmp_path):
+    # A saved table1 swept from its file writes the tree and prints the
+    # lines that sweeping the builtin does, byte for byte.
+    path = tmp_path / "table1.yaml"
+    save_scenario(builtin_table1(), path)
+    runs = []
+    for name, source in (("a", ("--scenario", str(path))),
+                         ("b", ("--builtin", "table1"))):
+        out = tmp_path / name
+        p = run_cli("sweep", *source, "--all-cpus", "--duration", "0.1",
+                    "--out", str(out))
+        assert p.returncode == 0, p.stderr
+        files = {f.relative_to(out).as_posix(): f.read_bytes()
+                 for f in out.rglob("*") if f.is_file()}
+        runs.append((p.stdout, files))
+    assert len(runs[0][1]) == 20
+    assert runs[0] == runs[1]
+
+
 def test_sweep_keeps_no_finished_case(tmp_path, monkeypatch, capsys):
     # Once a case's line is printed, its SimResult and RunReport are
     # garbage: the next case runs without them.

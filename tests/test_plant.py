@@ -428,6 +428,43 @@ def test_kernel_equals_generic_loops_exactly(micro):
         assert met == {"lead step end", "span end off the grid"}, n
 
 
+def test_advance_equals_actuate_and_integrate_exactly():
+    # `advance(tick, r, u)`, as the simulator calls it, and the standalone
+    # `actuate` + `integrate` drive twin plants to the same bits: spans on
+    # and off the 100 us grid, zero spans, and a 130 us sample cadence that
+    # falls on the grid only every 1.3 ms.
+    rng = random.Random(7)
+    a, b = (tf_to_state_space(LOOP3_TF, micro_step_us=100,
+                              sample_every_us=130) for _ in range(2))
+    for span in (0, 100, 37, 63, 250, 0, 1_000, 1, 99, 4_321):
+        u, r = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
+        y = a.advance(a.time_us + span, r, u)
+        b.actuate(u)
+        b.integrate(span, r)
+        assert bits(a.x) == bits(b.x), span
+        assert bits([y, a.sample(), a.iae]) == \
+            bits([b.sample(), b.sample(), b.iae]), span
+        assert a.time_us == b.time_us
+        assert bits(a.samples) == bits(b.samples), span
+    assert a.time_us == 5_871 and len(a.samples) == 46
+
+
+def test_advance_starts_from_an_assigned_state():
+    # A fresh plant given another plant's state, by assignment or in place,
+    # advances from it: on the grid, with the same input, both reach the
+    # same x and y.
+    p = loop2_plant()
+    p.advance(30_000, 1.0, 2.0)
+    q, s = loop2_plant(), loop2_plant()
+    q.x = list(p.x)
+    s.x[:] = p.x
+    y = p.advance(p.time_us + 12_345, 1.0, -1.0)
+    for other in (q, s):
+        assert other.advance(12_345, 1.0, -1.0) == y
+        assert bits(other.x) == bits(p.x)
+    assert y != loop2_plant().advance(12_345, 1.0, -1.0)
+
+
 def test_sample_at_a_step_end_is_the_output_there():
     # A sample at the end of a span's final partial step, or at the end of
     # the partial step back onto the grid, is the y that step computed.
