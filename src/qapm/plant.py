@@ -9,16 +9,23 @@ A plant given a sample cadence also writes its output at every multiple of
 that cadence it integrates across: on the micro-step grid the y computed
 there, elsewhere one RK4 step from the last grid instant (or the span's
 start) before it.  One kernel does all of it.  Its source is unrolled for
-the plant order n and compiled once per order, on the first plant of that
-order.  Each plant binds it, once, to itself and to everything fixed for
-the plant: its coefficients, micro step, sample cadence, samples list and
-label, as keyword defaults and closure cells that the kernel reads as
-locals.  One call, ``advance(tick, r, u)``, then integrates the plant to
-``tick``, writes its state attributes (x, time, next-sample offset, IAE, y)
-and returns y.
+the plant order n and the plant's pattern of exact zeros and ones, and
+compiled once per order and coefficient pattern, on the first plant that
+has them.  It leaves out every term whose A, B or C coefficient is exactly
+zero and every multiplication by an A or B coefficient of exactly 1.0;
+the controllable-canonical realization is mostly such coefficients, and
+leaving them out changes no output bit.  Each plant binds the kernel,
+once, to itself and to everything fixed for the plant: its coefficients,
+micro step, sample cadence, samples list and label, as keyword defaults
+and closure cells that the kernel reads as locals.  One call, ``advance(tick, r, u)``,
+then integrates the plant to ``tick``, writes its state attributes (x,
+time, next-sample offset, IAE, y) and returns y.  A cadence of a whole
+number k of micro steps puts every sample on the grid; after the first
+sample in a span the kernel takes the rest k micro steps apart, a block at
+a time.
 The kernel takes |r - y| by a sign test and adds y's leading 0.0 once per
-run of micro steps; both give the bits the plain forms give (see
-`_TEMPLATE`).
+run of micro steps; these forms, like the terms it leaves out, give the
+bits the plain forms give (see `_TEMPLATE`).
 """
 
 from __future__ import annotations
@@ -119,15 +126,19 @@ class StateSpacePlant:
 
     One classical RK4 step of length h is, for this linear system with u
     held, exactly the affine map x <- M x + N u.  Every advance is one call
-    of ``advance(tick, r, u)``, the kernel compiled once per plant order
-    (see `_kernel`) and bound here to the plant; it returns y at ``tick``.
-    The simulator calls it directly with the input it holds; `actuate` and
-    `integrate` are the standalone form.  The state is the plant's own
-    attributes ``x``, ``time_us``, ``next_sample_us``, ``iae`` and ``y``,
-    which only the kernel writes after ``__init__``, but for an ``x`` a
-    caller assigns or edits in place: the kernel recomputes y from ``x`` on
-    entry, so the next advance starts from it.  The kernel builds (M, N) for the micro step
-    with its own RK4 step.  The plant steps on the grid of multiples of the
+    of ``advance(tick, r, u)``, the kernel compiled once per plant order and
+    pattern of exact zeros and ones in A, B and C (see `_kernel`), and
+    bound here to the plant; it returns y at ``tick``.  The coefficients
+    are read once, here: the pattern picks the kernel, and the values are
+    bound into it.  The simulator calls it directly with the input it
+    holds; `actuate` and `integrate` are the standalone form.  The state is
+    the plant's own attributes ``x``, ``time_us``, ``next_sample_us``,
+    ``iae`` and ``y``, which only the kernel writes after ``__init__``, but
+    for an ``x`` a caller assigns or edits in place: the kernel recomputes
+    y from ``x`` on entry, so the next advance starts from it.  The kernel
+    builds (M, N) for the micro step with its own RK4 step, which leaves
+    out A's and B's zero terms as every RK4 step does; M and N are used
+    whole.  The plant steps on the grid of multiples of the
     micro step from its start, and ``time_us`` is how far it has
     integrated.  A span that starts off the grid first takes one plain RK4
     step back onto it, then every full micro step with the map, and a
@@ -140,7 +151,9 @@ class StateSpacePlant:
     from the start, appended while a span crosses that instant.  At a grid
     instant it is the y computed there; anywhere else it is one RK4 step on
     temporaries from the last grid instant before it, or from the span's
-    start while the span is still off the grid.
+    start while the span is still off the grid.  A cadence of a whole
+    number of micro steps has every sample on the grid, so each is the y
+    computed there.
     """
 
     def __init__(self, a, b, c, micro_step_us: int,
@@ -160,7 +173,7 @@ class StateSpacePlant:
         self.next_sample_us = 0 if sample_every_us else math.inf
         self.iae = 0.0
         self.y = 0.0
-        self.advance = _kernel(n)(self, sample_every_us)
+        self.advance = _kernel(n, _pattern(self))(self, sample_every_us)
 
     def sample(self) -> float:
         """Output y = C x as of the last advance; `actuate` leaves it valid."""
@@ -180,14 +193,27 @@ class StateSpacePlant:
         self.advance(self.time_us + span_us, r, self.u)
 
 
-# Kernel factory per plant order, compiled on first use.
+# Kernel factory per (plant order, coefficient pattern), compiled on first
+# use.
 _KERNELS: dict = {}
 
 
-def _kernel(n: int):
-    """``make(p, every)`` for plants of order ``n``.  It returns
-    ``advance(tick, r, u)`` with everything else bound: the plant ``p``, its
-    coefficients, micro step, samples list ``out`` and ``label``, and the
+def _pattern(p: StateSpacePlant) -> str:
+    """Which of ``p``'s A, B and C coefficients the kernel's source leaves
+    out or does not multiply by: '0' for an exact zero (either sign), '1'
+    for an exact 1.0 in A or B, '*' for any other, a 1.0 in C among them;
+    A row-major, then B, then C."""
+    def cls(v, one=True):
+        return "0" if v == 0.0 else "1" if one and v == 1.0 else "*"
+    return "".join([cls(v) for v in p.a + p.b]
+                   + [cls(v, one=False) for v in p.c])
+
+
+def _kernel(n: int, pattern: str):
+    """``make(p, every)`` for plants of order ``n`` whose coefficients have
+    ``pattern`` (see `_pattern`).  It returns ``advance(tick, r, u)`` with
+    everything else bound: the plant ``p``, its coefficients, micro step,
+    samples list ``out`` (through its ``append``) and ``label``, and the
     sample cadence ``every`` (None for no samples).  A call reads ``p.x``,
     the time ``t = p.time_us``, the next-sample offset
     ``at = p.next_sample_us`` and ``p.iae``, integrates from ``t`` to
@@ -197,44 +223,70 @@ def _kernel(n: int):
     ``at``, ``at + every``, ... from ``t`` that lie within the span: the y
     computed there at a grid instant, else one RK4 step from the last grid
     instant before it or, while the span is still off the grid, from its
-    start; ``at`` becomes the offset of the next one from ``tick``.  When y
-    or the state is no longer finite it raises `DivergenceError`, naming
-    ``label`` and ``tick``, with the state already written."""
-    make = _KERNELS.get(n)
+    start; ``at`` becomes the offset of the next one from ``tick``.  When a
+    cadence is a whole number k of micro steps, every sample is on the grid,
+    and after the first one in a span it takes the rest k micro steps apart,
+    a block at a time.  When y or the state is no longer finite it raises
+    `DivergenceError`, naming ``label`` and ``tick``, with the state already
+    written."""
+    make = _KERNELS.get((n, pattern))
     if make is None:
         namespace: dict = {"DivergenceError": DivergenceError}
-        exec(compile(_source(n), f"<qapm.plant kernel, order {n}>", "exec"),
+        exec(compile(_source(n, pattern),
+                     f"<qapm.plant kernel, order {n}, {pattern}>", "exec"),
              namespace)
-        make = _KERNELS[n] = namespace["make"]
+        make = _KERNELS[n, pattern] = namespace["make"]
     return make
 
 
-# Each placeholder is one line of source; ``{n}`` is the only input, and
+# Each placeholder is one line of source; the order ``{n}`` and the pattern
+# of exact zeros and ones in A, B and C are the only inputs, and
 # coefficients come from the plant given to ``make``, never as source text;
 # rk4 and advance bind them as keyword defaults, read as locals.  Every sum
-# keeps the left-to-right order of a loop over the index, so results do not
-# depend on unrolling: row i of the map is g_i + m_i0*x0 + m_i1*x1 + ...,
-# the output 0.0 + c0*x0 + c1*x1 + ... (the 0.0 turns a -0.0 into +0.0),
-# each RK4 stage d_i + a_i0*s0 + a_i1*s1 + ... with d_i = b_i*u formed once
-# per call.  All n*n terms are kept, zero coefficients included, so inf and
-# nan propagate as they would.  The micro-step loop leaves out y's 0.0 and
-# adds it after the loop: the sums differ only in the sign of a zero.  In
-# the kernel |r - y| is r - y if r >= y else y - r, which is abs(r - y)
-# but for the sign of a zero when r is -0.0; it only enters the trapezoid
-# sums, which start from +0.0 and so end with the same bits.  A -0.0 y in
-# the loop, for a +0.0 one, moves only the sign of a zero the same way.
-# One rule gives every sample, at two sites: at a grid instant it is the y
+# keeps the left-to-right order of a loop over the index, less the terms
+# the pattern drops: row i of the map is g_i + m_i0*x0 + m_i1*x1 + ...
+# (all n*n terms; M and N are whatever RK4 makes of A and B), the output
+# 0.0 + c0*x0 + c1*x1 + ... (the 0.0 turns a -0.0 into +0.0), each RK4
+# stage d_i + a_i0*s0 + a_i1*s1 + ... with d_i = b_i*u formed once per
+# call.  A term whose A, B or C coefficient is exactly +-0.0 is left out,
+# and a factor of A or B that is exactly 1.0 is not multiplied by; an empty
+# sum is 0.0.  C's ones stay multiplied, so plants that differ only there
+# share a kernel.  On finite values that changes at most the sign of a
+# zero: v + (+-0.0) is v unless v is a zero, v * 1.0 is v, and a sum or
+# product of operands equal but for the signs of zeros is equal but for the
+# sign of a zero.  Nothing with such a zero leaves the kernel: y and every
+# sample pass through a leading 0.0 or 0.0 + y, and the IAE sums terms of
+# |r - y| >= 0 onto +0.0, so every output has the bits the full sums give.
+# Only a non-finite state could tell: where a kept 0.0 * inf would be nan,
+# a term left out may leave a component finite.  But the first non-finite
+# value comes from the same operation either way, no + or * makes a finite
+# value of a non-finite operand, every RK4 step's x_i is x_i plus more, and
+# the map keeps all its terms; so whether the state is finite at the end of
+# a call does not change.  The end-of-call check tests y and each x_i
+# whose C term was left out, which y no longer sees.
+# The micro-step loop leaves out y's 0.0 and adds it after the loop or in
+# ``0.0 + y`` for a sample: the sums differ only in the sign of a zero.  In
+# the kernel |r - y| is r - y if r >= y else y - r, which is abs(r - y) but
+# for the sign of a zero when r is -0.0; it only enters the trapezoid sums,
+# which start from +0.0 and so end with the same bits.  A -0.0 y in the
+# loop, for a +0.0 one, moves only the sign of a zero the same way.  One
+# rule gives every sample, at two sites: at a grid instant it is the y
 # computed there, elsewhere one RK4 step on temporaries from the last grid
 # instant or, in the lead-region loop, from the span's start.  The main
-# loop takes every sample from the lead step's end to the span's end.
+# loop takes every sample from the lead step's end to the span's end; with
+# ``blk = range(k)`` for a cadence of k whole micro steps, it takes the
+# first of them and then the rest in blocks of k steps, one sample after
+# each block.
 _TEMPLATE = """\
 def make(p, every):
     {a_vars}, = p.a
     {b_vars}, = p.b
     {c_vars}, = p.c
     step_us, out, label = p.micro_step_us, p.samples, p.label
+    # A cadence of k whole micro steps puts every sample on the grid.
+    blk = range(every // step_us) if every and not every % step_us else None
 
-    def rk4({x_vars}, {d_vars}, h, {a_bind}):
+    def rk4({rk4_params}):
         hh = h * 0.5
         h6 = h / 6.0
         {k1}
@@ -249,18 +301,18 @@ def make(p, every):
     # Column j of M is one step from the unit vector e_j with u = 0;
     # N is one step from x = 0 with u = 1.
     h = step_us * 1e-6
-    cols = [rk4(*[float(i == j) for i in range({n})],
-                *[v * 0.0 for v in p.b], h) for j in range({n})]
+    cols = [rk4(*[float(i == j) for i in range({n})], {d_u0}h)
+            for j in range({n})]
     {m_vars}, = [col[i] for i in range({n}) for col in cols]
-    {n_vars}, = rk4(*[0.0] * {n}, *[v * 1.0 for v in p.b], h)
+    {n_vars}, = rk4(*[0.0] * {n}, {d_u1}h)
 
-    def advance(tick, r, u, p=p, out=out, every=every,
+    def advance(tick, r, u, p=p, append=out.append, every=every, blk=blk,
                 {advance_bind},
                 step_us=step_us, half_h=step_us * 0.5e-6, rk4=rk4):
         {x_vars}, = p.x
         t, at, iae = p.time_us, p.next_sample_us, p.iae
         span = tick - t
-        {d_vars}, = {bu},
+        {d_set}
         y = {y}
         e = r - y if r >= y else y - r
         # Off the grid, a partial step back onto it first, or across the
@@ -270,10 +322,10 @@ def make(p, every):
             lead = span
         if lead:
             while at < lead:
-                {s_vars}, = rk4({x_vars}, {d_vars}, at * 1e-6)
-                out.append({y_s})
+                {s_vars}, = rk4({x_vars}, {d_args}at * 1e-6)
+                append({y_s})
                 at += every
-            {x_vars}, = rk4({x_vars}, {d_vars}, lead * 1e-6)
+            {x_vars}, = rk4({x_vars}, {d_args}lead * 1e-6)
             y = {y}
             f = r - y if r >= y else y - r
             iae += (e + f) * (lead * 0.5e-6)
@@ -293,19 +345,32 @@ def make(p, every):
                 f = r - y if r >= y else y - r
                 iae += (e + f) * half_h
                 e = f
-            y = 0.0 + y
             if at > span:
                 break
             done = upto
             part = at - upto * step_us
             if part:
-                {s_vars}, = rk4({x_vars}, {d_vars}, part * 1e-6)
-                out.append({y_s})
+                {s_vars}, = rk4({x_vars}, {d_args}part * 1e-6)
+                append({y_s})
             else:
-                out.append(y)
+                append(0.0 + y)
+                if blk:
+                    # The span's later samples, a block of k steps apart.
+                    more = (span - at) // every
+                    for _ in range(more):
+                        for _ in blk:
+                            {x_vars}, = {map},
+                            y = {y_loop}
+                            f = r - y if r >= y else y - r
+                            iae += (e + f) * half_h
+                            e = f
+                        append(0.0 + y)
+                    at += more * every
+                    done = at // step_us
             at += every
+        y = 0.0 + y
         if rem:
-            {x_vars}, = rk4({x_vars}, {d_vars}, rem * 1e-6)
+            {x_vars}, = rk4({x_vars}, {d_args}rem * 1e-6)
             y = {y}
             f = r - y if r >= y else y - r
             iae += (e + f) * (rem * 0.5e-6)
@@ -314,9 +379,9 @@ def make(p, every):
         p.next_sample_us = at - span
         p.iae = iae
         p.y = y
-        # y sums c_i * x_i over every i, zero coefficients included, so it
-        # is finite only when the state is; y - y is nan when it is not.
-        if y - y != 0.0:
+        # v - v is nan for a non-finite v, else 0.0.  y is finite only
+        # when each x_i it sums is; the x_i it leaves out are added here.
+        if {finite} != 0.0:
             raise DivergenceError(
                 f"{{label}}: state diverged (non-finite) "
                 f"by t = {{tick * 1e-6:.6f}} s")
@@ -326,9 +391,14 @@ def make(p, every):
 """
 
 
-def _source(n: int) -> str:
-    """Source of the kernel factory for order ``n``, fully unrolled."""
+def _source(n: int, pattern: str) -> str:
+    """Source of the kernel factory for order ``n`` and coefficient
+    ``pattern`` (see `_pattern`), fully unrolled."""
     idx = range(n)
+    a_pat, b_pat, c_pat = pattern[:n * n], pattern[n * n:-n], pattern[-n:]
+    a_used = [f"a{i}_{j}" for i in idx for j in idx if a_pat[i * n + j] == "*"]
+    b_in = [i for i in idx if b_pat[i] != "0"]
+    c_in = [i for i in idx if c_pat[i] != "0"]
 
     def vec(fmt):
         return ", ".join(fmt.format(i=i) for i in idx)
@@ -336,36 +406,55 @@ def _source(n: int) -> str:
     def mat(name):
         return ", ".join(f"{name}{i}_{j}" for i in idx for j in idx)
 
-    def row(first, coef, v, i):
-        return first + "".join(f" + {coef}{i}_{j} * {v}{j}" for j in idx)
+    def total(terms, first=""):
+        return " + ".join([first] * bool(first) + terms) or "0.0"
+
+    def factor(coef, v, kind):  # no multiplication by an exact 1.0
+        return v if kind == "1" else f"{coef} * {v}"
 
     def deriv(k, s):  # k = A s + d with d = B u, one tuple assignment
-        return (vec(k + "{i}") + ", = "
-                + ", ".join(row(f"d{i}", "a", s, i) for i in idx) + ",")
+        def row(i):
+            return total([f"d{i}"] * (i in b_in) + [
+                factor(f"a{i}_{j}", f"{s}{j}", a_pat[i * n + j])
+                for j in idx if a_pat[i * n + j] != "0"])
+        return vec(k + "{i}") + ", = " + ", ".join(map(row, idx)) + ","
 
     def stage(k, h):  # s = x + h k
         return vec("s{i}") + ", = " + vec(f"x{{i}} + {h} * {k}{{i}}") + ","
 
-    def bind(*names):  # name=name: a keyword default, read as a local
-        return ", ".join(f"{v}={v}" for group in names for v in group.split(", "))
+    def output(v, first="0.0"):  # y = C v over the kept terms
+        return total([f"c{i} * {v}{i}" for i in c_in], first)
 
-    a_vars, b_vars, c_vars = mat("a"), vec("b{i}"), vec("c{i}")
-    m_vars, n_vars = mat("m"), vec("n{i}")
+    def d_of(u):  # the kept d_i = b_i * u, each followed by ", "
+        return "".join(factor(f"b{i}", u, b_pat[i]) + ", " for i in b_in)
+
+    def bind(names):  # name=name: a keyword default, read as a local
+        return [f"{v}={v}" for v in names]
+
+    m_vars, n_vars, x_vars = mat("m"), vec("n{i}"), vec("x{i}")
     return _TEMPLATE.format(
         n=n,
-        a_vars=a_vars, b_vars=b_vars, c_vars=c_vars, m_vars=m_vars,
-        n_vars=n_vars, x_vars=vec("x{i}"), s_vars=vec("s{i}"),
-        d_vars=vec("d{i}"), a_bind=bind(a_vars),
-        advance_bind=bind(m_vars, n_vars, c_vars, b_vars),
-        bu=vec("b{i} * u"),
+        a_vars=mat("a"), b_vars=vec("b{i}"), c_vars=vec("c{i}"),
+        m_vars=m_vars, n_vars=n_vars, x_vars=x_vars, s_vars=vec("s{i}"),
+        rk4_params=", ".join([x_vars] + [f"d{i}" for i in b_in] + ["h"]
+                             + bind(a_used)),
+        d_args="".join(f"d{i}, " for i in b_in),
+        d_u0=d_of("0.0"), d_u1=d_of("1.0"),
+        advance_bind=", ".join(bind(m_vars.split(", ") + n_vars.split(", ")
+                                    + [f"c{i}" for i in c_in]
+                                    + [f"b{i}" for i in b_in
+                                       if b_pat[i] == "*"])),
+        d_set="; ".join(f"d{i} = " + factor(f"b{i}", "u", b_pat[i])
+                        for i in b_in),
         k1=deriv("p", "x"), s2=stage("p", "hh"),
         k2=deriv("q", "s"), s3=stage("q", "hh"),
         k3=deriv("v", "s"), s4=stage("v", "h"),
         k4=deriv("w", "s"),
         step=vec("x{i} + h6 * (p{i} + 2.0 * q{i} + 2.0 * v{i} + w{i})"),
-        y="0.0" + "".join(f" + c{i} * x{i}" for i in idx),
-        y_loop=" + ".join(f"c{i} * x{i}" for i in idx),
-        y_s="0.0" + "".join(f" + c{i} * s{i}" for i in idx),
+        y=output("x"), y_loop=output("x", first=""), y_s=output("s"),
+        finite="y - y" + "".join(f" + x{i} - x{i}" for i in idx
+                                 if i not in c_in),
         g="; ".join(f"g{i} = n{i} * u" for i in idx),
-        map=", ".join(row(f"g{i}", "m", "x", i) for i in idx),
+        map=", ".join(total([f"m{i}_{j} * x{j}" for j in idx], f"g{i}")
+                      for i in idx),
     )

@@ -368,12 +368,15 @@ def test_kernel_equals_generic_loops_exactly(micro):
     # it, or from the span's start while the span is off the grid.  Each
     # order meets the two boundaries of that rule: a sample at the end of
     # the lead step back onto the grid, and one at a span end off the grid.
-    # Zero and negative coefficients, a plant at rest and a zero input
-    # exercise signed zeros.
+    # A cadence of three micro steps takes a sample where a span starts on
+    # the grid and the span's later ones a block of three steps apart.  Zero
+    # and negative coefficients, a plant at rest and a zero input exercise
+    # signed zeros; coefficients of exactly 1.0 the ones the kernel does not
+    # multiply by.
     rng = random.Random(7000 + micro)
 
     def coef():
-        return rng.choice((0.0, -1.0, rng.uniform(-2.0, 2.0)))
+        return rng.choice((0.0, 1.0, -1.0, rng.uniform(-2.0, 2.0)))
 
     for n in range(1, MAX_STATE + 1):
         a = [rng.uniform(-8.0, 0.5) if i == j else coef()
@@ -381,9 +384,9 @@ def test_kernel_equals_generic_loops_exactly(micro):
         b = [coef() for _ in range(n)]
         c = [-1.0] + [coef() for _ in range(n - 1)]
         met = set()
-        # every micro step, then at a cadence off the grid
+        # every micro step, every third, then at a cadence off the grid
         off_grid = rng.randint(0, 2) * micro + rng.randint(1, micro - 1)
-        for every in (micro, off_grid):
+        for every in (micro, 3 * micro, off_grid):
             p = StateSpacePlant(a, b, c, micro_step_us=micro,
                                 sample_every_us=every)
             x, iae, now, samples = list(p.x), 0.0, 0, []
@@ -392,10 +395,14 @@ def test_kernel_equals_generic_loops_exactly(micro):
                 part = rng.randint(1, micro - 1)
                 lead = -now % micro
                 if k < 10:
-                    # at rest first; then with a partial final step, whole
-                    # steps only, or a partial step only
-                    span = 0 if k == 0 else (full + part, full, part)[k % 3]
-                elif every == micro:
+                    # at rest first, for an instant or, every third micro
+                    # step, from a sample at the span's start; then with a
+                    # partial final step, whole steps only, or a partial
+                    # step only
+                    span = (full + part, full, part)[k % 3]
+                    if k == 0 and every != 3 * micro:
+                        span = 0
+                elif every % micro == 0:
                     # off the grid, then across a sample at the lead's end
                     span = lead + full if lead else part
                 else:
@@ -406,11 +413,16 @@ def test_kernel_equals_generic_loops_exactly(micro):
                 r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
                 p.actuate(u)
                 p.integrate(span, r)
-                for at in range(len(samples) * every, now + span + 1, every):
+                first = len(samples) * every
+                for at in range(first, now + span + 1, every):
                     if lead and at == now + lead:
                         met.add("lead step end")
                     if at == now + span and at % micro:
                         met.add("span end off the grid")
+                    if at == now < now + span and every == 3 * micro:
+                        met.add("span start on the grid")
+                    if at > first and every == 3 * micro:
+                        met.add("block of 3 steps")
                     done = max(now, at // micro * micro)
                     x_done = generic_march(a, b, c, x, u, r, 0.0, done - now,
                                            micro, now)[0]
@@ -425,7 +437,8 @@ def test_kernel_equals_generic_loops_exactly(micro):
                 assert bits(p.x) == bits(x), (n, every, span)
                 assert bits([p.iae, p.sample()]) == bits([iae, y]), \
                     (n, every, span)
-        assert met == {"lead step end", "span end off the grid"}, n
+        assert met == {"lead step end", "span end off the grid",
+                       "span start on the grid", "block of 3 steps"}, n
 
 
 def test_advance_equals_actuate_and_integrate_exactly():
@@ -525,6 +538,17 @@ def test_divergence_raises_with_label():
     p.x[0] = 1.0
     with pytest.raises(DivergenceError, match="runaway"):
         p.integrate(20_000_000)
+
+
+def test_divergence_seen_in_a_state_component_y_leaves_out():
+    # y = x0 leaves x1 out, and x1 does not reach x0.  A span of one
+    # partial step, which takes no step of the map, carries u = inf into x1
+    # alone; y stays 0.0, and the call still raises.
+    p = StateSpacePlant([-1.0, 0.0, 0.0, -1.0], [0.0, 1.0], [1.0, 0.0],
+                        micro_step_us=1000, label="hidden")
+    with pytest.raises(DivergenceError, match="^hidden: state diverged"):
+        p.advance(500, 0.0, math.inf)
+    assert p.y == 0.0 and p.x[0] == 0.0 and math.isnan(p.x[1])
 
 
 @pytest.mark.parametrize("n", (1, 2, MAX_STATE))
