@@ -1,7 +1,8 @@
 """Three-stage power manager: period adaptation, voltage scaling, reclaiming.
 
 The manager runs every time a control task releases a new job, as one
-call of `decide`.  It first stretches or shrinks the sampling period of the
+call of the decision `manager` binds to a run's tasks, levels and mode.
+It first stretches or shrinks the sampling period of the
 triggering loop according to how large its control error currently is
 (small error -> long period -> less work).  It then picks the lowest
 discrete CPU speed that still fits the total workload, and shrinks *all*
@@ -9,8 +10,9 @@ sampling periods by the resulting workload/speed ratio so the CPU ends up
 exactly 100% utilized.  Last, it raises the speed where the jobs already in
 flight need more, so EDF meets every deadline.
 
-Everything in this module is a pure function over value types; no shared
-mutable state, safe to call concurrently.
+The value types are immutable and the functions pure; a bound decision
+keeps no state between calls and modifies none of its inputs, so it is
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ __all__ = [
     "CpuLevels",
     "ConfigurationError",
     "checked",
-    "period_scale_factor",
-    "adapt_period",
     "ideal_speed",
     "quantize_speed",
     "reclaim_periods",
-    "decide",
+    "manager",
 ]
 
 # |alpha_ideal - level| below this counts as an exact level match.
@@ -159,8 +159,8 @@ class AdaptationParams(Value):
             )
         # The ends of the exponential interpolation, fixed per parameter
         # set; not fields, so not in repr, eq or the constructor.  Equal
-        # ends, from a beta too small or too large for float, leave
-        # `period_scale_factor` nothing to interpolate between.
+        # ends, from a beta too small or too large for float, leave the
+        # period adaptation (see `manager`) nothing to interpolate between.
         lo, hi = math.exp(-beta * e_max), math.exp(-beta * e_min)
         if lo == hi:
             raise ConfigurationError(
@@ -216,37 +216,6 @@ class CpuLevels(Value):
                 raise ConfigurationError(f"highest level must be 1.0, got {levels[-1]}")
 
 
-def period_scale_factor(e: float, spec: TaskSpec) -> float:
-    """Period scale factor (>= 1) for finite absolute control error ``e``.
-
-    Returns ``h_max/h0`` when the loop is near steady state (e <= e_min),
-    1 when the error is large (e >= e_max), and an exponential
-    interpolation in between.  Continuous at both thresholds and
-    non-increasing in ``e``.
-    """
-    p = spec.adaptation
-    ratio = spec.stretch_limit
-    if e <= p.e_min:
-        return ratio
-    if e >= p.e_max:
-        return 1.0
-    lo = p._exp_lo
-    w = (math.exp(-p.beta * e) - lo) / (p._exp_hi - lo)
-    return w * (ratio - 1.0) + 1.0
-
-
-def adapt_period(e: float, spec: TaskSpec) -> float:
-    """New sampling period for error ``e``: scale factor times h0.
-
-    Result is clamped to [h0, h_max] (the scale factor already lands
-    there up to rounding).
-    """
-    h = period_scale_factor(e, spec) * spec.h0
-    if h < spec.h0:
-        return spec.h0
-    return spec.h_max if h > spec.h_max else h
-
-
 def ideal_speed(tasks: Iterable[tuple[float, float]]) -> float:
     """Workload of the task set: sum of c_nom / period.
 
@@ -298,19 +267,12 @@ def _ticks(seconds: float) -> int:
     return int(seconds * 1e6 + 0.5)
 
 
-def decide(
-    specs: Sequence[TaskSpec],
-    trigger: int,
-    error: float,
-    base_periods: Sequence[float],
-    in_flight: Sequence[int | None],
-    work: Sequence[float],
-    levels: CpuLevels,
-    mode: str = "qapm",
-) -> tuple[list[float], list[float], int, float, float]:
-    """One power-manager decision at a release of loop ``trigger``.
+def manager(specs: Sequence[TaskSpec], levels: CpuLevels, mode: str = "qapm"):
+    """The power manager of one run, bound to its tasks, levels and mode.
 
-    Returns ``(base_periods, periods, ticks, alpha_ideal, alpha)``: the
+    Returns ``decide(trigger, error, base_periods, in_flight, work)``, the
+    decision at a release of loop ``trigger``, which returns
+    ``(base_periods, periods, ticks, alpha_ideal, alpha)``: the
     error-adapted periods before reclaiming and the periods in force, both
     in seconds; the trigger's period in whole microsecond ticks, which
     ``periods[trigger]`` equals under ``qapm``; the workload and the speed
@@ -321,12 +283,15 @@ def decide(
     its first release.
 
     Under ``qapm`` only the trigger's base period is re-adapted from
-    ``error``.  The speed is the lowest level that fits the workload and
-    every period is reclaimed by alpha_ideal / alpha; a workload above
-    full speed runs at full speed and reclaims nothing.  The speed then
-    also covers the job windows in force until the next decision: the
-    trigger's new job at its new period and every other job in flight at
-    the period it was released with,
+    ``error``: h0 times h_max/h0 up to ``e_min``, 1 from ``e_max`` on, and
+    1 + (h_max/h0 - 1) * w in between, w the exponential interpolation
+    (exp(-beta*e) - exp(-beta*e_max)) / (exp(-beta*e_min) -
+    exp(-beta*e_max)); clamped to [h0, h_max].  The speed is the lowest
+    level that fits the workload and every period is reclaimed by
+    alpha_ideal / alpha; a workload above full speed runs at full speed
+    and reclaims nothing.  The speed then also covers the job windows in
+    force until the next decision: the trigger's new job at its new period
+    and every other job in flight at the period it was released with,
 
         D = w_i/h'_i + sum_{j != i} w_j/P_j
 
@@ -340,41 +305,70 @@ def decide(
 
     ``osdvs`` and ``dvs-only`` keep the nominal periods; osDVS runs at the
     workload itself, DVS-only at its quantized level; ``periods[trigger]``
-    is h0 there, from which ``ticks * 1e-6`` can differ in the last bit.
-    Pure: the inputs are not modified.
+    is h0 there, from which ``ticks * 1e-6`` can differ in the last bit,
+    and every decision returns the same list of them, twice.
+    Each task's constants are read once, here.  ``decide`` keeps no state
+    between calls and modifies none of its inputs; a caller modifies no
+    list it returns.
     """
-    spec = specs[trigger]
     if mode != "qapm":
-        base = [s.h0 for s in specs]
+        nominal = [s.h0 for s in specs]
+        nominal_ticks = [_ticks(h) for h in nominal]
+        osdvs = mode == "osdvs"
+
+        def decide(trigger, error, base_periods, in_flight, work):
+            alpha_ideal = ideal_speed(zip(work, nominal))
+            alpha = (min(alpha_ideal, 1.0) if osdvs
+                     else quantize_speed(alpha_ideal, levels))
+            return nominal, nominal, nominal_ticks[trigger], alpha_ideal, alpha
+        return decide
+
+    # Per task: h0, h_max, the stretch limit h_max/h0, e_min, e_max, beta,
+    # the interpolation's ends and h_max in ticks.
+    tasks = [(s.h0, s.h_max, s.stretch_limit, s.adaptation.e_min,
+              s.adaptation.e_max, s.adaptation.beta, s.adaptation._exp_lo,
+              s.adaptation._exp_hi, _ticks(s.h_max)) for s in specs]
+    exp, ceil = math.exp, math.ceil
+    full = 1.0 + ONE_SLACK
+
+    def decide(trigger, error, base_periods, in_flight, work):
+        h0, h_max, ratio, e_min, e_max, beta, lo, hi, h_max_us = tasks[trigger]
+        if error <= e_min:
+            h = ratio * h0
+        elif error >= e_max:
+            h = h0
+        else:
+            h = ((exp(-beta * error) - lo) / (hi - lo) * (ratio - 1.0)
+                 + 1.0) * h0
+        if h < h0:
+            h = h0
+        elif h > h_max:
+            h = h_max
+        base = list(base_periods)
+        base[trigger] = h
         alpha_ideal = ideal_speed(zip(work, base))
-        if mode == "osdvs":
-            alpha = min(alpha_ideal, 1.0)
+        if alpha_ideal > full:
+            alpha = 1.0
+            periods = base[:]
         else:
             alpha = quantize_speed(alpha_ideal, levels)
-        return base, base, _ticks(spec.h0), alpha_ideal, alpha
-    base = list(base_periods)
-    base[trigger] = adapt_period(error, spec)
-    alpha_ideal = ideal_speed(zip(work, base))
-    if alpha_ideal > 1.0 + ONE_SLACK:
-        alpha = 1.0
-        periods = base[:]
-    else:
-        alpha = quantize_speed(alpha_ideal, levels)
-        periods = reclaim_periods(base, alpha_ideal, alpha)
-    ticks = _ticks(periods[trigger])
-    periods[trigger] = ticks * 1e-6
-    demand = 0.0
-    for j, w in enumerate(work):
-        p = in_flight[j]
-        demand += w / (periods[j] if j == trigger or p is None else p * 1e-6)
-    if demand > alpha + EXACT_LEVEL_TOL:
-        if demand <= 1.0 + ONE_SLACK:
-            alpha = quantize_speed(demand, levels)
-        else:
-            w = work[trigger]
-            free = 1.0 - (demand - w / periods[trigger])
-            fit = spec.h_max if free * spec.h_max <= w else w / free
-            ticks = min(math.ceil(fit * 1e6), _ticks(spec.h_max))
-            periods[trigger] = ticks * 1e-6
-            alpha = 1.0
-    return base, periods, ticks, alpha_ideal, alpha
+            periods = reclaim_periods(base, alpha_ideal, alpha)
+        ticks = _ticks(periods[trigger])
+        periods[trigger] = ticks * 1e-6
+        demand = 0.0
+        for j, w in enumerate(work):
+            p = in_flight[j]
+            demand += w / (periods[j] if j == trigger or p is None
+                           else p * 1e-6)
+        if demand > alpha + EXACT_LEVEL_TOL:
+            if demand <= full:
+                alpha = quantize_speed(demand, levels)
+            else:
+                w = work[trigger]
+                free = 1.0 - (demand - w / periods[trigger])
+                fit = h_max if free * h_max <= w else w / free
+                ticks = min(ceil(fit * 1e6), h_max_us)
+                periods[trigger] = ticks * 1e-6
+                alpha = 1.0
+        return base, periods, ticks, alpha_ideal, alpha
+    return decide

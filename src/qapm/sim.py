@@ -20,9 +20,9 @@ switches jobs.  The float sums depend on that order.
 
 The run holds its loops in task-id order, whatever order the scenario
 lists them in: loop i is the loop with the i-th lowest task id in every
-per-loop list, so in `decide`'s inputs and float sums, in the trace's
-columns and in the report's per-loop keys.  The results therefore do not
-depend on the listing.
+per-loop list, so in the power manager's inputs and float sums, in the
+trace's columns and in the report's per-loop keys.  The results therefore
+do not depend on the listing.
 
 Each rule the loop applies at several places has one owner: `_charge`,
 `_completion_tick` (recomputed wherever the rate changes) and `_switch` (a
@@ -54,11 +54,12 @@ the step partition nor the job accounting nor the dispatcher, so every
 result but the trace itself is the same at any trace cadence.  A cadence
 of None records no trace at all.
 
-Each release makes one power-manager decision, `policy.decide`, from the
-simulator's plain lists: the adapted base periods, each loop's last drawn
-execution time and the period, in ticks, of each loop's job in flight.  The
-periods in force it returns are one list, kept as returned, which the
-controller, the release and the trace read in task-id order.
+Each release makes one power-manager decision, a call of the ``decide``
+that `policy.manager` binds once per run, from the simulator's plain
+lists: the adapted base periods, each loop's last drawn execution time and
+the period, in ticks, of each loop's job in flight.  The periods in force
+it returns are one list, kept as returned, which the controller, the
+release and the trace read in task-id order.
 Under ``qapm`` the decision also covers the job windows it leaves in
 force, so EDF meets every deadline; when even full speed falls short, the
 trigger's new period is lengthened just enough to fit, up to its
@@ -88,7 +89,7 @@ from random import Random
 from .metrics import RunReport, TraceRecorder
 from .pid import Pid
 from .plant import tf_to_state_space
-from .policy import decide
+from .policy import manager
 from .scenario import Scenario
 
 __all__ = ["Job", "SimResult", "run_loop"]
@@ -180,7 +181,9 @@ def run_loop(sc: Scenario) -> SimResult:
                                 label=f"loop {lp.task.id}",
                                 sample_every_us=trace_step)
               for lp in loops]
-    pids = [Pid(lp.gains) for lp in loops]
+    # The power manager and each loop's control law, bound once per run.
+    decide = manager(specs, sc.cpu, sc.mode)
+    computes = [Pid(lp.gains).compute for lp in loops]
     # Each plant's kernel entry, ``advance(tick, r, u)`` -> y, and the
     # actuator value each plant holds: a completion writes it, every
     # advance passes it.
@@ -203,7 +206,6 @@ def run_loop(sc: Scenario) -> SimResult:
     ref_step = round(sc.perturbation_s * 1e6)
     stall = sc.switch_overhead_us
     c_jitter = sc.c_jitter
-    cpu, mode = sc.cpu, sc.mode
     random = Random(sc.seed).random
     never = _NEVER
 
@@ -219,7 +221,9 @@ def run_loop(sc: Scenario) -> SimResult:
     # task id.
     next_release = [0] * len(specs)
     first_release = 0 if specs else never
-    index_of = {t.id: i for i, t in enumerate(specs)}
+    ids = [t.id for t in specs]
+    c_noms = [t.c_nom for t in specs]
+    index_of = {tid: i for i, tid in enumerate(ids)}
     ready = []              # heap of (deadline, release, task_id, job)
 
     alpha = 1.0
@@ -258,8 +262,7 @@ def run_loop(sc: Scenario) -> SimResult:
         if idx is not None:
             # Release: sample the plant, decide, compute the control.
             e = r - advances[idx](now, r, held[idx])
-            task = specs[idx]
-            w = task.c_nom
+            w = c_noms[idx]
             if c_jitter > 0.0:
                 w *= 1.0 + c_jitter * (2.0 * random() - 1.0)
             work[idx] = w
@@ -267,7 +270,7 @@ def run_loop(sc: Scenario) -> SimResult:
             # computation runs, so the controller sees the period now in
             # force.
             base_periods, periods, ticks, alpha_ideal, a = decide(
-                specs, idx, abs(e), base_periods, in_flight, work, cpu, mode)
+                idx, abs(e), base_periods, in_flight, work)
             utilization.append((now * 1e-6, alpha_ideal, a))
             # Speed increases take effect at once.  A decrease is held
             # until every job in flight at decision time has completed:
@@ -294,14 +297,14 @@ def run_loop(sc: Scenario) -> SimResult:
             else:
                 pending_alpha = a
             h = periods[idx]
-            u = pids[idx].compute(e, h)
+            u = computes[idx](e, h)
             in_flight[idx] = ticks
             deadline = now + ticks
             next_release[idx] = deadline
             first_release = min(next_release)
             h_log[idx].append(h)
-            job = Job(task.id, now, deadline, w, u)
-            heappush(ready, (deadline, now, task.id, job))
+            job = Job(ids[idx], now, deadline, w, u)
+            heappush(ready, (deadline, now, ids[idx], job))
             jobs.append(job)
         elif tick == done_at:
             # Completion: charge the job, actuate its plant.

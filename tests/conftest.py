@@ -4,12 +4,14 @@ The six benchmark runs (osDVS baseline plus the five processor variants
 under the full scheme) are expensive enough to run once per session and
 share between the simulator tests and the acceptance gate.  `long_rows`
 lays a trace out one row per loop per visit, for the tests that read a
-loop's values over time.
+loop's values over time.  `scale_factors` reads the period adaptation
+law through the bound power manager.
 """
 
 import pytest
 
 from qapm.cli import SWEEP_CASES
+from qapm.policy import CpuLevels, manager
 from qapm.scenario import builtin_table1, resolve_cpu
 from qapm.sim import run_loop
 
@@ -51,3 +53,11 @@ def long_rows(trace):
             for (tick, r, alpha, periods, us), ys in zip(
                 trace.visits, zip(*[y for _, y in trace.loops]))
             for lid, y, u, h in zip(ids, ys, us, periods)]
+
+
+def scale_factors(spec):
+    """The period a decision at error e adapts ``spec``'s loop to, over
+    h0, as a function of e; the loop is alone on an ideal CPU."""
+    decide = manager((spec,), CpuLevels((1.0,), ideal=True))
+    args = [spec.h0], [None], [spec.c_nom]
+    return lambda e: decide(0, e, *args)[0][0] / spec.h0

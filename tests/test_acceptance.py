@@ -20,12 +20,13 @@ from qapm.policy import (
     CpuLevels,
     TaskSpec,
     ideal_speed,
-    period_scale_factor,
     quantize_speed,
     reclaim_periods,
 )
 from qapm.scenario import TransferFunction, builtin_table1, resolve_cpu
 from qapm.sim import run_loop
+
+from conftest import scale_factors
 
 ADAPTIVE = ("cpu-1", "cpu-2", "cpu-3", "cpu-4", "cpu-ideal")
 MULTI_LEVEL = ("cpu-1", "cpu-2", "cpu-3", "cpu-4")
@@ -138,14 +139,15 @@ def test_criterion_6_policy_property_suite(capsys):
                         AdaptationParams(beta, e_min, e_max))
         e1 = rng.uniform(0.0, e_max * 1.5)
         e2 = rng.uniform(0.0, e_max * 1.5)
-        f1 = period_scale_factor(e1, spec)
-        f2 = period_scale_factor(e2, spec)
+        factor = scale_factors(spec)
+        f1 = factor(e1)
+        f2 = factor(e2)
         assert 1.0 - 1e-12 <= f1 <= ratio + 1e-12
         if e1 != e2:
             lo_f, hi_f = (f1, f2) if e1 < e2 else (f2, f1)
             assert lo_f >= hi_f - 1e-9
-        assert abs(period_scale_factor(e_min, spec) - ratio) <= 1e-9 * ratio
-        assert abs(period_scale_factor(e_max, spec) - 1.0) <= 1e-9
+        assert abs(factor(e_min) - ratio) <= 1e-9 * ratio
+        assert abs(factor(e_max) - 1.0) <= 1e-9
     # quantization equals brute force on randomized level sets
     for _ in range(10_000):
         n = rng.randint(1, 9)

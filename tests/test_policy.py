@@ -15,13 +15,13 @@ from qapm.policy import (
     ConfigurationError,
     CpuLevels,
     TaskSpec,
-    adapt_period,
-    decide,
     ideal_speed,
-    period_scale_factor,
+    manager,
     quantize_speed,
     reclaim_periods,
 )
+
+from conftest import scale_factors
 
 ADAPT = AdaptationParams(beta=40.0, e_min=0.02, e_max=0.3)
 
@@ -42,33 +42,38 @@ NOMINAL_WORKLOAD = 1207.0 / 1260.0  # sum of c_nom / h0
 
 # --- period adaptation ----------------------------------------------------
 
+def adapted(e, spec):
+    """The period a decision at error ``e`` adapts ``spec``'s loop to."""
+    return manager((spec,), IDEAL)(0, e, [spec.h0], [None], [spec.c_nom])[0][0]
+
+
 def test_scale_factor_steady_state_pins_to_stretch_limit():
     for e in (0.0, 0.01, 0.02):
-        assert period_scale_factor(e, TASKS[0]) == 4.0
-        assert period_scale_factor(e, TASKS[1]) == pytest.approx(30.0 / 7.0)
+        assert scale_factors(TASKS[0])(e) == 4.0
+        assert scale_factors(TASKS[1])(e) == pytest.approx(30.0 / 7.0)
 
 
 def test_scale_factor_transient_pins_to_one():
     for e in (0.3, 0.5, 1.0, 100.0):
-        assert period_scale_factor(e, TASKS[0]) == 1.0
+        assert scale_factors(TASKS[0])(e) == 1.0
 
 
 def test_scale_factor_interior_oracle():
     # beta=40, thresholds 0.02/0.3, ratio 4:
     # w = (exp(-40*0.10) - exp(-12)) / (exp(-0.8) - exp(-12)), eta = 1 + 3w
-    assert period_scale_factor(0.10, TASKS[0]) == pytest.approx(
+    assert scale_factors(TASKS[0])(0.10) == pytest.approx(
         1.1222472609799168, rel=1e-12
     )
     # ratio 30/7 at e = 0.05
-    assert period_scale_factor(0.05, TASKS[1]) == pytest.approx(
+    assert scale_factors(TASKS[1])(0.05) == pytest.approx(
         1.9896067274294387, rel=1e-12
     )
 
 
 def test_scale_factor_equals_the_formula_bit_for_bit():
     # The interpolation's ends are computed once per parameter set, from
-    # the same expressions as the factor's own, so the result is the same
-    # float as the formula written out in full.
+    # the same expressions as the factor's own, so the adapted period is
+    # the same float as the formula written out in full, clamp included.
     rng = random.Random(9)
     for _ in range(2_000):
         p = AdaptationParams(rng.uniform(0.5, 120.0), rng.uniform(0.0, 0.2),
@@ -77,18 +82,19 @@ def test_scale_factor_equals_the_formula_bit_for_bit():
         e = rng.uniform(p.e_min, p.e_max)
         lo, hi = math.exp(-p.beta * p.e_max), math.exp(-p.beta * p.e_min)
         w = (math.exp(-p.beta * e) - lo) / (hi - lo)
-        assert period_scale_factor(e, spec) == w * (spec.stretch_limit - 1.0) + 1.0
+        h = (w * (spec.stretch_limit - 1.0) + 1.0) * spec.h0
+        assert adapted(e, spec) == min(max(h, spec.h0), spec.h_max)
     assert repr(ADAPT) == "AdaptationParams(beta=40.0, e_min=0.02, e_max=0.3)"
     assert ADAPT == AdaptationParams(40.0, 0.02, 0.3)
 
 
 def test_adapt_period_scales_h0_and_stays_in_range():
-    assert adapt_period(0.10, TASKS[0]) == pytest.approx(0.011222472609799167)
-    assert adapt_period(0.0, TASKS[0]) == 0.040
-    assert adapt_period(1.0, TASKS[0]) == 0.010
+    assert adapted(0.10, TASKS[0]) == pytest.approx(0.011222472609799167)
+    assert adapted(0.0, TASKS[0]) == 0.040
+    assert adapted(1.0, TASKS[0]) == 0.010
     for e in (0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 2.0):
         for spec in TASKS:
-            h = adapt_period(e, spec)
+            h = adapted(e, spec)
             assert spec.h0 <= h <= spec.h_max
 
 
@@ -105,26 +111,26 @@ def test_scale_factor_properties_randomized():
                         AdaptationParams(beta, e_min, e_max))
         e1 = rng.uniform(0.0, e_max * 1.5)
         e2 = rng.uniform(0.0, e_max * 1.5)
-        f1 = period_scale_factor(e1, spec)
-        f2 = period_scale_factor(e2, spec)
+        factor = scale_factors(spec)
+        f1 = factor(e1)
+        f2 = factor(e2)
         assert 1.0 - 1e-12 <= f1 <= ratio + 1e-12
         if e1 < e2:  # non-increasing in the error
             assert f1 >= f2 - 1e-9
         elif e2 < e1:
             assert f2 >= f1 - 1e-9
         # continuity where the exponential meets the clamps
-        assert abs(period_scale_factor(e_min, spec) - ratio) <= 1e-9 * ratio
-        assert abs(period_scale_factor(e_max, spec) - 1.0) <= 1e-9
+        assert abs(factor(e_min) - ratio) <= 1e-9 * ratio
+        assert abs(factor(e_max) - 1.0) <= 1e-9
 
 
 def test_scale_factor_local_continuity():
-    spec = TASKS[0]
+    factor = scale_factors(TASKS[0])
     rng = random.Random(7)
     for _ in range(2000):
         e = rng.uniform(0.0, 0.4)
         d = 1e-9
-        assert abs(period_scale_factor(e + d, spec)
-                   - period_scale_factor(e, spec)) < 1e-6
+        assert abs(factor(e + d) - factor(e)) < 1e-6
 
 
 # --- ideal speed ----------------------------------------------------------
@@ -244,8 +250,8 @@ NOT_RELEASED = [None] * len(TASKS)
 
 def test_decide_steady_state_ideal_cpu():
     base = [t.h_max for t in TASKS]
-    b, periods, ticks, ai, alpha = decide(TASKS, 0, 0.01, base, NOT_RELEASED,
-                                          C_NOM, IDEAL)
+    decide = manager(TASKS, IDEAL)
+    b, periods, ticks, ai, alpha = decide(0, 0.01, base, NOT_RELEASED, C_NOM)
     assert ai == pytest.approx(7.0 / 30.0, rel=1e-12)
     assert alpha == ai
     # at matched speed the reclaimed periods equal the adapted ones
@@ -255,15 +261,16 @@ def test_decide_steady_state_ideal_cpu():
 
 def test_decide_transient_ideal_cpu():
     base = [t.h0 for t in TASKS]
-    b, _, _, _, alpha = decide(TASKS, 0, 0.5, base, NOT_RELEASED, C_NOM, IDEAL)
+    decide = manager(TASKS, IDEAL)
+    b, _, _, _, alpha = decide(0, 0.5, base, NOT_RELEASED, C_NOM)
     assert b[0] == TASKS[0].h0
     assert alpha == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
 
 
 def test_decide_steady_state_two_level_cpu():
     base = [t.h_max for t in TASKS]
-    _, periods, ticks, _, alpha = decide(TASKS, 0, 0.0, base, NOT_RELEASED,
-                                         C_NOM, CPU1)
+    decide = manager(TASKS, CPU1)
+    _, periods, ticks, _, alpha = decide(0, 0.0, base, NOT_RELEASED, C_NOM)
     assert alpha == 0.5
     assert periods[1:] == pytest.approx(
         [0.014, 0.014, 0.018666666666666668], rel=1e-12)
@@ -274,7 +281,7 @@ def test_decide_steady_state_two_level_cpu():
 
 def test_decide_only_trigger_period_readapted():
     base = [0.020, 0.010, 0.012, 0.030]
-    b = decide(TASKS, 2, 0.0, base, NOT_RELEASED, C_NOM, IDEAL)[0]
+    b = manager(TASKS, IDEAL)(2, 0.0, base, NOT_RELEASED, C_NOM)[0]
     assert b[0] == base[0]
     assert b[1] == base[1]
     assert b[3] == base[3]
@@ -283,25 +290,12 @@ def test_decide_only_trigger_period_readapted():
 
 def test_decide_work_override():
     base = [t.h0 for t in TASKS]
-    ai = decide(TASKS, 0, 0.01, base, NOT_RELEASED,
-                [0.004, 0.002, 0.002, 0.002], IDEAL)[3]
+    ai = manager(TASKS, IDEAL)(0, 0.01, base, NOT_RELEASED,
+                               [0.004, 0.002, 0.002, 0.002])[3]
     # trigger parks at h_max; the drawn work doubles its share
     assert ai == pytest.approx(
         0.004 / 0.040 + 0.002 / 0.007 + 0.002 / 0.008 + 0.002 / 0.009
     )
-
-
-def test_decide_deterministic():
-    # Identical inputs give identical decisions, and the inputs are kept.
-    base = [t.h0 for t in TASKS]
-    in_flight = [10_000, 7_000, None, 9_000]
-    work = [0.0021, 0.002, 0.0019, 0.002]
-    a = decide(TASKS, 1, 0.123, base, in_flight, work, CPU2)
-    b = decide(TASKS, 1, 0.123, base, in_flight, work, CPU2)
-    assert a == b
-    assert base == [t.h0 for t in TASKS]
-    assert in_flight == [10_000, 7_000, None, 9_000]
-    assert work == [0.0021, 0.002, 0.0019, 0.002]
 
 
 # --- covering the job windows in flight -------------------------------------
@@ -318,13 +312,13 @@ def test_in_flight_demand_counts_old_period_of_jobs_in_flight():
     # trigger's own job in flight does not count.
     specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.008))
     base, work = [0.010, 0.008], [0.002, 0.002]
-    _, periods, _, ai, alpha = decide(specs, 0, 0.5, base, [20_000, 4_000],
-                                      work, IDEAL)
+    decide = manager(specs, IDEAL)
+    _, periods, _, ai, alpha = decide(0, 0.5, base, [20_000, 4_000], work)
     assert ai == pytest.approx(0.2 + 0.25)
     assert alpha == pytest.approx(0.2 + 0.5)
     assert periods == base  # a raised speed reclaims nothing more
     # a longer window in flight counts as it is and raises nothing
-    alpha = decide(specs, 0, 0.5, base, [None, 16_000], work, IDEAL)[4]
+    alpha = manager(specs, IDEAL)(0, 0.5, base, [None, 16_000], work)[4]
     assert alpha == pytest.approx(0.2 + 0.25)
 
 
@@ -333,8 +327,8 @@ def test_in_flight_demand_unreleased_loop_counts_at_new_period():
     # by 0.9; a loop not released yet counts at its reclaimed period, so
     # the demand is exactly the level.
     specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.008))
-    _, periods, ticks, _, alpha = decide(specs, 0, 0.5, [0.010, 0.008],
-                                         [None, None], [0.002, 0.002], CPU1)
+    _, periods, ticks, _, alpha = manager(specs, CPU1)(
+        0, 0.5, [0.010, 0.008], [None, None], [0.002, 0.002])
     assert alpha == 0.5
     assert ticks == 9_000
     assert periods == pytest.approx([0.009, 0.0072], rel=1e-12)
@@ -343,15 +337,15 @@ def test_in_flight_demand_unreleased_loop_counts_at_new_period():
 def test_in_flight_demand_equals_workload_when_nothing_changed():
     base = [t.h0 for t in TASKS]
     in_flight = [round(t.h0 * 1e6) for t in TASKS]
-    _, _, _, ai, alpha = decide(TASKS, 2, 1.0, base, in_flight, C_NOM, IDEAL)
+    _, _, _, ai, alpha = manager(TASKS, IDEAL)(2, 1.0, base, in_flight, C_NOM)
     assert alpha == ai == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
 
 
 def test_cover_demand_keeps_speed_that_already_covers():
     # Workload 0.4 runs at 0.45 on cpu-2; the demand 0.225 + 0.2 fits.
     specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.010))
-    alpha = decide(specs, 0, 0.5, [0.010, 0.010], [None, 10_000],
-                   [0.002, 0.002], CPU2)[4]
+    alpha = manager(specs, CPU2)(0, 0.5, [0.010, 0.010], [None, 10_000],
+                                 [0.002, 0.002])[4]
     assert alpha == 0.45
 
 
@@ -360,8 +354,8 @@ def test_cover_demand_raises_to_lowest_covering_level():
     # 0.92; a 2 ms window needs more than full speed.
     specs = (fixed(1, 0.002, 0.010), fixed(2, 0.002, 0.010))
     base, work = [0.010, 0.010], [0.002, 0.002]
-    assert decide(specs, 0, 0.5, base, [None, 4_000], work, CPU2)[4] == 0.92
-    assert decide(specs, 0, 0.5, base, [None, 2_000], work, CPU2)[4] == 1.0
+    assert manager(specs, CPU2)(0, 0.5, base, [None, 4_000], work)[4] == 0.92
+    assert manager(specs, CPU2)(0, 0.5, base, [None, 2_000], work)[4] == 1.0
 
 
 def test_fit_period_fills_the_free_capacity():
@@ -370,21 +364,21 @@ def test_fit_period_fills_the_free_capacity():
     # fits the free quarter.
     specs = (fixed(1, 0.002, 0.004, 0.040), fixed(2, 0.003, 0.012))
     base, work = [0.004, 0.012], [0.002, 0.003]
-    _, periods, ticks, _, alpha = decide(specs, 0, 0.5, base, [None, 4_000],
-                                         work, IDEAL)
+    decide = manager(specs, IDEAL)
+    _, periods, ticks, _, alpha = decide(0, 0.5, base, [None, 4_000], work)
     assert (ticks, periods[0], alpha) == (8_000, 0.008, 1.0)
     # capped at h_max when even that does not fit
     for window in (3_100, 2_000):
-        _, periods, ticks, _, alpha = decide(specs, 0, 0.5, base,
-                                             [None, window], work, IDEAL)
+        _, periods, ticks, _, alpha = decide(0, 0.5, base, [None, window],
+                                             work)
         assert (ticks, periods[0], alpha) == (40_000, 0.040, 1.0)
 
 
 def test_saturated_workload_runs_at_full_speed_without_reclaiming():
     specs = (fixed(1, 0.006, 0.010), fixed(2, 0.006, 0.010))
     base = [0.010, 0.010]
-    b, periods, ticks, ai, alpha = decide(specs, 1, 0.5, base, [None, None],
-                                          [0.006, 0.006], CPU2)
+    b, periods, ticks, ai, alpha = manager(specs, CPU2)(
+        1, 0.5, base, [None, None], [0.006, 0.006])
     assert ai == pytest.approx(1.2)
     assert alpha == 1.0
     assert ticks == 10_000
@@ -394,8 +388,9 @@ def test_saturated_workload_runs_at_full_speed_without_reclaiming():
 def test_fixed_period_modes_keep_nominal_periods():
     base = [t.h_max for t in TASKS]
     for mode, expect in (("osdvs", NOMINAL_WORKLOAD), ("dvs-only", 1.0)):
-        b, periods, ticks, ai, alpha = decide(TASKS, 0, 0.0, base, NOT_RELEASED,
-                                              C_NOM, CPU1, mode)
+        decide = manager(TASKS, CPU1, mode)
+        b, periods, ticks, ai, alpha = decide(0, 0.0, base, NOT_RELEASED,
+                                              C_NOM)
         assert b == periods == [t.h0 for t in TASKS]
         assert ticks == 10_000
         assert ai == pytest.approx(NOMINAL_WORKLOAD, rel=1e-12)
@@ -418,7 +413,7 @@ def test_adaptation_never_breaks_schedulability():
         u0 = ideal_speed((s.c_nom, s.h0) for s in specs)
         if u0 > 1.0:
             continue
-        hs = [adapt_period(rng.uniform(0.0, 0.5), s) for s in specs]
+        hs = [adapted(rng.uniform(0.0, 0.5), s) for s in specs]
         assert ideal_speed(
             (s.c_nom, h) for s, h in zip(specs, hs)
         ) <= 1.0 + 1e-9

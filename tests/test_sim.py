@@ -13,7 +13,8 @@ import re
 
 import pytest
 
-from qapm import policy, sim
+from qapm import sim
+from qapm.cli import SWEEP_CASES
 from qapm.pid import Pid, PidGains
 from qapm.plant import DivergenceError, TransferFunction, tf_to_state_space
 from qapm.policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec
@@ -671,12 +672,17 @@ def test_one_integrate_call_per_plant_advance(monkeypatch):
     # grid at every completion.
     all_calls = count_advances(monkeypatch)
     decisions = []
+    bind = sim.manager
 
-    def counted_decide(*args):
-        decisions.append(args[1])
-        return policy.decide(*args)
+    def counted_manager(*args):
+        decide = bind(*args)
 
-    monkeypatch.setattr("qapm.sim.decide", counted_decide)
+        def counted(trigger, *rest):
+            decisions.append(trigger)
+            return decide(trigger, *rest)
+        return counted
+
+    monkeypatch.setattr(sim, "manager", counted_manager)
     cases = (
         (builtin_table1(cpu=resolve_cpu("cpu-2")).with_(duration_s=2.0),
          1_348, 673),
@@ -700,6 +706,41 @@ def test_one_integrate_call_per_plant_advance(monkeypatch):
         assert len(set((label, t) for label, _, t in calls)) == len(calls)
         assert (len(calls), len(decisions)) == (n_calls, n_decisions)
         assert len(decisions) == len(res.jobs)
+
+
+def test_manager_bound_once_per_run_decides_once_per_release(monkeypatch):
+    # Each run binds the power manager once, and its decision is called
+    # once per release, in release order, for the loop released.  A
+    # decision keeps no state between calls (a second call with the same
+    # inputs gives the same result) and modifies none of its inputs.
+    bound = []
+    bind = sim.manager
+
+    def checked_manager(specs, levels, mode):
+        decide = bind(specs, levels, mode)
+        triggers = []
+        bound.append((mode, levels, triggers))
+
+        def checked(trigger, error, base_periods, in_flight, work):
+            before = (base_periods[:], in_flight[:], work[:])
+            result = decide(trigger, error, base_periods, in_flight, work)
+            assert (base_periods, in_flight, work) == before
+            assert decide(trigger, error, base_periods, in_flight,
+                          work) == result
+            triggers.append(specs[trigger].id)
+            return result
+        return checked
+
+    monkeypatch.setattr(sim, "manager", checked_manager)
+    cases = [builtin_table1(cpu=resolve_cpu(cpu), mode=mode).with_(
+        duration_s=0.5) for _, mode, cpu in SWEEP_CASES]
+    cases.append(jitter_cpu4(1))
+    for sc in cases:
+        bound.clear()
+        res = run_loop(sc)
+        assert [(mode, levels) for mode, levels, _ in bound] == \
+            [(sc.mode, sc.cpu)]
+        assert bound[0][2] == [j.task_id for j in res.jobs]
 
 
 # --- degenerate scenarios --------------------------------------------------------
