@@ -1,28 +1,23 @@
 """Continuous LTI plants: transfer functions, state-space form, integration.
 
 Plants are strictly proper single-input single-output systems driven by a
-zero-order-hold actuator: the input ``u`` stays constant between `actuate`
-calls.  Integration is classical fixed-step RK4, applied as the exact
-per-step linear map it is for such a plant, and accumulates the integral
-of absolute error against the current reference at micro-step resolution.
-A plant given a sample cadence also writes its output at every multiple of
-that cadence it integrates across: on the micro-step grid the y computed
-there, elsewhere one RK4 step from the last grid instant (or the span's
-start) before it.  One kernel does all of it.  Its source is unrolled for
-the plant order n and the plant's pattern of exact zeros and ones, and
-compiled once per order and coefficient pattern, on the first plant that
-has them.  It leaves out every term whose A, B or C coefficient is exactly
-zero and every multiplication by an A or B coefficient of exactly 1.0;
-the controllable-canonical realization is mostly such coefficients, and
-leaving them out changes no output bit.  Each plant binds the kernel,
-once, to itself and to everything fixed for the plant: its coefficients,
-micro step, sample cadence, samples list and label, as keyword defaults
-and closure cells that the kernel reads as locals.  One call, ``advance(tick, r, u)``,
-then integrates the plant to ``tick``, writes its state attributes (x,
-time, next-sample offset, IAE, y) and returns y.  A cadence of a whole
-number k of micro steps puts every sample on the grid; after the first
-sample in a span the kernel takes the rest k micro steps apart, a block at
-a time.
+zero-order-hold actuator: a plant is driven only by ``advance(tick, r,
+u)``, which integrates it to ``tick`` with the input held at ``u`` and
+returns y there.  Integration is classical fixed-step RK4, applied as the
+exact per-step linear map it is for such a plant, and accumulates the
+integral of absolute error against the current reference at micro-step
+resolution.  A plant given a sample cadence also writes its output at
+every multiple of that cadence it integrates across, by the rule that
+`StateSpacePlant` states.  One kernel does all of it.  Its source is
+unrolled for the plant order n and the plant's pattern of exact zeros and
+ones, and compiled once per order and coefficient pattern, on the first
+plant that has them.  It leaves out every term whose A, B or C coefficient
+is exactly zero and every multiplication by an A or B coefficient of
+exactly 1.0; the controllable-canonical realization is mostly such
+coefficients, and leaving them out changes no output bit.  Each plant
+binds the kernel, once, to itself and to everything fixed for the plant:
+its coefficients, micro step, sample cadence, samples list and label, as
+keyword defaults and closure cells that the kernel reads as locals.
 The kernel takes |r - y| by a sign test and adds y's leading 0.0 once per
 run of micro steps; these forms, like the terms it leaves out, give the
 bits the plain forms give (see `_TEMPLATE`).
@@ -119,41 +114,42 @@ def tf_to_state_space(
 class StateSpacePlant:
     """x' = A x + B u, y = C x, with a held (zero-order-hold) input.
 
-    ``a`` is A flattened row-major.  State starts at rest (x = 0, u = 0).
+    ``a`` is A flattened row-major.  State starts at rest, x = 0.
     The matrices and the micro step are taken as given: `TransferFunction`
     checks the order, `tf_to_state_space` builds matrices of matching
     dimensions, and a `Scenario` checks its micro step when it is built.
 
     One classical RK4 step of length h is, for this linear system with u
-    held, exactly the affine map x <- M x + N u.  Every advance is one call
-    of ``advance(tick, r, u)``, the kernel compiled once per plant order and
+    held, exactly the affine map x <- M x + N u.  The plant's one entry is
+    ``advance(tick, r, u)``, the kernel compiled once per plant order and
     pattern of exact zeros and ones in A, B and C (see `_kernel`), and
-    bound here to the plant; it returns y at ``tick``.  The coefficients
-    are read once, here: the pattern picks the kernel, and the values are
-    bound into it.  The simulator calls it directly with the input it
-    holds; `actuate` and `integrate` are the standalone form.  The state is
-    the plant's own attributes ``x``, ``time_us``, ``next_sample_us``,
-    ``iae`` and ``y``, which only the kernel writes after ``__init__``, but
-    for an ``x`` a caller assigns or edits in place: the kernel recomputes
-    y from ``x`` on entry, so the next advance starts from it.  The kernel
-    builds (M, N) for the micro step with its own RK4 step, which leaves
-    out A's and B's zero terms as every RK4 step does; M and N are used
-    whole.  The plant steps on the grid of multiples of the
-    micro step from its start, and ``time_us`` is how far it has
-    integrated.  A span that starts off the grid first takes one plain RK4
-    step back onto it, then every full micro step with the map, and a
-    shorter final step as one plain RK4 step; all in one kernel call.
+    bound here to the plant: it integrates to ``tick`` with the input held
+    at ``u`` and the reference at ``r``, and returns y at ``tick``.  The
+    coefficients are read once, here: the pattern picks the kernel, and the
+    values are bound into it.  The state is the plant's own attributes
+    ``x``, ``time_us``, ``next_sample_us`` and ``iae``, which only the
+    kernel writes after ``__init__``, but for an ``x`` a caller assigns or
+    edits in place: the kernel computes y from ``x`` on entry, so the next
+    advance starts from it.  The kernel builds (M, N) for the micro step
+    with its own RK4 step, which leaves out A's and B's zero terms as every
+    RK4 step does; M and N are used whole.  The plant steps on the grid of
+    multiples of the micro step from its start, and ``time_us`` is how far
+    it has integrated.  A span that starts off the grid first takes one
+    plain RK4 step back onto it, then every full micro step with the map,
+    and a shorter final step as one plain RK4 step; all in one kernel call.
     ``iae`` is the running integral of |r - y| over everything integrated
     so far: each step adds its trapezoid term straight into it, so how a
-    span is split at micro-step boundaries does not change the sum.
+    span is split at micro-step boundaries does not change the sum.  When
+    y or the state is no longer finite, ``advance`` raises
+    `DivergenceError`, naming the plant's label and ``tick``.
 
-    With ``sample_every_us`` set, ``samples[k]`` is y at k * sample_every_us
-    from the start, appended while a span crosses that instant.  At a grid
-    instant it is the y computed there; anywhere else it is one RK4 step on
-    temporaries from the last grid instant before it, or from the span's
-    start while the span is still off the grid.  A cadence of a whole
-    number of micro steps has every sample on the grid, so each is the y
-    computed there.
+    The sample rule: with ``sample_every_us`` set, ``samples[k]`` is y at
+    k * sample_every_us from the start, appended while a span crosses that
+    instant.  At a grid instant it is the y computed there; anywhere else
+    it is one RK4 step on temporaries from the last grid instant before it,
+    or from the span's start while the span is still off the grid.  A
+    cadence of a whole number of micro steps has every sample on the grid,
+    so each is the y computed there.
     """
 
     def __init__(self, a, b, c, micro_step_us: int,
@@ -162,35 +158,15 @@ class StateSpacePlant:
         self.a = [float(v) for v in a]
         self.b = [float(v) for v in b]
         self.c = [float(v) for v in c]
-        self.u = 0.0
         self.micro_step_us = int(micro_step_us)
         self.label = label
         self.samples: list[float] = []
-        # At rest at time 0, with the first sample due now if any: y =
-        # 0.0 + c0*x0 + ... is +0.0, as every c_i is finite.
+        # At rest at time 0, with the first sample due now if any.
         self.x = [0.0] * n
         self.time_us = 0
         self.next_sample_us = 0 if sample_every_us else math.inf
         self.iae = 0.0
-        self.y = 0.0
         self.advance = _kernel(n, _pattern(self))(self, sample_every_us)
-
-    def sample(self) -> float:
-        """Output y = C x as of the last advance; `actuate` leaves it valid."""
-        return self.y
-
-    def actuate(self, u: float) -> None:
-        """Replace the held actuator value."""
-        self.u = u
-
-    def integrate(self, span_us: int, r: float = 0.0) -> None:
-        """Advance the plant by ``span_us`` >= 0 microseconds with the
-        reference held at ``r``, in one kernel call, adding the integral of
-        |r - y(t)| over the span (trapezoid over the steps, in seconds) to
-        ``iae`` and appending y at each sample instant in the span to
-        ``samples``.  Raises `DivergenceError`, naming the plant and the
-        time, when the state is no longer finite."""
-        self.advance(self.time_us + span_us, r, self.u)
 
 
 # Kernel factory per (plant order, coefficient pattern), compiled on first
@@ -218,14 +194,12 @@ def _kernel(n: int, pattern: str):
     the time ``t = p.time_us``, the next-sample offset
     ``at = p.next_sample_us`` and ``p.iae``, integrates from ``t`` to
     ``tick`` on the grid of multiples of the micro step, with the input held
-    at ``u`` and the reference at ``r``, writes those four and ``p.y`` back
-    and returns y at ``tick``.  It appends to ``out`` y at the offsets
-    ``at``, ``at + every``, ... from ``t`` that lie within the span: the y
-    computed there at a grid instant, else one RK4 step from the last grid
-    instant before it or, while the span is still off the grid, from its
-    start; ``at`` becomes the offset of the next one from ``tick``.  When a
-    cadence is a whole number k of micro steps, every sample is on the grid,
-    and after the first one in a span it takes the rest k micro steps apart,
+    at ``u`` and the reference at ``r``, writes those four back and returns
+    y at ``tick``.  It appends to ``out`` y at the offsets ``at``,
+    ``at + every``, ... from ``t`` that lie within the span, by the sample
+    rule of `StateSpacePlant`; ``at`` becomes the offset of the next one
+    from ``tick``.  When a cadence is a whole number k of micro steps,
+    after the first sample in a span it takes the rest k micro steps apart,
     a block at a time.  When y or the state is no longer finite it raises
     `DivergenceError`, naming ``label`` and ``tick``, with the state already
     written."""
@@ -269,11 +243,10 @@ def _kernel(n: int, pattern: str):
 # the kernel |r - y| is r - y if r >= y else y - r, which is abs(r - y) but
 # for the sign of a zero when r is -0.0; it only enters the trapezoid sums,
 # which start from +0.0 and so end with the same bits.  A -0.0 y in the
-# loop, for a +0.0 one, moves only the sign of a zero the same way.  One
-# rule gives every sample, at two sites: at a grid instant it is the y
-# computed there, elsewhere one RK4 step on temporaries from the last grid
-# instant or, in the lead-region loop, from the span's start.  The main
-# loop takes every sample from the lead step's end to the span's end; with
+# loop, for a +0.0 one, moves only the sign of a zero the same way.  The
+# sample rule (see `StateSpacePlant`) is applied at two sites: the
+# lead-region loop takes the samples before the lead step's end, and the
+# main loop every one from there to the span's end; with
 # ``blk = range(k)`` for a cadence of k whole micro steps, it takes the
 # first of them and then the rest in blocks of k steps, one sample after
 # each block.
@@ -378,7 +351,6 @@ def make(p, every):
         p.time_us = tick
         p.next_sample_us = at - span
         p.iae = iae
-        p.y = y
         # v - v is nan for a non-finite v, else 0.0.  y is finite only
         # when each x_i it sums is; the x_i it leaves out are added here.
         if {finite} != 0.0:

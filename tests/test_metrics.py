@@ -29,9 +29,9 @@ def test_iae_unit_error_for_one_second():
     # the error is 1 throughout, so one second sums to 1 (up to the
     # rounding of 10 000 micro-step terms of 1e-4 s each).
     p = StateSpacePlant([-1.0], [1.0], [1.0], micro_step_us=100)
-    p.integrate(1_000_000, r=1.0)
+    y = p.advance(1_000_000, 1.0, 0.0)
     assert p.iae == pytest.approx(1.0, rel=1e-12, abs=0.0)
-    assert p.sample() == 0.0
+    assert y == 0.0
 
 
 # --- energy -----------------------------------------------------------------

@@ -107,13 +107,12 @@ def test_canonical_realization_second_order():
 
 def test_step_response_matches_analytic_within_1e_6():
     p = loop2_plant(micro_step_us=100)
-    p.actuate(1.0)
     worst = 0.0
     t_us = 0
     for _ in range(300):  # 3 s in 10 ms chunks
-        p.integrate(10_000)
+        y = p.advance(p.time_us + 10_000, 0.0, 1.0)
         t_us += 10_000
-        worst = max(worst, abs(p.sample() - loop2_step(t_us * 1e-6)))
+        worst = max(worst, abs(y - loop2_step(t_us * 1e-6)))
     assert worst <= 1e-6
 
 
@@ -122,13 +121,12 @@ def test_fourth_order_convergence():
     # at coarse steps where truncation dominates rounding noise.
     def max_err(micro):
         p = loop2_plant(micro_step_us=micro)
-        p.actuate(1.0)
         worst = 0.0
         t_us = 0
         for _ in range(125):  # 0.5 s in 4 ms chunks
-            p.integrate(4_000)
+            y = p.advance(p.time_us + 4_000, 0.0, 1.0)
             t_us += 4_000
-            worst = max(worst, abs(p.sample() - loop2_step(t_us * 1e-6)))
+            worst = max(worst, abs(y - loop2_step(t_us * 1e-6)))
         return worst
 
     e800, e400 = max_err(800), max_err(400)
@@ -138,23 +136,18 @@ def test_fourth_order_convergence():
 def test_linearity():
     p1 = loop2_plant()
     p2 = loop2_plant()
-    p1.actuate(0.7)
-    p2.actuate(1.4)
     for _ in range(50):
-        p1.integrate(10_000)
-        p2.integrate(10_000)
-        assert p2.sample() == pytest.approx(2.0 * p1.sample(), rel=1e-9)
+        y1 = p1.advance(p1.time_us + 10_000, 0.0, 0.7)
+        y2 = p2.advance(p2.time_us + 10_000, 0.0, 1.4)
+        assert y2 == pytest.approx(2.0 * y1, rel=1e-9)
 
 
 def test_actuation_holds_between_samples_and_keeps_output_continuous():
     p = loop2_plant()
-    p.actuate(1.0)
-    p.integrate(200_000)
-    y_before = p.sample()
-    p.actuate(-3.0)  # input jumps, state and output do not
-    assert p.sample() == y_before
-    p.integrate(100_000)
-    assert p.sample() != y_before
+    y_before = p.advance(200_000, 0.0, 1.0)
+    # input jumps, state and output do not
+    assert p.advance(200_000, 0.0, -3.0) == y_before
+    assert p.advance(300_000, 0.0, -3.0) != y_before
 
 
 def test_homogeneous_response_decays():
@@ -162,22 +155,20 @@ def test_homogeneous_response_decays():
     p.x[0] = 1.0  # released from a deflected state, zero input
     checkpoints = []
     for _ in range(8):
-        p.integrate(1_000_000)
-        checkpoints.append(abs(p.sample()))
+        checkpoints.append(abs(p.advance(p.time_us + 1_000_000, 0.0, 0.0)))
     assert checkpoints[-1] < 1e-6
     assert all(a > b for a, b in zip(checkpoints[1:], checkpoints[2:]))
 
 
 def test_zero_span_is_a_no_op():
     p = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=25_000)
-    p.actuate(1.0)
-    p.integrate(50_000, r=1.0)
-    x_before, iae_before, y_before = list(p.x), p.iae, p.sample()
+    y_before = p.advance(50_000, 1.0, 1.0)
+    x_before, iae_before = list(p.x), p.iae
     assert p.samples[-1] == y_before  # the sample due at 50 ms
-    p.integrate(0, r=1.0)
+    y = p.advance(50_000, 1.0, 1.0)
     assert list(p.x) == x_before
     assert p.iae == iae_before
-    assert p.sample() == y_before
+    assert y == y_before
     assert len(p.samples) == 3
 
 
@@ -188,10 +179,10 @@ def test_zero_span_returns_current_output():
     p = StateSpacePlant([-1.0], [1.0], [2.0], micro_step_us=100,
                         sample_every_us=100)
     p.x[0] = 0.5
-    p.integrate(0, r=0.0)
+    y = p.advance(0, 0.0, 0.0)
     assert p.samples == [1.0]
     assert p.iae == 0.0
-    assert p.sample() == 1.0
+    assert y == 1.0
     assert p.x[0] == 0.5
 
 
@@ -200,8 +191,7 @@ def test_span_shorter_than_micro_step_is_one_partial_step():
     p2 = StateSpacePlant([-3.0], [1.0], [1.0], micro_step_us=37)
     for p in (p1, p2):
         p.x[0] = 0.2
-        p.actuate(1.0)
-        p.integrate(37)
+        p.advance(37, 0.0, 1.0)
     assert p1.x == p2.x
     assert p1.iae == p2.iae
 
@@ -213,16 +203,12 @@ def test_samples_leave_the_plant_where_it_was():
     a = tf_to_state_space(LOOP2_TF, micro_step_us=100,
                           sample_every_us=1_234)
     b = loop2_plant()
-    for p in (a, b):
-        p.actuate(1.0)
-        p.integrate(5_000, r=1.0)
-    assert (a.x, a.iae, a.sample()) == (b.x, b.iae, b.sample())
+    ya, yb = (p.advance(5_000, 1.0, 1.0) for p in (a, b))
+    assert (a.x, a.iae, ya) == (b.x, b.iae, yb)
     assert len(a.samples) == 5
     for k, y in enumerate(a.samples):
         c = loop2_plant()
-        c.actuate(1.0)
-        c.integrate(k * 1_234, r=1.0)
-        assert y == c.sample(), k
+        assert y == c.advance(k * 1_234, 1.0, 1.0), k
 
 
 # --- transition map against stepwise RK4 ----------------------------------------
@@ -273,10 +259,9 @@ def test_transition_map_matches_stepwise_rk4_for_every_order(micro):
                      rng.randint(1, 20) * micro)
             p = StateSpacePlant(a, b, c, micro_step_us=micro)
             p.x = list(x0)
-            p.actuate(u)
             x, iae, now = x0, 0.0, 0
             for span in spans:
-                p.integrate(span, r)
+                p.advance(p.time_us + span, r, u)
                 x, d = rk4_reference(a, b, c, x, u, r, span, micro, now)
                 iae += d
                 now += span
@@ -411,8 +396,7 @@ def test_kernel_equals_generic_loops_exactly(micro):
                     span = at + (at % micro == 0) * every - now
                 u = 0.0 if k < 2 else rng.choice((0.0, rng.uniform(-2.0, 2.0)))
                 r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
-                p.actuate(u)
-                p.integrate(span, r)
+                got = p.advance(p.time_us + span, r, u)
                 first = len(samples) * every
                 for at in range(first, now + span + 1, every):
                     if lead and at == now + lead:
@@ -435,31 +419,25 @@ def test_kernel_equals_generic_loops_exactly(micro):
                                           now)
                 now += span
                 assert bits(p.x) == bits(x), (n, every, span)
-                assert bits([p.iae, p.sample()]) == bits([iae, y]), \
-                    (n, every, span)
+                assert bits([p.iae, got]) == bits([iae, y]), (n, every, span)
         assert met == {"lead step end", "span end off the grid",
                        "span start on the grid", "block of 3 steps"}, n
 
 
-def test_advance_equals_actuate_and_integrate_exactly():
-    # `advance(tick, r, u)`, as the simulator calls it, and the standalone
-    # `actuate` + `integrate` drive twin plants to the same bits: spans on
-    # and off the 100 us grid, zero spans, and a 130 us sample cadence that
-    # falls on the grid only every 1.3 ms.
+def test_advance_returns_the_output_at_tick():
+    # `advance(tick, r, u)` integrates the plant to ``tick`` and returns y
+    # = C x there, bit for bit: spans on and off the 100 us grid, zero
+    # spans, and a 130 us sample cadence that falls on the grid only every
+    # 1.3 ms.
     rng = random.Random(7)
-    a, b = (tf_to_state_space(LOOP3_TF, micro_step_us=100,
-                              sample_every_us=130) for _ in range(2))
+    p = tf_to_state_space(LOOP3_TF, micro_step_us=100, sample_every_us=130)
     for span in (0, 100, 37, 63, 250, 0, 1_000, 1, 99, 4_321):
         u, r = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
-        y = a.advance(a.time_us + span, r, u)
-        b.actuate(u)
-        b.integrate(span, r)
-        assert bits(a.x) == bits(b.x), span
-        assert bits([y, a.sample(), a.iae]) == \
-            bits([b.sample(), b.sample(), b.iae]), span
-        assert a.time_us == b.time_us
-        assert bits(a.samples) == bits(b.samples), span
-    assert a.time_us == 5_871 and len(a.samples) == 46
+        tick = p.time_us + span
+        y = p.advance(tick, r, u)
+        assert p.time_us == tick
+        assert bits([y]) == bits([generic_output(p.c, p.x)]), span
+    assert p.time_us == 5_871 and len(p.samples) == 46
 
 
 def test_advance_starts_from_an_assigned_state():
@@ -482,17 +460,15 @@ def test_sample_at_a_step_end_is_the_output_there():
     # A sample at the end of a span's final partial step, or at the end of
     # the partial step back onto the grid, is the y that step computed.
     p = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=150)
-    p.actuate(1.0)
-    p.integrate(150, r=1.0)  # 100 + 50, sample at 150
-    assert p.samples[-1] == p.sample()
+    y = p.advance(150, 1.0, 1.0)  # 100 + 50, sample at 150
+    assert p.samples[-1] == y
     q = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=200)
-    q.actuate(1.0)
-    q.integrate(150, r=1.0)
-    q.integrate(50, r=1.0)  # 50 back onto the grid, sample at 200
-    assert q.samples[-1] == q.sample()
-    q.integrate(230, r=1.0)  # 200 + 30 after the grid step at 400
+    q.advance(150, 1.0, 1.0)
+    y = q.advance(200, 1.0, 1.0)  # 50 back onto the grid, sample at 200
+    assert q.samples[-1] == y
+    y = q.advance(430, 1.0, 1.0)  # 200 + 30 after the grid step at 400
     assert len(q.samples) == 3
-    assert q.samples[-1] != q.sample()
+    assert q.samples[-1] != y
 
 
 def test_partial_final_step_is_exact_decomposition():
@@ -500,11 +476,9 @@ def test_partial_final_step_is_exact_decomposition():
     # calls that cover the same boundaries.
     a = loop2_plant()
     b = loop2_plant()
-    a.actuate(2.0)
-    b.actuate(2.0)
-    a.integrate(250)
-    b.integrate(100)
-    b.integrate(150)
+    a.advance(250, 0.0, 2.0)
+    b.advance(100, 0.0, 2.0)
+    b.advance(250, 0.0, 2.0)
     assert list(a.x) == list(b.x)
 
 
@@ -512,21 +486,19 @@ def test_iae_of_held_error():
     # Plant at rest with zero input and unit reference: |r - y| = 1
     # throughout, so one second integrates to exactly 1.
     p = loop2_plant()
-    p.integrate(1_000_000, r=1.0)
+    y = p.advance(1_000_000, 1.0, 0.0)
     assert p.iae == pytest.approx(1.0, rel=1e-9)
-    assert p.sample() == 0.0
+    assert y == 0.0
 
 
 def test_iae_is_nonnegative_and_additive():
     # Every micro step adds its term to the running sum, so splitting a
     # span at a micro-step boundary leaves the sum bit for bit the same.
     p1 = loop2_plant()
-    p1.actuate(1.0)
-    p1.integrate(400_000, r=0.05)
+    p1.advance(400_000, 0.05, 1.0)
     p2 = loop2_plant()
-    p2.actuate(1.0)
-    p2.integrate(150_000, r=0.05)
-    p2.integrate(250_000, r=0.05)
+    p2.advance(150_000, 0.05, 1.0)
+    p2.advance(400_000, 0.05, 1.0)
     assert p1.iae > 0.0
     assert p2.iae == p1.iae
 
@@ -537,7 +509,7 @@ def test_divergence_raises_with_label():
                         label="runaway")
     p.x[0] = 1.0
     with pytest.raises(DivergenceError, match="runaway"):
-        p.integrate(20_000_000)
+        p.advance(20_000_000, 0.0, 0.0)
 
 
 def test_divergence_seen_in_a_state_component_y_leaves_out():
@@ -548,7 +520,7 @@ def test_divergence_seen_in_a_state_component_y_leaves_out():
                         micro_step_us=1000, label="hidden")
     with pytest.raises(DivergenceError, match="^hidden: state diverged"):
         p.advance(500, 0.0, math.inf)
-    assert p.y == 0.0 and p.x[0] == 0.0 and math.isnan(p.x[1])
+    assert p.x[0] == 0.0 and math.isnan(p.x[1])
 
 
 @pytest.mark.parametrize("n", (1, 2, MAX_STATE))
@@ -561,7 +533,7 @@ def test_divergence_flag_covers_every_kind_of_step(n):
     def plant(x):
         p = StateSpacePlant([0.0] * (n * n), [1.0] * n, [1.0] + [0.0] * (n - 1),
                             micro_step_us=100, label=f"order-{n} plant")
-        p.integrate(30)
+        p.advance(30, 0.0, 0.0)
         p.x = list(x)
         return p
 
@@ -571,10 +543,10 @@ def test_divergence_flag_covers_every_kind_of_step(n):
             x[i] = bad
             p = plant(x)
             with pytest.raises(DivergenceError, match=f"order-{n} plant: state diverged"):
-                p.integrate(70 + 300 + 45)
+                p.advance(30 + 70 + 300 + 45, 0.0, 0.0)
     for big in (1e308, -1e308):
         p = plant([big] * n)
-        p.integrate(70 + 300 + 45)
+        y = p.advance(30 + 70 + 300 + 45, 0.0, 0.0)
         assert p.x == [big] * n
-        assert p.sample() == big
+        assert y == big
 
