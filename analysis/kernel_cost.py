@@ -22,7 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from qapm import sim  # noqa: E402
-from qapm.plant import tf_to_state_space  # noqa: E402
+from qapm.plant import StateSpacePlant  # noqa: E402
 from qapm.scenario import builtin_table1, resolve_cpu  # noqa: E402
 
 SPAN_US = 2_000_000
@@ -45,8 +45,7 @@ def best(setup, repeat: int) -> float:
 def one_span(tf, every):
     """A fresh plant's integration across the whole span in one call."""
     def setup():
-        advance = tf_to_state_space(tf, MICRO_US,
-                                    sample_every_us=every).advance
+        advance = StateSpacePlant(tf, MICRO_US, sample_every_us=every).advance
         return lambda: advance(SPAN_US, 1.0, 1.0)
     return setup
 
@@ -56,7 +55,7 @@ def recorded_calls(sc):
     as (plant index, tick, r, u)."""
     calls = []
     built = []
-    real = sim.tf_to_state_space
+    real = sim.StateSpacePlant
 
     def recording(*args, **kwargs):
         plant = real(*args, **kwargs)
@@ -69,11 +68,11 @@ def recorded_calls(sc):
         plant.advance = spy
         return plant
 
-    sim.tf_to_state_space = recording
+    sim.StateSpacePlant = recording
     try:
         sim.run_loop(sc)
     finally:
-        sim.tf_to_state_space = real
+        sim.StateSpacePlant = real
     return built, calls
 
 
@@ -81,8 +80,8 @@ def replay(built, calls, every):
     """Fresh plants' replay of ``calls``, with the sample cadence
     ``every``."""
     def setup():
-        advances = [tf_to_state_space(*args, **dict(kwargs,
-                                                     sample_every_us=every))
+        advances = [StateSpacePlant(*args, **dict(kwargs,
+                                                  sample_every_us=every))
                     .advance for args, kwargs in built]
 
         def run():

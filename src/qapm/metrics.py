@@ -109,7 +109,7 @@ class RunReport:
 
     def __init__(self, scenario: str, mode: str, cpu: str, duration_s: float,
                  seed: int, j: dict[int, float], j_sum: float,
-                 e_avg: float | None, energy_integral: float, misses: int,
+                 e_avg: float | None, misses: int,
                  period_stats_ms: dict[int, dict[str, float]],
                  utilization: list[tuple[float, float, float]],
                  speed_changes: list[tuple[int, float]]):
@@ -121,7 +121,6 @@ class RunReport:
         self.j = j
         self.j_sum = j_sum
         self.e_avg = e_avg
-        self.energy_integral = energy_integral
         self.misses = misses
         self.period_stats_ms = period_stats_ms
         # (time_s, alpha_ideal, alpha) per policy invocation

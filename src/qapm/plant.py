@@ -1,7 +1,8 @@
-"""Continuous LTI plants: transfer functions, state-space form, integration.
+"""Continuous LTI plants: transfer functions and their integration.
 
 Plants are strictly proper single-input single-output systems driven by a
-zero-order-hold actuator: a plant is driven only by ``advance(tick, r,
+zero-order-hold actuator, each built from its transfer function in
+controllable-canonical form: a plant is driven only by ``advance(tick, r,
 u)``, which integrates it to ``tick`` with the input held at ``u`` and
 returns y there.  Integration is classical fixed-step RK4, applied as the
 exact per-step linear map it is for such a plant, and accumulates the
@@ -9,18 +10,18 @@ integral of absolute error against the current reference at micro-step
 resolution.  A plant given a sample cadence also writes its output at
 every multiple of that cadence it integrates across, by the rule that
 `StateSpacePlant` states.  One kernel does all of it.  Its source is
-unrolled for the plant order n and the plant's pattern of exact zeros and
-ones, and compiled once per order and coefficient pattern, on the first
-plant that has them.  It leaves out every term whose A, B or C coefficient
-is exactly zero and every multiplication by an A or B coefficient of
-exactly 1.0; the controllable-canonical realization is mostly such
-coefficients, and leaving them out changes no output bit.  Each plant
-binds the kernel, once, to itself and to everything fixed for the plant:
-its coefficients, micro step, sample cadence, samples list and label, as
-keyword defaults and closure cells that the kernel reads as locals.
-The kernel takes |r - y| by a sign test and adds y's leading 0.0 once per
-run of micro steps; these forms, like the terms it leaves out, give the
-bits the plain forms give (see `_TEMPLATE`).
+unrolled for the plant order n and the pattern of exact zeros and ones in
+A's last row and in C, and compiled once per order and pattern, on the
+first plant that has them.  A's other rows are shifts and B is the last
+unit vector, so they are written into the source as such.  It leaves out
+every term whose coefficient is exactly zero and every multiplication by
+an A coefficient of exactly 1.0; leaving them out changes no output bit.
+Each plant binds the kernel, once, to itself and to everything fixed for
+the plant: its coefficients, micro step, sample cadence, samples list and
+label, as keyword defaults and closure cells that the kernel reads as
+locals.  The kernel takes |r - y| by a sign test and adds y's leading 0.0
+once per run of micro steps; these forms, like the terms it leaves out,
+give the bits the plain forms give (see `_TEMPLATE`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "TransferFunction",
     "StateSpacePlant",
     "DivergenceError",
-    "tf_to_state_space",
 ]
 
 # Largest plant order accepted.
@@ -82,47 +82,23 @@ def _strip(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def tf_to_state_space(
-    tf: TransferFunction,
-    micro_step_us: int,
-    label: str = "plant",
-    sample_every_us: int | None = None,
-) -> "StateSpacePlant":
-    """Controllable-canonical realization of a strictly proper tf.
-
-    The denominator is normalized to monic; D is zero.  Any realization
-    with the same input/output map would do, this one is fixed for
-    deterministic state traces.
-    """
-    lead = tf.den[-1]
-    a_coeffs = [v / lead for v in tf.den[:-1]]
-    n = len(a_coeffs)
-    a = [0.0] * (n * n)
-    for i in range(n - 1):
-        a[i * n + i + 1] = 1.0
-    for j in range(n):
-        a[(n - 1) * n + j] = -a_coeffs[j]
-    b = [0.0] * n
-    b[n - 1] = 1.0
-    c = [0.0] * n
-    for j, v in enumerate(tf.num):
-        c[j] = v / lead
-    return StateSpacePlant(a, b, c, micro_step_us=micro_step_us, label=label,
-                           sample_every_us=sample_every_us)
-
-
 class StateSpacePlant:
-    """x' = A x + B u, y = C x, with a held (zero-order-hold) input.
+    """The controllable-canonical realization of ``tf``, x' = A x + B u,
+    y = C x, with a held (zero-order-hold) input.
 
-    ``a`` is A flattened row-major.  State starts at rest, x = 0.
-    The matrices and the micro step are taken as given: `TransferFunction`
-    checks the order, `tf_to_state_space` builds matrices of matching
-    dimensions, and a `Scenario` checks its micro step when it is built.
+    With the denominator divided by its leading coefficient, A's rows 0 to
+    n - 2 are shifts, x_i' = x_{i+1}, and its last row is ``a`` =
+    -den[:-1] / den[-1]; B is the last unit vector, so x_{n-1}' = u + a x;
+    ``c`` is num / den[-1], zero-padded to n; D is zero.  Any realization
+    with the same input/output map would do, this one is fixed for
+    deterministic state traces.  State starts at rest, x = 0.
+    `TransferFunction` checks the order and the monic form, and a
+    `Scenario` checks its micro step when it is built.
 
     One classical RK4 step of length h is, for this linear system with u
     held, exactly the affine map x <- M x + N u.  The plant's one entry is
     ``advance(tick, r, u)``, the kernel compiled once per plant order and
-    pattern of exact zeros and ones in A, B and C (see `_kernel`), and
+    pattern of exact zeros and ones in ``a`` and ``c`` (see `_kernel`), and
     bound here to the plant: it integrates to ``tick`` with the input held
     at ``u`` and the reference at ``r``, and returns y at ``tick``.  The
     coefficients are read once, here: the pattern picks the kernel, and the
@@ -131,8 +107,8 @@ class StateSpacePlant:
     kernel writes after ``__init__``, but for an ``x`` a caller assigns or
     edits in place: the kernel computes y from ``x`` on entry, so the next
     advance starts from it.  The kernel builds (M, N) for the micro step
-    with its own RK4 step, which leaves out A's and B's zero terms as every
-    RK4 step does; M and N are used whole.  The plant steps on the grid of
+    with its own RK4 step, which leaves out A's zero terms as every RK4
+    step does; M and N are used whole.  The plant steps on the grid of
     multiples of the micro step from its start, and ``time_us`` is how far
     it has integrated.  A span that starts off the grid first takes one
     plain RK4 step back onto it, then every full micro step with the map,
@@ -152,12 +128,12 @@ class StateSpacePlant:
     so each is the y computed there.
     """
 
-    def __init__(self, a, b, c, micro_step_us: int,
+    def __init__(self, tf: TransferFunction, micro_step_us: int,
                  label: str = "plant", sample_every_us: int | None = None):
-        n = len(b)
-        self.a = [float(v) for v in a]
-        self.b = [float(v) for v in b]
-        self.c = [float(v) for v in c]
+        lead = tf.den[-1]
+        n = len(tf.den) - 1
+        self.a = [-(v / lead) for v in tf.den[:-1]]
+        self.c = [v / lead for v in tf.num] + [0.0] * (n - len(tf.num))
         self.micro_step_us = int(micro_step_us)
         self.label = label
         self.samples: list[float] = []
@@ -175,14 +151,12 @@ _KERNELS: dict = {}
 
 
 def _pattern(p: StateSpacePlant) -> str:
-    """Which of ``p``'s A, B and C coefficients the kernel's source leaves
-    out or does not multiply by: '0' for an exact zero (either sign), '1'
-    for an exact 1.0 in A or B, '*' for any other, a 1.0 in C among them;
-    A row-major, then B, then C."""
-    def cls(v, one=True):
-        return "0" if v == 0.0 else "1" if one and v == 1.0 else "*"
-    return "".join([cls(v) for v in p.a + p.b]
-                   + [cls(v, one=False) for v in p.c])
+    """Which of ``p``'s coefficients the kernel's source leaves out or does
+    not multiply by: '0' for an exact zero (either sign), '1' for an exact
+    1.0 in A's last row, '*' for any other, a 1.0 in C among them; A's last
+    row, then C."""
+    return "".join(["0" if v == 0.0 else "1" if v == 1.0 else "*"
+                    for v in p.a] + ["0" if v == 0.0 else "*" for v in p.c])
 
 
 def _kernel(n: int, pattern: str):
@@ -214,30 +188,32 @@ def _kernel(n: int, pattern: str):
 
 
 # Each placeholder is one line of source; the order ``{n}`` and the pattern
-# of exact zeros and ones in A, B and C are the only inputs, and
+# of exact zeros and ones in A's last row and in C are the only inputs, and
 # coefficients come from the plant given to ``make``, never as source text;
 # rk4 and advance bind them as keyword defaults, read as locals.  Every sum
 # keeps the left-to-right order of a loop over the index, less the terms
 # the pattern drops: row i of the map is g_i + m_i0*x0 + m_i1*x1 + ...
 # (all n*n terms; M and N are whatever RK4 makes of A and B), the output
 # 0.0 + c0*x0 + c1*x1 + ... (the 0.0 turns a -0.0 into +0.0), each RK4
-# stage d_i + a_i0*s0 + a_i1*s1 + ... with d_i = b_i*u formed once per
-# call.  A term whose A, B or C coefficient is exactly +-0.0 is left out,
-# and a factor of A or B that is exactly 1.0 is not multiplied by; an empty
-# sum is 0.0.  C's ones stay multiplied, so plants that differ only there
-# share a kernel.  On finite values that changes at most the sign of a
-# zero: v + (+-0.0) is v unless v is a zero, v * 1.0 is v, and a sum or
-# product of operands equal but for the signs of zeros is equal but for the
-# sign of a zero.  Nothing with such a zero leaves the kernel: y and every
-# sample pass through a leading 0.0 or 0.0 + y, and the IAE sums terms of
-# |r - y| >= 0 onto +0.0, so every output has the bits the full sums give.
-# Only a non-finite state could tell: where a kept 0.0 * inf would be nan,
-# a term left out may leave a component finite.  But the first non-finite
-# value comes from the same operation either way, no + or * makes a finite
-# value of a non-finite operand, every RK4 step's x_i is x_i plus more, and
-# the map keeps all its terms; so whether the state is finite at the end of
-# a call does not change.  The end-of-call check tests y and each x_i
-# whose C term was left out, which y no longer sees.
+# stage row i < n - 1 the shift s_{i+1}, and its last row u + a0*s0 +
+# a1*s1 + ... over A's last row: each is the full row b_i*u + A_i0*s0 +
+# A_i1*s1 + ... less the terms below.  A term whose coefficient is
+# exactly +-0.0 is left out, and a factor of A or B that is exactly 1.0 is
+# not multiplied by; an empty sum is 0.0.  C's ones stay multiplied, so
+# plants that differ only there share a kernel.  On finite values that
+# changes at most the sign of a zero: v + (+-0.0) is v unless v is a zero,
+# v * 1.0 is v, and a sum or product of operands equal but for the signs of
+# zeros is equal but for the sign of a zero.  Nothing with such a zero
+# leaves the kernel: y and every sample pass through a leading 0.0 or
+# 0.0 + y, and the IAE sums terms of |r - y| >= 0 onto +0.0, so every
+# output has the bits the full sums give.  Only a non-finite state could
+# tell: where a kept 0.0 * inf would be nan, a term left out may leave a
+# component finite.  But the first non-finite value comes from the same
+# operation either way, no + or * makes a finite value of a non-finite
+# operand, every RK4 step's x_i is x_i plus more, and the map keeps all its
+# terms; so whether the state is finite at the end of a call does not
+# change.  The end-of-call check tests y and each x_i whose C term was left
+# out, which y no longer sees.
 # The micro-step loop leaves out y's 0.0 and adds it after the loop or in
 # ``0.0 + y`` for a sample: the sums differ only in the sign of a zero.  In
 # the kernel |r - y| is r - y if r >= y else y - r, which is abs(r - y) but
@@ -253,7 +229,6 @@ def _kernel(n: int, pattern: str):
 _TEMPLATE = """\
 def make(p, every):
     {a_vars}, = p.a
-    {b_vars}, = p.b
     {c_vars}, = p.c
     step_us, out, label = p.micro_step_us, p.samples, p.label
     # A cadence of k whole micro steps puts every sample on the grid.
@@ -274,10 +249,10 @@ def make(p, every):
     # Column j of M is one step from the unit vector e_j with u = 0;
     # N is one step from x = 0 with u = 1.
     h = step_us * 1e-6
-    cols = [rk4(*[float(i == j) for i in range({n})], {d_u0}h)
+    cols = [rk4(*[float(i == j) for i in range({n})], 0.0, h)
             for j in range({n})]
     {m_vars}, = [col[i] for i in range({n}) for col in cols]
-    {n_vars}, = rk4(*[0.0] * {n}, {d_u1}h)
+    {n_vars}, = rk4(*[0.0] * {n}, 1.0, h)
 
     def advance(tick, r, u, p=p, append=out.append, every=every, blk=blk,
                 {advance_bind},
@@ -285,7 +260,6 @@ def make(p, every):
         {x_vars}, = p.x
         t, at, iae = p.time_us, p.next_sample_us, p.iae
         span = tick - t
-        {d_set}
         y = {y}
         e = r - y if r >= y else y - r
         # Off the grid, a partial step back onto it first, or across the
@@ -295,10 +269,10 @@ def make(p, every):
             lead = span
         if lead:
             while at < lead:
-                {s_vars}, = rk4({x_vars}, {d_args}at * 1e-6)
+                {s_vars}, = rk4({x_vars}, u, at * 1e-6)
                 append({y_s})
                 at += every
-            {x_vars}, = rk4({x_vars}, {d_args}lead * 1e-6)
+            {x_vars}, = rk4({x_vars}, u, lead * 1e-6)
             y = {y}
             f = r - y if r >= y else y - r
             iae += (e + f) * (lead * 0.5e-6)
@@ -323,7 +297,7 @@ def make(p, every):
             done = upto
             part = at - upto * step_us
             if part:
-                {s_vars}, = rk4({x_vars}, {d_args}part * 1e-6)
+                {s_vars}, = rk4({x_vars}, u, part * 1e-6)
                 append({y_s})
             else:
                 append(0.0 + y)
@@ -343,7 +317,7 @@ def make(p, every):
             at += every
         y = 0.0 + y
         if rem:
-            {x_vars}, = rk4({x_vars}, {d_args}rem * 1e-6)
+            {x_vars}, = rk4({x_vars}, u, rem * 1e-6)
             y = {y}
             f = r - y if r >= y else y - r
             iae += (e + f) * (rem * 0.5e-6)
@@ -367,29 +341,21 @@ def _source(n: int, pattern: str) -> str:
     """Source of the kernel factory for order ``n`` and coefficient
     ``pattern`` (see `_pattern`), fully unrolled."""
     idx = range(n)
-    a_pat, b_pat, c_pat = pattern[:n * n], pattern[n * n:-n], pattern[-n:]
-    a_used = [f"a{i}_{j}" for i in idx for j in idx if a_pat[i * n + j] == "*"]
-    b_in = [i for i in idx if b_pat[i] != "0"]
+    a_pat, c_pat = pattern[:n], pattern[n:]
     c_in = [i for i in idx if c_pat[i] != "0"]
 
     def vec(fmt):
         return ", ".join(fmt.format(i=i) for i in idx)
 
-    def mat(name):
-        return ", ".join(f"{name}{i}_{j}" for i in idx for j in idx)
-
     def total(terms, first=""):
         return " + ".join([first] * bool(first) + terms) or "0.0"
 
-    def factor(coef, v, kind):  # no multiplication by an exact 1.0
-        return v if kind == "1" else f"{coef} * {v}"
-
-    def deriv(k, s):  # k = A s + d with d = B u, one tuple assignment
-        def row(i):
-            return total([f"d{i}"] * (i in b_in) + [
-                factor(f"a{i}_{j}", f"{s}{j}", a_pat[i * n + j])
-                for j in idx if a_pat[i * n + j] != "0"])
-        return vec(k + "{i}") + ", = " + ", ".join(map(row, idx)) + ","
+    def deriv(k, s):  # k = A s + B u, one tuple assignment
+        last = " + ".join(["u"] + [
+            f"{s}{j}" if a_pat[j] == "1" else f"a{j} * {s}{j}"
+            for j in idx if a_pat[j] != "0"])
+        return (vec(k + "{i}") + ", = "
+                + ", ".join([f"{s}{i}" for i in idx[1:]] + [last]) + ",")
 
     def stage(k, h):  # s = x + h k
         return vec("s{i}") + ", = " + vec(f"x{{i}} + {h} * {k}{{i}}") + ","
@@ -397,27 +363,19 @@ def _source(n: int, pattern: str) -> str:
     def output(v, first="0.0"):  # y = C v over the kept terms
         return total([f"c{i} * {v}{i}" for i in c_in], first)
 
-    def d_of(u):  # the kept d_i = b_i * u, each followed by ", "
-        return "".join(factor(f"b{i}", u, b_pat[i]) + ", " for i in b_in)
-
     def bind(names):  # name=name: a keyword default, read as a local
         return [f"{v}={v}" for v in names]
 
-    m_vars, n_vars, x_vars = mat("m"), vec("n{i}"), vec("x{i}")
+    m_vars = ", ".join(f"m{i}_{j}" for i in idx for j in idx)
+    n_vars, x_vars = vec("n{i}"), vec("x{i}")
     return _TEMPLATE.format(
         n=n,
-        a_vars=mat("a"), b_vars=vec("b{i}"), c_vars=vec("c{i}"),
+        a_vars=vec("a{i}"), c_vars=vec("c{i}"),
         m_vars=m_vars, n_vars=n_vars, x_vars=x_vars, s_vars=vec("s{i}"),
-        rk4_params=", ".join([x_vars] + [f"d{i}" for i in b_in] + ["h"]
-                             + bind(a_used)),
-        d_args="".join(f"d{i}, " for i in b_in),
-        d_u0=d_of("0.0"), d_u1=d_of("1.0"),
+        rk4_params=", ".join([x_vars, "u", "h"] + bind(
+            [f"a{j}" for j in idx if a_pat[j] == "*"])),
         advance_bind=", ".join(bind(m_vars.split(", ") + n_vars.split(", ")
-                                    + [f"c{i}" for i in c_in]
-                                    + [f"b{i}" for i in b_in
-                                       if b_pat[i] == "*"])),
-        d_set="; ".join(f"d{i} = " + factor(f"b{i}", "u", b_pat[i])
-                        for i in b_in),
+                                    + [f"c{i}" for i in c_in])),
         k1=deriv("p", "x"), s2=stage("p", "hh"),
         k2=deriv("q", "s"), s3=stage("q", "hh"),
         k3=deriv("v", "s"), s4=stage("v", "h"),

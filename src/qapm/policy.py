@@ -263,8 +263,9 @@ def reclaim_periods(
 
 
 def _ticks(seconds: float) -> int:
-    """``seconds`` rounded half-up to whole microsecond ticks."""
-    return int(seconds * 1e6 + 0.5)
+    """``seconds`` rounded half-up to whole microsecond ticks, at least
+    one: the clock's resolution."""
+    return max(int(seconds * 1e6 + 0.5), 1)
 
 
 def manager(specs: Sequence[TaskSpec], levels: CpuLevels, mode: str = "qapm"):
@@ -276,7 +277,9 @@ def manager(specs: Sequence[TaskSpec], levels: CpuLevels, mode: str = "qapm"):
     error-adapted periods before reclaiming and the periods in force, both
     in seconds; the trigger's period in whole microsecond ticks, which
     ``periods[trigger]`` equals under ``qapm``; the workload and the speed
-    to run at.
+    to run at.  A period rounds half-up to ticks, and to no fewer than one
+    tick, the clock's resolution, in every mode: a period under half a
+    microsecond, given or reclaimed, is released every tick.
     ``work`` is each loop's execution time at full speed (the trigger's
     for the job being released), and ``in_flight[j]`` the period, in
     ticks, that loop j's job in flight was released with, or None before

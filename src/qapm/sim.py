@@ -28,7 +28,8 @@ Each rule the loop applies at several places has one owner: `_charge`,
 `_completion_tick` (recomputed wherever the rate changes) and `_switch` (a
 speed with its stall).
 
-Each plant integrates its dynamics, with the held actuator value, on the
+Each loop's plant is a `plant.StateSpacePlant` built from its transfer
+function.  It integrates its dynamics, with the held actuator value, on the
 grid of micro-step instants k * micro_step_us counted from t = 0, and
 splits a step only where its own loop samples (release) or actuates
 (completion) and at reference steps.  It is advanced lazily, when one of
@@ -36,7 +37,7 @@ those events needs its state, by one call of its kernel entry,
 ``plant.advance(tick, r, u)``, which integrates it to that event's tick and
 returns y there; other loops' events do not touch it.  The plant keeps
 its state and its place on the grid as its own attributes, which the
-kernel reads and writes (see `plant.StateSpacePlant`); a call at a tick
+kernel reads and writes; a call at a tick
 the plant has already reached integrates nothing.  The run keeps the held
 actuator values, one list in task-id order: a completion writes its
 loop's entry after advancing the plant, and every call passes the entry
@@ -88,7 +89,7 @@ from random import Random
 
 from .metrics import RunReport, TraceRecorder
 from .pid import Pid
-from .plant import tf_to_state_space
+from .plant import StateSpacePlant
 from .policy import manager
 from .scenario import Scenario
 
@@ -177,9 +178,9 @@ def run_loop(sc: Scenario) -> SimResult:
     # Loop i is the loop with the i-th lowest task id, in every list below.
     loops = sorted(sc.loops, key=lambda lp: lp.task.id)
     specs = [lp.task for lp in loops]
-    plants = [tf_to_state_space(lp.plant, sc.micro_step_us,
-                                label=f"loop {lp.task.id}",
-                                sample_every_us=trace_step)
+    plants = [StateSpacePlant(lp.plant, sc.micro_step_us,
+                              label=f"loop {lp.task.id}",
+                              sample_every_us=trace_step)
               for lp in loops]
     # The power manager and each loop's control law, bound once per run.
     decide = manager(specs, sc.cpu, sc.mode)
@@ -408,7 +409,6 @@ def _result(sc, end_tick, specs, plants, h_log, speed_changes, visits,
         j=j,
         j_sum=_sum(j.values()),
         e_avg=(integral / duration_s) if duration_s > 0 else None,
-        energy_integral=integral,
         misses=sum(job.missed for job in jobs),
         period_stats_ms=period_stats,
         utilization=utilization,

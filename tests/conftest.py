@@ -4,8 +4,9 @@ The six benchmark runs (osDVS baseline plus the five processor variants
 under the full scheme) are expensive enough to run once per session and
 share between the simulator tests and the acceptance gate.  `long_rows`
 lays a trace out one row per loop per visit, for the tests that read a
-loop's values over time.  `scale_factors` reads the period adaptation
-law through the bound power manager.
+loop's values over time.  `recompute` integrates the energy from a
+speed-change list.  `scale_factors` reads the period adaptation law
+through the bound power manager.
 """
 
 import pytest
@@ -53,6 +54,16 @@ def long_rows(trace):
             for (tick, r, alpha, periods, us), ys in zip(
                 trace.visits, zip(*[y for _, y in trace.loops]))
             for lid, y, u, h in zip(ids, ys, us, periods)]
+
+
+def recompute(changes, end_tick: int) -> float:
+    """The integral of alpha^2 over a run from its speed-change list, in
+    the simulator's operation order."""
+    total = 0.0
+    for i, (t0, a) in enumerate(changes):
+        t1 = changes[i + 1][0] if i + 1 < len(changes) else end_tick
+        total += a * a * (t1 - t0) * 1e-6
+    return total
 
 
 def scale_factors(spec):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from qapm.plant import tf_to_state_space
+from qapm.plant import StateSpacePlant
 from qapm.policy import (
     AdaptationParams,
     CpuLevels,
@@ -189,7 +189,7 @@ def test_criterion_7_integrator_oracle(capsys):
         return 0.05 + c1 * math.exp(p1 * t) + c2 * math.exp(p2 * t)
 
     def max_err(micro_us, horizon_us, chunk_us):
-        plant = tf_to_state_space(tf, micro_step_us=micro_us)
+        plant = StateSpacePlant(tf, micro_step_us=micro_us)
         worst, t = 0.0, 0
         while t < horizon_us:
             y = plant.advance(plant.time_us + chunk_us, 0.0, 1.0)

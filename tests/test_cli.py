@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import weakref
@@ -12,7 +13,8 @@ import weakref
 import pytest
 
 from qapm import cli
-from qapm.scenario import builtin_table1, save_scenario
+from qapm.plant import TransferFunction
+from qapm.scenario import MODES, builtin_table1, resolve_cpu, save_scenario
 from qapm.sim import run_loop
 
 from conftest import long_rows
@@ -22,13 +24,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
     env = dict(os.environ)
     # the package under test, also when pytest alone put src/ on its path
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env)
+                          env=env, **kwargs)
 
 
 def test_run_writes_outputs(tmp_path):
@@ -594,3 +596,41 @@ def test_diverging_plant_exits_4_naming_loop_and_time(tmp_path):
         assert len(lines) == 1, p.stderr
         assert lines[0].startswith(prefix + "loop 1: state diverged"), p.stderr
         assert re.search(r"by t = 0\.\d{6} s$", lines[0]), p.stderr
+
+
+def limit_memory():
+    """In the child: at most 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("h0_ms, h_max_ms, cpu, duration_s, releases", (
+    # a nominal period of 0.4 us, one tick in every mode
+    (0.0004, 0.0004, "cpu-ideal", 0.001, {"qapm": 1001, "osdvs": 1001,
+                                          "dvs-only": 1001}),
+    # cpu-1 runs the workload at 0.5, which under qapm reclaims 1 ms to
+    # 0.2 us, one tick
+    (1.0, 4.0, "cpu-1", 0.01, {"qapm": 10_001, "osdvs": 11, "dvs-only": 11}),
+), ids=["nominal", "reclaimed"])
+def test_period_under_one_tick_runs_at_one_tick(tmp_path, mode, h0_ms,
+                                               h_max_ms, cpu, duration_s,
+                                               releases):
+    # A period that rounds to under one tick is one tick, the clock's
+    # resolution: the loop releases once per tick and the run ends.  A
+    # zero-tick period would release forever at tick 0 or divide by zero,
+    # so the child runs under a time and an address-space limit.
+    sc = builtin_table1()
+    lp = sc.loops[0]
+    task = lp.task.with_(c_nom=1e-7, h0=h0_ms * 1e-3, h_max=h_max_ms * 1e-3)
+    loop = lp.with_(task=task, plant=TransferFunction((1.0,), (1.0, 1.0)))
+    path = tmp_path / "sub_tick.yaml"
+    save_scenario(sc.with_(loops=(loop,), cpu=resolve_cpu(cpu),
+                           duration_s=duration_s), path)
+    out = tmp_path / "run"
+    p = run_cli("run", "--scenario", str(path), "--mode", mode,
+                "--out", str(out), timeout=30, preexec_fn=limit_memory)
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["period_stats_ms"]["1"]["count"] == releases[mode]
+    assert report["misses"] == 0

@@ -14,12 +14,12 @@ from qapm.metrics import (
     line_chart_svg,
     sig6,
 )
-from qapm.plant import StateSpacePlant
+from qapm.plant import StateSpacePlant, TransferFunction
 from qapm.policy import CpuLevels
 from qapm.scenario import Scenario, builtin_table1, resolve_cpu
 from qapm.sim import run_loop
 
-from conftest import long_rows
+from conftest import long_rows, recompute
 
 
 # --- IAE --------------------------------------------------------------------
@@ -28,7 +28,8 @@ def test_iae_unit_error_for_one_second():
     # A plant at rest with zero input has y = 0; against a unit reference
     # the error is 1 throughout, so one second sums to 1 (up to the
     # rounding of 10 000 micro-step terms of 1e-4 s each).
-    p = StateSpacePlant([-1.0], [1.0], [1.0], micro_step_us=100)
+    p = StateSpacePlant(TransferFunction((1.0,), (1.0, 1.0)),
+                        micro_step_us=100)
     y = p.advance(1_000_000, 1.0, 0.0)
     assert p.iae == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert y == 0.0
@@ -36,8 +37,8 @@ def test_iae_unit_error_for_one_second():
 
 # --- energy -----------------------------------------------------------------
 #
-# The simulator keeps the speed and its change list; the report's energy
-# integral is summed from that list.
+# The simulator keeps the speed and its change list; the report's average
+# power is the energy integral summed from that list, over the duration.
 
 def one_loop(cpu, mode, duration_s):
     """Table 1's first loop alone: one 2 ms job every 10 ms."""
@@ -51,28 +52,20 @@ def test_half_speed_for_two_seconds_costs_half():
     # release, at tick 0
     rep = one_loop(resolve_cpu("cpu-1"), "dvs-only", 2.0)
     assert rep.speed_changes == [(0, 1.0), (0, 0.5)]
-    assert rep.energy_integral == pytest.approx(0.5)
+    assert recompute(rep.speed_changes, 2_000_000) == pytest.approx(0.5)
 
 
 def test_full_speed_baseline():
     rep = one_loop(CpuLevels((1.0,), name="full"), "dvs-only", 3.0)
     assert rep.speed_changes == [(0, 1.0)]
-    assert rep.energy_integral == pytest.approx(3.0)
+    assert recompute(rep.speed_changes, 3_000_000) == pytest.approx(3.0)
 
 
 def test_zero_duration_integral_is_zero():
     rep = run_loop(builtin_table1().with_(duration_s=0.0)).report
     assert rep.speed_changes == [(0, 1.0)]
-    assert rep.energy_integral == 0.0
-
-
-def recompute(changes, end_tick: int) -> float:
-    """Re-integrate from a speed-change list, same operation order."""
-    total = 0.0
-    for i, (t0, a) in enumerate(changes):
-        t1 = changes[i + 1][0] if i + 1 < len(changes) else end_tick
-        total += a * a * (t1 - t0) * 1e-6
-    return total
+    assert recompute(rep.speed_changes, 0) == 0.0
+    assert rep.e_avg is None
 
 
 @pytest.fixture
@@ -101,7 +94,8 @@ def test_piecewise_segments(speed_runs):
         assert all(s[1] == n[0] for s, n in zip(segments, segments[1:]))
         spans.append(sum(1 for t0, t1, _ in segments if t1 > t0))
         expected = sum(a * a * (t1 - t0) for t0, t1, a in segments) * 1e-6
-        assert rep.energy_integral == pytest.approx(expected, rel=1e-12)
+        assert recompute(changes, end_tick) == pytest.approx(expected,
+                                                             rel=1e-12)
     # the osDVS baseline holds one speed; every other run changes it often
     assert min(spans) == 1 and sorted(spans)[1] > 10
 
@@ -121,15 +115,15 @@ def test_set_alpha_reports_actual_changes_only(speed_runs):
 
 def test_recompute_matches_online_integral(speed_runs):
     # The change list starts at full speed at tick 0, its ticks never
-    # decrease, and the energy integral is its in-order sum, bit for bit.
+    # decrease, and the average power is its in-order sum over the
+    # duration, bit for bit.
     for _, rep in speed_runs:
         changes = rep.speed_changes
         assert len(changes) > 1
         assert changes[0] == (0, 1.0)
         assert all(t0 <= t1 for (t0, _), (t1, _) in zip(changes, changes[1:]))
         end_tick = round(rep.duration_s * 1e6)
-        assert rep.energy_integral == recompute(changes, end_tick)
-        assert rep.e_avg == rep.energy_integral / rep.duration_s
+        assert rep.e_avg == recompute(changes, end_tick) / rep.duration_s
 
 
 # --- serialization helpers ---------------------------------------------------
@@ -366,7 +360,7 @@ def make_report():
     return RunReport(
         scenario="table1", mode="qapm", cpu="cpu-2", duration_s=12.0,
         seed=0, j={1: 1.25, 2: 2.5}, j_sum=3.75,
-        e_avg=0.523, energy_integral=6.276, misses=0,
+        e_avg=0.523, misses=0,
         period_stats_ms={1: {"min": 9.0, "max": 40.0, "mean": 20.0, "count": 100}},
         utilization=[(0.0, 0.9, 1.0)], speed_changes=[(0, 1.0), (5, 0.92)],
     )

@@ -8,8 +8,10 @@ The second benchmark plant 1/(s^2 + 10 s + 20) has real poles at
 with c1 = 1 / (p1 (p1 - p2)) and c2 = 1 / (p2 (p2 - p1)).  That is the
 independent oracle the integrator is checked against.  Stepping with the
 per-plant transition map is checked against plain stepwise RK4 on random
-systems of every supported order, and the unrolled kernel against the
-same arithmetic written as loops over the order, for exact equality.
+transfer functions of every supported order, and the unrolled kernel
+against the same arithmetic written as loops over the order, for exact
+equality; both references take the realization's A, B and C written out
+in full.
 """
 
 import math
@@ -22,7 +24,7 @@ from qapm.plant import (
     DivergenceError,
     StateSpacePlant,
     TransferFunction,
-    tf_to_state_space,
+    _pattern,
 )
 from qapm.policy import ConfigurationError
 
@@ -40,7 +42,7 @@ def loop2_step(t: float) -> float:
 
 
 def loop2_plant(micro_step_us: int = 100) -> StateSpacePlant:
-    return tf_to_state_space(LOOP2_TF, micro_step_us=micro_step_us)
+    return StateSpacePlant(LOOP2_TF, micro_step_us=micro_step_us)
 
 
 # --- transfer functions -----------------------------------------------------
@@ -90,17 +92,20 @@ def test_construction_validation():
 
 def test_canonical_realization_first_order():
     # 1/(1000s + 50) normalizes to x' = -0.05 x + u, y = 0.001 x
-    p = tf_to_state_space(LOOP1_TF, micro_step_us=100)
-    assert list(p.a) == [-0.05]
-    assert list(p.b) == [1.0]
-    assert list(p.c) == [0.001]
+    p = StateSpacePlant(LOOP1_TF, micro_step_us=100)
+    assert p.a == [-0.05]
+    assert p.c == [0.001]
 
 
 def test_canonical_realization_second_order():
+    # x0' = x1, x1' = u - 20 x0 - 10 x1: A's last row, and C zero-padded
     p = loop2_plant()
-    assert list(p.a) == [0.0, 1.0, -20.0, -10.0]
-    assert list(p.b) == [0.0, 1.0]
-    assert list(p.c) == [1.0, 0.0]
+    assert p.a == [-20.0, -10.0]
+    assert p.c == [1.0, 0.0]
+    q = StateSpacePlant(TransferFunction((3.0, 1.5), (20.0, 10.0, 0.5)),
+                        micro_step_us=100)
+    assert q.a == [-40.0, -20.0]
+    assert q.c == [6.0, 3.0]
 
 
 # --- integration accuracy ---------------------------------------------------
@@ -161,7 +166,7 @@ def test_homogeneous_response_decays():
 
 
 def test_zero_span_is_a_no_op():
-    p = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=25_000)
+    p = StateSpacePlant(LOOP2_TF, micro_step_us=100, sample_every_us=25_000)
     y_before = p.advance(50_000, 1.0, 1.0)
     x_before, iae_before = list(p.x), p.iae
     assert p.samples[-1] == y_before  # the sample due at 50 ms
@@ -173,11 +178,11 @@ def test_zero_span_is_a_no_op():
 
 
 def test_zero_span_returns_current_output():
-    # x' = -x + u, y = 2 x, at x = 0.5: a zero span changes nothing, and
-    # the output it reads, and writes for the sample due now, is the
-    # current one.
-    p = StateSpacePlant([-1.0], [1.0], [2.0], micro_step_us=100,
-                        sample_every_us=100)
+    # 2/(s + 1), x' = -x + u, y = 2 x, at x = 0.5: a zero span changes
+    # nothing, and the output it reads, and writes for the sample due now,
+    # is the current one.
+    p = StateSpacePlant(TransferFunction((2.0,), (1.0, 1.0)),
+                        micro_step_us=100, sample_every_us=100)
     p.x[0] = 0.5
     y = p.advance(0, 0.0, 0.0)
     assert p.samples == [1.0]
@@ -187,8 +192,9 @@ def test_zero_span_returns_current_output():
 
 
 def test_span_shorter_than_micro_step_is_one_partial_step():
-    p1 = StateSpacePlant([-3.0], [1.0], [1.0], micro_step_us=100)
-    p2 = StateSpacePlant([-3.0], [1.0], [1.0], micro_step_us=37)
+    tf = TransferFunction((1.0,), (3.0, 1.0))  # x' = -3 x + u, y = x
+    p1 = StateSpacePlant(tf, micro_step_us=100)
+    p2 = StateSpacePlant(tf, micro_step_us=37)
     for p in (p1, p2):
         p.x[0] = 0.2
         p.advance(37, 0.0, 1.0)
@@ -200,8 +206,7 @@ def test_samples_leave_the_plant_where_it_was():
     # Samples off the grid take their partial step on temporaries: the
     # plant ends the span as one that samples nothing does, and each sample
     # is the output of a plant integrated to that instant in one span.
-    a = tf_to_state_space(LOOP2_TF, micro_step_us=100,
-                          sample_every_us=1_234)
+    a = StateSpacePlant(LOOP2_TF, micro_step_us=100, sample_every_us=1_234)
     b = loop2_plant()
     ya, yb = (p.advance(5_000, 1.0, 1.0) for p in (a, b))
     assert (a.x, a.iae, ya) == (b.x, b.iae, yb)
@@ -212,6 +217,42 @@ def test_samples_leave_the_plant_where_it_was():
 
 
 # --- transition map against stepwise RK4 ----------------------------------------
+
+def companion(tf):
+    """A (flattened row-major), B and C of the controllable-canonical
+    realization of ``tf``, written out in full: A's rows but the last are
+    shifts, its last row and C are the monic form's coefficients, B is the
+    last unit vector."""
+    n, lead = len(tf.den) - 1, tf.den[-1]
+    a = [float(j == i + 1) for i in range(n - 1) for j in range(n)]
+    a += [-(v / lead) for v in tf.den[:-1]]
+    c = [v / lead for v in tf.num] + [0.0] * (n - len(tf.num))
+    return a, [0.0] * (n - 1) + [1.0], c
+
+
+def random_tf(rng, n):
+    """An order-``n`` transfer function with coefficients drawn from 0,
+    +-1 and uniform values, so A's last row meets exact zeros, exact ones
+    and other values, and C exact zeros and other values."""
+    def coef():
+        return rng.choice((0.0, 1.0, -1.0, rng.uniform(-2.0, 2.0)))
+
+    lead = rng.choice((1.0, -1.0, rng.uniform(0.5, 2.0)))
+    num = [0.0]
+    while not any(num):
+        num = [coef() for _ in range(rng.randint(1, n))]
+    return TransferFunction(num, [coef() for _ in range(n)] + [lead])
+
+
+def pattern_kinds(p):
+    """The kinds of coefficient (see `_pattern`) ``p``'s A row and C hold."""
+    n = len(p.x)
+    pat = _pattern(p)
+    return {("a", k) for k in pat[:n]} | {("c", k) for k in pat[n:]}
+
+
+ALL_KINDS = {("a", "0"), ("a", "1"), ("a", "*"), ("c", "0"), ("c", "*")}
+
 
 def rk4_reference(a, b, c, x, u, r, span_us, micro_step_us, start_us=0):
     """Plain stepwise RK4 over ``span_us`` from ``start_us``: a partial step
@@ -246,18 +287,18 @@ def rk4_reference(a, b, c, x, u, r, span_us, micro_step_us, start_us=0):
 @pytest.mark.parametrize("micro", (37, 100, 250, 1000))
 def test_transition_map_matches_stepwise_rk4_for_every_order(micro):
     rng = random.Random(micro)
+    kinds = set()
     for n in range(1, MAX_STATE + 1):
         for _ in range(3):
-            a = [rng.uniform(-8.0, 2.0) if i == j else rng.uniform(-2.0, 2.0)
-                 for i in range(n) for j in range(n)]
-            b = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-            c = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            tf = random_tf(rng, n)
+            a, b, c = companion(tf)
             x0 = [rng.uniform(-0.5, 0.5) for _ in range(n)]
             u, r = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
             # a span with a partial final step, then one whole number of steps
             spans = (rng.randint(1, 20) * micro + rng.randint(1, micro - 1),
                      rng.randint(1, 20) * micro)
-            p = StateSpacePlant(a, b, c, micro_step_us=micro)
+            p = StateSpacePlant(tf, micro_step_us=micro)
+            kinds |= pattern_kinds(p)
             p.x = list(x0)
             x, iae, now = x0, 0.0, 0
             for span in spans:
@@ -267,6 +308,7 @@ def test_transition_map_matches_stepwise_rk4_for_every_order(micro):
                 now += span
                 assert p.x == pytest.approx(x, rel=0.0, abs=1e-12), (n, span)
                 assert p.iae == pytest.approx(iae, rel=0.0, abs=1e-12), (n, span)
+    assert kinds == ALL_KINDS
 
 
 def generic_rk4_step(a, b, x, u, h):
@@ -359,21 +401,17 @@ def test_kernel_equals_generic_loops_exactly(micro):
     # signed zeros; coefficients of exactly 1.0 the ones the kernel does not
     # multiply by.
     rng = random.Random(7000 + micro)
-
-    def coef():
-        return rng.choice((0.0, 1.0, -1.0, rng.uniform(-2.0, 2.0)))
-
+    kinds = set()
     for n in range(1, MAX_STATE + 1):
-        a = [rng.uniform(-8.0, 0.5) if i == j else coef()
-             for i in range(n) for j in range(n)]
-        b = [coef() for _ in range(n)]
-        c = [-1.0] + [coef() for _ in range(n - 1)]
+        tf = random_tf(rng, n)
+        a, b, c = companion(tf)
         met = set()
         # every micro step, every third, then at a cadence off the grid
         off_grid = rng.randint(0, 2) * micro + rng.randint(1, micro - 1)
         for every in (micro, 3 * micro, off_grid):
-            p = StateSpacePlant(a, b, c, micro_step_us=micro,
+            p = StateSpacePlant(tf, micro_step_us=micro,
                                 sample_every_us=every)
+            kinds |= pattern_kinds(p)
             x, iae, now, samples = list(p.x), 0.0, 0, []
             for k in range(12):
                 full = rng.randint(1, 20) * micro
@@ -422,6 +460,7 @@ def test_kernel_equals_generic_loops_exactly(micro):
                 assert bits([p.iae, got]) == bits([iae, y]), (n, every, span)
         assert met == {"lead step end", "span end off the grid",
                        "span start on the grid", "block of 3 steps"}, n
+    assert kinds == ALL_KINDS
 
 
 def test_advance_returns_the_output_at_tick():
@@ -430,7 +469,7 @@ def test_advance_returns_the_output_at_tick():
     # spans, and a 130 us sample cadence that falls on the grid only every
     # 1.3 ms.
     rng = random.Random(7)
-    p = tf_to_state_space(LOOP3_TF, micro_step_us=100, sample_every_us=130)
+    p = StateSpacePlant(LOOP3_TF, micro_step_us=100, sample_every_us=130)
     for span in (0, 100, 37, 63, 250, 0, 1_000, 1, 99, 4_321):
         u, r = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
         tick = p.time_us + span
@@ -459,10 +498,10 @@ def test_advance_starts_from_an_assigned_state():
 def test_sample_at_a_step_end_is_the_output_there():
     # A sample at the end of a span's final partial step, or at the end of
     # the partial step back onto the grid, is the y that step computed.
-    p = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=150)
+    p = StateSpacePlant(LOOP2_TF, micro_step_us=100, sample_every_us=150)
     y = p.advance(150, 1.0, 1.0)  # 100 + 50, sample at 150
     assert p.samples[-1] == y
-    q = tf_to_state_space(LOOP2_TF, micro_step_us=100, sample_every_us=200)
+    q = StateSpacePlant(LOOP2_TF, micro_step_us=100, sample_every_us=200)
     q.advance(150, 1.0, 1.0)
     y = q.advance(200, 1.0, 1.0)  # 50 back onto the grid, sample at 200
     assert q.samples[-1] == y
@@ -504,35 +543,39 @@ def test_iae_is_nonnegative_and_additive():
 
 
 def test_divergence_raises_with_label():
-    # x' = 50 x doubles every ~14 ms; a long span overflows to inf.
-    p = StateSpacePlant([50.0], [1.0], [1.0], micro_step_us=1000,
-                        label="runaway")
+    # 1/(s - 50), x' = 50 x + u, doubles every ~14 ms; a long span
+    # overflows to inf.
+    p = StateSpacePlant(TransferFunction((1.0,), (-50.0, 1.0)),
+                        micro_step_us=1000, label="runaway")
     p.x[0] = 1.0
     with pytest.raises(DivergenceError, match="runaway"):
         p.advance(20_000_000, 0.0, 0.0)
 
 
 def test_divergence_seen_in_a_state_component_y_leaves_out():
-    # y = x0 leaves x1 out, and x1 does not reach x0.  A span of one
-    # partial step, which takes no step of the map, carries u = inf into x1
-    # alone; y stays 0.0, and the call still raises.
-    p = StateSpacePlant([-1.0, 0.0, 0.0, -1.0], [0.0, 1.0], [1.0, 0.0],
-                        micro_step_us=1000, label="hidden")
+    # 1/(s + 1)^5: y = x0 leaves x1 to x4 out.  u enters x4, and each RK4
+    # stage carries it one shift further down the chain, so a span of one
+    # partial step, which takes no step of the map, carries u = inf as far
+    # as x1 but not into x0; y stays 0.0, and the call still raises.
+    tf = TransferFunction((1.0,), (1.0, 5.0, 10.0, 10.0, 5.0, 1.0))
+    p = StateSpacePlant(tf, micro_step_us=1000, label="hidden")
     with pytest.raises(DivergenceError, match="^hidden: state diverged"):
         p.advance(500, 0.0, math.inf)
-    assert p.x[0] == 0.0 and math.isnan(p.x[1])
+    assert p.x[0] == 0.0 and not math.isfinite(p.x[1])
 
 
 @pytest.mark.parametrize("n", (1, 2, MAX_STATE))
 def test_divergence_flag_covers_every_kind_of_step(n):
-    # With A = 0 and u = 0 every step maps x to itself, and y = x0.  Each
-    # span starts 70 us off the grid, then takes three micro steps and a
-    # final 45 us step.  An inf or nan anywhere in the state raises, naming
-    # the plant; a state at the edge of the float range, with y there too,
-    # is finite and passes unchanged.
+    # 1/s^n is a pure shift chain, x_i' = x_{i+1} and x_{n-1}' = u, with
+    # y = x0.  With u = 0 every step maps a state with x0 alone nonzero to
+    # itself.  Each span starts 70 us off the grid, then takes three micro
+    # steps and a final 45 us step.  An inf or nan at either end of the
+    # state raises, naming the plant; an x0 at the edge of the float range,
+    # with y there too, is finite and passes unchanged.
+    tf = TransferFunction((1.0,), (0.0,) * n + (1.0,))
+
     def plant(x):
-        p = StateSpacePlant([0.0] * (n * n), [1.0] * n, [1.0] + [0.0] * (n - 1),
-                            micro_step_us=100, label=f"order-{n} plant")
+        p = StateSpacePlant(tf, micro_step_us=100, label=f"order-{n} plant")
         p.advance(30, 0.0, 0.0)
         p.x = list(x)
         return p
@@ -545,8 +588,9 @@ def test_divergence_flag_covers_every_kind_of_step(n):
             with pytest.raises(DivergenceError, match=f"order-{n} plant: state diverged"):
                 p.advance(30 + 70 + 300 + 45, 0.0, 0.0)
     for big in (1e308, -1e308):
-        p = plant([big] * n)
+        x = [big] + [0.0] * (n - 1)
+        p = plant(x)
         y = p.advance(30 + 70 + 300 + 45, 0.0, 0.0)
-        assert p.x == [big] * n
+        assert p.x == x
         assert y == big
 

@@ -397,6 +397,22 @@ def test_fixed_period_modes_keep_nominal_periods():
         assert alpha == pytest.approx(expect, rel=1e-12)
 
 
+def test_period_under_one_tick_is_one_tick():
+    # A period rounds to no fewer than one tick, the clock's resolution: a
+    # nominal 0.4 us in every mode, and under qapm a period that cpu-1's
+    # reclaiming shrinks from 1 ms to 0.2 us (workload 1e-4 at speed 0.5).
+    short = fixed(1, 1e-7, 4e-7)
+    for mode in ("qapm", "osdvs", "dvs-only"):
+        ticks = manager((short,), IDEAL, mode)(0, 0.0, [4e-7], [None],
+                                               [1e-7])[2]
+        assert ticks == 1, mode
+    _, periods, ticks, ai, alpha = manager((fixed(1, 1e-7, 1e-3, 4e-3),),
+                                           CPU1)(0, 1.0, [1e-3], [None],
+                                                 [1e-7])
+    assert (ticks, periods, alpha) == (1, [1e-6], 0.5)
+    assert ai == pytest.approx(1e-4)
+
+
 # --- schedulability and construction checks --------------------------------
 
 def test_adaptation_never_breaks_schedulability():

@@ -16,12 +16,12 @@ import pytest
 from qapm import sim
 from qapm.cli import SWEEP_CASES
 from qapm.pid import Pid, PidGains
-from qapm.plant import DivergenceError, TransferFunction, tf_to_state_space
+from qapm.plant import DivergenceError, StateSpacePlant, TransferFunction
 from qapm.policy import AdaptationParams, ConfigurationError, CpuLevels, TaskSpec
 from qapm.scenario import MODES, LoopSpec, Scenario, builtin_table1, resolve_cpu
 from qapm.sim import _RESIDUE_TICKS, run_loop
 
-from conftest import long_rows
+from conftest import long_rows, recompute
 
 NOMINAL_WORKLOAD = 1207.0 / 1260.0
 
@@ -401,7 +401,7 @@ def count_advances(monkeypatch):
     """A list that records (label, span, tick) for every call the run makes
     of a plant's kernel entry, ``advance(tick, r, u)``."""
     calls = []
-    build = sim.tf_to_state_space
+    build = sim.StateSpacePlant
 
     def counted_plant(*args, **kwargs):
         plant = build(*args, **kwargs)
@@ -416,7 +416,7 @@ def count_advances(monkeypatch):
         plant.advance = counted
         return plant
 
-    monkeypatch.setattr(sim, "tf_to_state_space", counted_plant)
+    monkeypatch.setattr(sim, "StateSpacePlant", counted_plant)
     return calls
 
 
@@ -462,10 +462,10 @@ def test_report_iae_is_each_plants_running_sum(monkeypatch):
     plants = []
 
     def capture(*args, **kwargs):
-        plants.append(tf_to_state_space(*args, **kwargs))
+        plants.append(StateSpacePlant(*args, **kwargs))
         return plants[-1]
 
-    monkeypatch.setattr("qapm.sim.tf_to_state_space", capture)
+    monkeypatch.setattr("qapm.sim.StateSpacePlant", capture)
     sc = builtin_table1(cpu=resolve_cpu("cpu-2")).with_(
         duration_s=2.0, trace_cadence_ms=0.25)
     res = run_loop(sc)
@@ -593,7 +593,8 @@ def record_sha256(res):
         [(j.task_id, j.release, j.deadline, j.completion, j.missed)
          for j in res.jobs],
         res.segments, rep.speed_changes, rep.utilization, rep.j,
-        rep.energy_integral, *busy_idle(res), long_rows(res.trace),
+        recompute(rep.speed_changes, round(rep.duration_s * 1e6)),
+        *busy_idle(res), long_rows(res.trace),
     )
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
