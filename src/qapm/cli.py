@@ -27,7 +27,7 @@ EXIT_STRICT_MISS = 3
 EXIT_DIVERGED = 4
 
 SWEEP_CASES = (
-    ("osdvs", "osdvs", "cpu-ideal"),
+    ("osdvs", "dvs-only", "cpu-ideal"),
     ("cpu-1", "qapm", "cpu-1"),
     ("cpu-2", "qapm", "cpu-2"),
     ("cpu-3", "qapm", "cpu-3"),
@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ssrc.add_argument("--scenario", help="scenario file (YAML)")
     ssrc.add_argument("--builtin", choices=["table1"])
     sweep.add_argument("--all-cpus", action="store_true", required=True,
-                       help="osdvs plus the full scheme on each CPU set")
+                       help="dvs-only on cpu-ideal, then qapm on each CPU set")
     sweep.add_argument("--out", type=_out_dir, required=True,
                        help="output directory")
     sweep.add_argument("--duration", type=float)

@@ -4,7 +4,7 @@ The control task passes the period just decided for the job it releases,
 not the time since its previous sample: the output is held about that
 long, and a period the power manager rescales changes the integral and
 derivative weights on the very job that starts it.  Under ``qapm`` that
-period is the job's deadline minus its release; the nominal modes pass the
+period is the job's deadline minus its release; ``dvs-only`` passes the
 loop's nominal period h0, which that interval rounds to whole ticks.
 """
 

@@ -48,7 +48,8 @@ class TransferFunction(Value):
     """SISO transfer function, coefficients in ascending powers of s.
 
     Must be strictly proper, numerator degree below denominator degree, at
-    most `MAX_STATE`, with a finite monic form (divided by den[-1]).
+    most `MAX_STATE`, with a finite monic form (divided by den[-1]) whose
+    numerator is not zero.
     """
 
     _fields = ("num", "den")
@@ -58,8 +59,8 @@ class TransferFunction(Value):
         n, d = map(_strip, self._set(num, den))
         if len(d) < 2:
             raise ConfigurationError(f"denominator degree must be >= 1: {den}")
-        if not n:
-            raise ConfigurationError("numerator is zero")
+        if not any([v / d[-1] for v in n]):  # zero, or zero once monic
+            raise ConfigurationError(f"numerator is zero in monic form: {n}")
         if len(n) >= len(d):
             raise ConfigurationError(
                 f"transfer function not strictly proper: num degree "

@@ -306,10 +306,11 @@ def manager(specs: Sequence[TaskSpec], levels: CpuLevels, mode: str = "qapm"):
     whole tick at which its job fits beside the others, up to its
     ``h_max``.
 
-    ``osdvs`` and ``dvs-only`` keep the nominal periods; osDVS runs at the
-    workload itself, DVS-only at its quantized level; ``periods[trigger]``
-    is h0 there, from which ``ticks * 1e-6`` can differ in the last bit,
-    and every decision returns the same list of them, twice.
+    ``dvs-only`` keeps the nominal periods and runs at the workload's
+    quantized level; on an ideal processor that is the workload itself,
+    the optimal standard DVS scheme (osDVS).  ``periods[trigger]`` is h0
+    there, from which ``ticks * 1e-6`` can differ in the last bit, and
+    every decision returns the same list of them, twice.
     Each task's constants are read once, here.  ``decide`` keeps no state
     between calls and modifies none of its inputs; a caller modifies no
     list it returns.
@@ -317,12 +318,10 @@ def manager(specs: Sequence[TaskSpec], levels: CpuLevels, mode: str = "qapm"):
     if mode != "qapm":
         nominal = [s.h0 for s in specs]
         nominal_ticks = [_ticks(h) for h in nominal]
-        osdvs = mode == "osdvs"
 
         def decide(trigger, error, base_periods, in_flight, work):
             alpha_ideal = ideal_speed(zip(work, nominal))
-            alpha = (min(alpha_ideal, 1.0) if osdvs
-                     else quantize_speed(alpha_ideal, levels))
+            alpha = quantize_speed(alpha_ideal, levels)
             return nominal, nominal, nominal_ticks[trigger], alpha_ideal, alpha
         return decide
 

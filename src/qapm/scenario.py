@@ -46,7 +46,7 @@ __all__ = [
     "from_mapping",
 ]
 
-MODES = ("qapm", "osdvs", "dvs-only")
+MODES = ("qapm", "dvs-only")
 # Largest plant integration micro step accepted.
 MAX_MICRO_STEP_US = 1000
 
@@ -96,7 +96,8 @@ class Scenario(Value):
             trace_cadence_ms, seed, c_jitter, switch_overhead_us)
         errors: list[str] = []
         if mode not in MODES:
-            errors.append(f"mode: {mode!r} not one of {'/'.join(MODES)}")
+            errors.append(f"mode: {mode!r} not one of {'/'.join(MODES)} "
+                          f"(the osDVS baseline is dvs-only on cpu-ideal)")
         if not name:
             errors.append("name: must be non-empty")
         if duration_s < 0 or not _tick_exact(duration_s):

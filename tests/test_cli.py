@@ -234,6 +234,10 @@ def test_validate_rejects_broken_file(tmp_path):
     ("    - 50.0\n    - 1000.0\n", "    - 1.0\n    - 1.0e-310\n",
      "loops[0].plant: monic form overflows: num=(1.0,) den=(1.0, 1e-310) "
      "divided by 1e-310"),
+    # a plant whose numerator, on that division, underflows to zero
+    ("    num:\n    - 1.0\n    den:\n    - 50.0\n    - 1000.0\n",
+     "    num:\n    - 1.0e-320\n    den:\n    - 50.0\n    - 1.0e+10\n",
+     "loops[0].plant: numerator is zero in monic form: (1e-320,)"),
     # numbers of the wrong kind: a quoted one (read by PyYAML) and a bool
     ("    num:\n    - 1.0\n    den:\n    - 50.0\n",
      "    num: ['1.0']\n    den:\n    - 50.0\n",
@@ -246,14 +250,20 @@ def test_validate_rejects_broken_file(tmp_path):
      "h0_ms: 10.0\n  h_max_ms: 40.0\n  adaptation:\n    beta: 1.0e-300\n",
      "loops[0].adaptation: beta must make exp(-beta*e_min) and "
      "exp(-beta*e_max) differ, got beta=1e-300 (both 1.0)"),
+    # the mode of an osdvs/scenario.yaml that a sweep wrote before osDVS
+    # became dvs-only on cpu-ideal
+    ("mode: qapm\n", "mode: osdvs\n",
+     "mode: 'osdvs' not one of qapm/dvs-only (the osDVS baseline is "
+     "dvs-only on cpu-ideal)"),
     # misspelled keys, rejected rather than read as their defaults
     ("c_jitter: 0.0\n", "c_jiter: 0.2\n", "c_jiter: unknown field"),
     ("- id: 1\n", "- id: 1\n  adaptaton:\n    beta: 5.0\n",
      "loops[0].adaptaton: unknown field"),
 ), ids=("order-9-plant", "micro-step-0", "micro-step-1001", "overload",
         "nan-level", "inf-h-max", "inf-numerator", "inf-gain", "inf-e-max",
-        "tiny-leading-coefficient", "quoted-coefficient",
-        "bool-level", "tiny-beta", "misspelled-top-key", "misspelled-loop-key"))
+        "tiny-leading-coefficient", "underflowing-numerator",
+        "quoted-coefficient", "bool-level", "tiny-beta", "osdvs-mode",
+        "misspelled-top-key", "misspelled-loop-key"))
 def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
     # Every configuration `run` rejects, `validate` rejects too, with the
     # same one line naming the field.
@@ -268,6 +278,14 @@ def test_validate_rejects_what_run_rejects(tmp_path, old, new, error):
         stderr.append(p.stderr)
     assert stderr[0] == stderr[1]
     assert stderr[0] == f"error: {error}\n"
+
+
+def test_osdvs_is_not_a_mode_flag():
+    # osDVS is dvs-only on cpu-ideal, which the sweep runs as its osdvs case
+    p = run_cli("run", "--builtin", "table1", "--mode", "osdvs")
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert "argument --mode: invalid choice: 'osdvs'" in p.stderr
 
 
 def test_bad_override_is_config_error(tmp_path):
@@ -395,7 +413,7 @@ def test_run_files_are_pinned(tmp_path):
 SWEEP_FILES_SHA256 = {
     "summary.json": "5f3ffe7bd2cd601f77d151aa36301ca9ac20cd0d9b5ea91a1c9ec3304c444294",
     "summary.csv": "ec3965a842e4b23500f0305de72a296be69ab95f02a32f6b1acb2bc146c9dcf7",
-    "osdvs/report.json": "29ecd5d518242584cc4523cfa59e0f1266a5d81f382f608ac44614fec9262229",
+    "osdvs/report.json": "30d63a0cf9d387c97ca71942b5f7d7f22fe5d56caa242d9f226aa264c91a1eab",
     "osdvs/trace.csv": "8d6a6df1f3f92ac9076a37beeae5a8e694292dc013f9b3d55ddb56e57a14d8f9",
     "cpu-1/report.json": "883ca9e1a14f875880bc0dd5ff4b4f9e402b21976bab60fdf2f5ae4b1e6edb18",
     "cpu-1/trace.csv": "a4ced0f015e10fb7a4bf2b6d9e24d0d0a6a6da4a74196f833aec26ece7599064",
@@ -606,11 +624,10 @@ def limit_memory():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("h0_ms, h_max_ms, cpu, duration_s, releases", (
     # a nominal period of 0.4 us, one tick in every mode
-    (0.0004, 0.0004, "cpu-ideal", 0.001, {"qapm": 1001, "osdvs": 1001,
-                                          "dvs-only": 1001}),
+    (0.0004, 0.0004, "cpu-ideal", 0.001, {"qapm": 1001, "dvs-only": 1001}),
     # cpu-1 runs the workload at 0.5, which under qapm reclaims 1 ms to
     # 0.2 us, one tick
-    (1.0, 4.0, "cpu-1", 0.01, {"qapm": 10_001, "osdvs": 11, "dvs-only": 11}),
+    (1.0, 4.0, "cpu-1", 0.01, {"qapm": 10_001, "dvs-only": 11}),
 ), ids=["nominal", "reclaimed"])
 def test_period_under_one_tick_runs_at_one_tick(tmp_path, mode, h0_ms,
                                                h_max_ms, cpu, duration_s,

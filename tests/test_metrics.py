@@ -274,8 +274,6 @@ PARITY_RUNS = {
                                  cpu=resolve_cpu("cpu-2"), duration_s=0.5),
     "off-grid-cadence": lambda: builtin_table1(
         cpu=resolve_cpu("cpu-3")).with_(duration_s=0.3, trace_cadence_ms=0.3),
-    "osdvs-cpu-1": lambda: builtin_table1(
-        cpu=resolve_cpu("cpu-1"), mode="osdvs").with_(duration_s=0.5),
     "dvs-only-cpu-1": lambda: builtin_table1(
         cpu=resolve_cpu("cpu-1"), mode="dvs-only").with_(duration_s=0.5),
 }

@@ -88,6 +88,15 @@ def test_construction_validation():
         with pytest.raises(ConfigurationError, match="^monic form overflows"):
             TransferFunction(num, den)
     assert TransferFunction((1e-300,), (1e300, 1e-8)).den == (1e300, 1e-8)
+    # A numerator whose quotients all underflow to zero would give a plant
+    # whose output is zero whatever its input.
+    with pytest.raises(ConfigurationError,
+                       match=r"^numerator is zero in monic form: "
+                             r"\(1e-320,\)$"):
+        TransferFunction((1e-320,), (1.0, 1e10))
+    # One that underflows in part is accepted.
+    assert StateSpacePlant(TransferFunction((1e-320, 1.0), (1.0, 1.0, 1e10)),
+                           micro_step_us=100).c == [0.0, 1e-10]
 
 
 def test_canonical_realization_first_order():

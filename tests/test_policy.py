@@ -387,8 +387,10 @@ def test_saturated_workload_runs_at_full_speed_without_reclaiming():
 
 def test_fixed_period_modes_keep_nominal_periods():
     base = [t.h_max for t in TASKS]
-    for mode, expect in (("osdvs", NOMINAL_WORKLOAD), ("dvs-only", 1.0)):
-        decide = manager(TASKS, CPU1, mode)
+    # dvs-only on the ideal processor runs at the workload itself: the
+    # osDVS decision.
+    for levels, expect in ((CPU1, 1.0), (IDEAL, NOMINAL_WORKLOAD)):
+        decide = manager(TASKS, levels, "dvs-only")
         b, periods, ticks, ai, alpha = decide(0, 0.0, base, NOT_RELEASED,
                                               C_NOM)
         assert b == periods == [t.h0 for t in TASKS]
@@ -402,7 +404,7 @@ def test_period_under_one_tick_is_one_tick():
     # nominal 0.4 us in every mode, and under qapm a period that cpu-1's
     # reclaiming shrinks from 1 ms to 0.2 us (workload 1e-4 at speed 0.5).
     short = fixed(1, 1e-7, 4e-7)
-    for mode in ("qapm", "osdvs", "dvs-only"):
+    for mode in ("qapm", "dvs-only"):
         ticks = manager((short,), IDEAL, mode)(0, 0.0, [4e-7], [None],
                                                [1e-7])[2]
         assert ticks == 1, mode

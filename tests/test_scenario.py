@@ -100,7 +100,7 @@ def test_resolve_cpu_unknown_name():
 
 
 def test_modes():
-    assert MODES == ("qapm", "osdvs", "dvs-only")
+    assert MODES == ("qapm", "dvs-only")
 
 
 # --- validation ---------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_yaml_round_trip(tmp_path):
 
 
 def test_yaml_round_trip_with_overrides(tmp_path):
-    sc = builtin_table1(mode="osdvs").with_(
+    sc = builtin_table1(mode="dvs-only").with_(
         duration_s=3.0, seed=7, c_jitter=0.25, switch_overhead_us=50,
         trace_cadence_ms=2.0, micro_step_us=200,
     )
@@ -520,7 +520,7 @@ _BUILTINS = "cpu-1, cpu-2, cpu-3, cpu-4, cpu-ideal"
     (("loops", 0, "adaptation"), "e_min", 0.5,
      "loops[0].adaptation: need 0 <= e_min < e_max, got e_min=0.5 e_max=0.3"),
     (("adaptation",), "beta", -1.0, "adaptation: beta must be positive, got -1.0"),
-    (("loops", 0, "plant"), "num", [], "loops[0].plant: numerator is zero"),
+    (("loops", 0, "plant"), "num", [], "loops[0].plant: numerator is zero in monic form: ()"),
 ), ids=("empty-name", "negative-seed", "negative-switch-overhead", "list-root",
         "unknown-cpu", "cpu-int", "loop-int", "zero-level",
         "unknown-top", "unknown-loop", "unknown-plant", "unknown-gains",
