@@ -8,9 +8,12 @@ one 2 s span at 100 us (one ``advance`` call, no trace samples) and its ns
 per trace sample (the same span with a 1 ms cadence, less the span with
 none, over the 2,001 samples it takes).  It then records every ``advance`` call of the
 2 s cpu-2 table1 run, with its 1 ms trace, and prints how long replaying
-those calls on fresh plants takes, with the trace and with none.  Each
-figure is the minimum over ``--repeat`` timings (default 50).  Standard
-library only.
+those calls on fresh plants takes, with the trace and with none.  Last it
+replays, with no trace, every ``advance`` call of the jitter-cpu4 scenario
+at seed 1 (table1 on cpu-4 with seeded jitter, 50 us switch stalls and
+1 ms micro steps, the scenario ``analysis/policy_cost.py`` builds), whose
+plants take no samples.  Each figure is the minimum over ``--repeat``
+timings (default 50).  Standard library only.
 """
 
 import argparse
@@ -25,6 +28,9 @@ from qapm import sim  # noqa: E402
 from qapm.plant import StateSpacePlant  # noqa: E402
 from qapm.scenario import builtin_table1, resolve_cpu  # noqa: E402
 
+JITTER_CPU4 = builtin_table1(cpu=resolve_cpu("cpu-4")).with_(
+    c_jitter=0.2, seed=1, switch_overhead_us=50, micro_step_us=1000,
+    trace_cadence_ms=None)
 SPAN_US = 2_000_000
 MICRO_US = 100
 CADENCE_US = 1_000
@@ -112,6 +118,10 @@ def main(argv=None) -> int:
         t = best(replay(built, calls, every), repeat)
         print(f"replay of the 2 s cpu-2 run's {len(calls)} advance calls, "
               f"{label}: {t * 1e3:.2f} ms")
+    built, calls = recorded_calls(JITTER_CPU4)
+    t = best(replay(built, calls, None), repeat)
+    print(f"replay of the jitter-cpu4 seed 1 run's {len(calls)} advance "
+          f"calls, no trace: {t * 1e3:.2f} ms")
     return 0
 
 

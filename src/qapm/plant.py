@@ -11,15 +11,17 @@ resolution.  A plant given a sample cadence also writes its output at
 every multiple of that cadence it integrates across, by the rule that
 `StateSpacePlant` states.  One kernel does all of it.  Its source is
 unrolled for the plant order n and the pattern of exact zeros and ones in
-A's last row and in C, and compiled once per order and pattern, on the
-first plant that has them.  A's other rows are shifts and B is the last
+A's last row and in C, and compiled once per order, coefficient pattern
+and whether the plant takes trace samples, on the first plant that has
+them; a plant with no cadence, as in any run with no trace, gets a kernel
+without the sample rule.  A's other rows are shifts and B is the last
 unit vector, so they are written into the source as such.  It leaves out
 every term whose coefficient is exactly zero and every multiplication by
 an A coefficient of exactly 1.0; leaving them out changes no output bit.
 Each plant binds the kernel, once, to itself and to everything fixed for
-the plant: its coefficients, micro step, sample cadence, samples list and
-label, as keyword defaults and closure cells that the kernel reads as
-locals.  The kernel takes |r - y| by a sign test and adds y's leading 0.0
+the plant: its coefficients, micro step and label and, if it samples, its
+cadence and samples list, as keyword defaults and closure cells that the
+kernel reads as locals.  The kernel takes |r - y| by a sign test and adds y's leading 0.0
 once per run of micro steps; these forms, like the terms it leaves out,
 give the bits the plain forms give (see `_TEMPLATE`).
 """
@@ -98,14 +100,16 @@ class StateSpacePlant:
 
     One classical RK4 step of length h is, for this linear system with u
     held, exactly the affine map x <- M x + N u.  The plant's one entry is
-    ``advance(tick, r, u)``, the kernel compiled once per plant order and
-    pattern of exact zeros and ones in ``a`` and ``c`` (see `_kernel`), and
-    bound here to the plant: it integrates to ``tick`` with the input held
-    at ``u`` and the reference at ``r``, and returns y at ``tick``.  The
-    coefficients are read once, here: the pattern picks the kernel, and the
-    values are bound into it.  The state is the plant's own attributes
-    ``x``, ``time_us``, ``next_sample_us`` and ``iae``, which only the
-    kernel writes after ``__init__``, but for an ``x`` a caller assigns or
+    ``advance(tick, r, u)``, the kernel compiled once per order, coefficient
+    pattern (of exact zeros and ones in ``a`` and ``c``) and whether the
+    plant takes trace samples (see `_kernel`), and bound here to the plant:
+    it integrates to ``tick`` with the input held at ``u`` and the
+    reference at ``r``, and returns y at ``tick``.  The coefficients are
+    read once, here: the pattern picks the kernel, and the values are bound
+    into it.  The state is the plant's own attributes ``x``, ``time_us``,
+    ``next_sample_us`` and ``iae``, which only the kernel writes after
+    ``__init__``, and a kernel with no samples never touches
+    ``next_sample_us``; but for an ``x`` a caller assigns or
     edits in place: the kernel computes y from ``x`` on entry, so the next
     advance starts from it.  The kernel builds (M, N) for the micro step
     with its own RK4 step, which leaves out A's zero terms as every RK4
@@ -143,11 +147,12 @@ class StateSpacePlant:
         self.time_us = 0
         self.next_sample_us = 0 if sample_every_us else math.inf
         self.iae = 0.0
-        self.advance = _kernel(n, _pattern(self))(self, sample_every_us)
+        self.advance = _kernel(n, _pattern(self), bool(sample_every_us))(
+            self, sample_every_us)
 
 
-# Kernel factory per (plant order, coefficient pattern), compiled on first
-# use.
+# Kernel factory per (plant order, coefficient pattern, whether the plant
+# takes trace samples), compiled on first use.
 _KERNELS: dict = {}
 
 
@@ -160,38 +165,47 @@ def _pattern(p: StateSpacePlant) -> str:
                     for v in p.a] + ["0" if v == 0.0 else "*" for v in p.c])
 
 
-def _kernel(n: int, pattern: str):
+def _kernel(n: int, pattern: str, sampled: bool):
     """``make(p, every)`` for plants of order ``n`` whose coefficients have
-    ``pattern`` (see `_pattern`).  It returns ``advance(tick, r, u)`` with
-    everything else bound: the plant ``p``, its coefficients, micro step,
-    samples list ``out`` (through its ``append``) and ``label``, and the
-    sample cadence ``every`` (None for no samples).  A call reads ``p.x``,
-    the time ``t = p.time_us``, the next-sample offset
-    ``at = p.next_sample_us`` and ``p.iae``, integrates from ``t`` to
-    ``tick`` on the grid of multiples of the micro step, with the input held
-    at ``u`` and the reference at ``r``, writes those four back and returns
-    y at ``tick``.  It appends to ``out`` y at the offsets ``at``,
-    ``at + every``, ... from ``t`` that lie within the span, by the sample
-    rule of `StateSpacePlant`; ``at`` becomes the offset of the next one
-    from ``tick``.  When a cadence is a whole number k of micro steps,
+    ``pattern`` (see `_pattern`), compiled once per order, coefficient
+    pattern and whether the plant takes trace samples (``sampled``).  It
+    returns ``advance(tick, r, u)`` with everything else bound: the plant
+    ``p``, its coefficients, micro step and ``label`` and, when
+    ``sampled``, its samples list ``out`` (through its ``append``) and the
+    sample cadence ``every``.  A call reads ``p.x``, the time
+    ``t = p.time_us`` and ``p.iae``, integrates from ``t`` to ``tick`` on
+    the grid of multiples of the micro step, with the input held at ``u``
+    and the reference at ``r``, writes those three back and returns y at
+    ``tick``.  When ``sampled`` it also reads the next-sample offset
+    ``at = p.next_sample_us`` and appends to ``out`` y at the offsets
+    ``at``, ``at + every``, ... from ``t`` that lie within the span, by the
+    sample rule of `StateSpacePlant`; ``at`` becomes the offset of the next
+    one from ``tick``.  When a cadence is a whole number k of micro steps,
     after the first sample in a span it takes the rest k micro steps apart,
-    a block at a time.  When y or the state is no longer finite it raises
-    `DivergenceError`, naming ``label`` and ``tick``, with the state already
-    written."""
-    make = _KERNELS.get((n, pattern))
+    a block at a time.  A kernel built without samples has no sample rule
+    and never touches ``next_sample_us``.  When y or the state is no longer
+    finite it raises `DivergenceError`, naming ``label`` and ``tick``, with
+    the state already written."""
+    make = _KERNELS.get((n, pattern, sampled))
     if make is None:
         namespace: dict = {"DivergenceError": DivergenceError}
-        exec(compile(_source(n, pattern),
-                     f"<qapm.plant kernel, order {n}, {pattern}>", "exec"),
+        exec(compile(_source(n, pattern, sampled),
+                     f"<qapm.plant kernel, order {n}, {pattern}"
+                     f"{'' if sampled else ', no samples'}>", "exec"),
              namespace)
-        make = _KERNELS[n, pattern] = namespace["make"]
+        make = _KERNELS[n, pattern, sampled] = namespace["make"]
     return make
 
 
-# Each placeholder is one line of source; the order ``{n}`` and the pattern
-# of exact zeros and ones in A's last row and in C are the only inputs, and
-# coefficients come from the plant given to ``make``, never as source text;
-# rk4 and advance bind them as keyword defaults, read as locals.  Every sum
+# The kernel is compiled once per order, coefficient pattern and whether
+# the plant takes trace samples; those three are the only inputs to its
+# source, and coefficients come from the plant given to ``make``, never as
+# source text; rk4 and advance bind them as keyword defaults, read as
+# locals.  Lines between ``#if sampled`` and ``#else`` are kept only for a
+# plant that takes samples, and lines between ``#else`` and ``#end`` only
+# for one that takes none; `_source` drops the others, and the marker
+# lines, before it fills the placeholders, as it drops zero terms.  Each
+# placeholder is one line of source but ``{partial}``.  Every sum
 # keeps the left-to-right order of a loop over the index, less the terms
 # the pattern drops: row i of the map is g_i + m_i0*x0 + m_i1*x1 + ...
 # (all n*n terms; M and N are whatever RK4 makes of A and B), the output
@@ -226,14 +240,23 @@ def _kernel(n: int, pattern: str):
 # main loop every one from there to the span's end; with
 # ``blk = range(k)`` for a cadence of k whole micro steps, it takes the
 # first of them and then the rest in blocks of k steps, one sample after
-# each block.
+# each block.  A kernel with no samples takes the span's full micro steps
+# in one loop, and its lead and remainder steps inline: ``{partial}`` is
+# rk4's body, the same operations in the same order on the same values,
+# so it gives rk4's bits without its call.  A sample is taken on
+# temporaries, and the sampling kernel's loops take the same micro steps
+# in the same order, so both kernels give a plant the same y, x and IAE.
 _TEMPLATE = """\
 def make(p, every):
     {a_vars}, = p.a
     {c_vars}, = p.c
+#if sampled
     step_us, out, label = p.micro_step_us, p.samples, p.label
     # A cadence of k whole micro steps puts every sample on the grid.
     blk = range(every // step_us) if every and not every % step_us else None
+#else
+    step_us, label = p.micro_step_us, p.label
+#end
 
     def rk4({rk4_params}):
         hh = h * 0.5
@@ -255,11 +278,18 @@ def make(p, every):
     {m_vars}, = [col[i] for i in range({n}) for col in cols]
     {n_vars}, = rk4(*[0.0] * {n}, 1.0, h)
 
+#if sampled
     def advance(tick, r, u, p=p, append=out.append, every=every, blk=blk,
                 {advance_bind},
                 step_us=step_us, half_h=step_us * 0.5e-6, rk4=rk4):
         {x_vars}, = p.x
         t, at, iae = p.time_us, p.next_sample_us, p.iae
+#else
+    def advance(tick, r, u, p=p, {advance_bind},
+                step_us=step_us, half_h=step_us * 0.5e-6):
+        {x_vars}, = p.x
+        t, iae = p.time_us, p.iae
+#end
         span = tick - t
         y = {y}
         e = r - y if r >= y else y - r
@@ -269,20 +299,28 @@ def make(p, every):
         if lead > span:
             lead = span
         if lead:
+#if sampled
             while at < lead:
                 {s_vars}, = rk4({x_vars}, u, at * 1e-6)
                 append({y_s})
                 at += every
             {x_vars}, = rk4({x_vars}, u, lead * 1e-6)
+#else
+            h = lead * 1e-6
+            {partial}
+#end
             y = {y}
             f = r - y if r >= y else y - r
             iae += (e + f) * (lead * 0.5e-6)
             e = f
             span -= lead
+#if sampled
             at -= lead
+#end
         full = span // step_us
         rem = span % step_us
         {g}
+#if sampled
         done = 0
         while True:
             # Micro steps up to the sample at ``at``; all of them if none.
@@ -316,15 +354,30 @@ def make(p, every):
                     at += more * every
                     done = at // step_us
             at += every
+#else
+        for _ in range(full):
+            {x_vars}, = {map},
+            y = {y_loop}
+            f = r - y if r >= y else y - r
+            iae += (e + f) * half_h
+            e = f
+#end
         y = 0.0 + y
         if rem:
+#if sampled
             {x_vars}, = rk4({x_vars}, u, rem * 1e-6)
+#else
+            h = rem * 1e-6
+            {partial}
+#end
             y = {y}
             f = r - y if r >= y else y - r
             iae += (e + f) * (rem * 0.5e-6)
         p.x = [{x_vars}]
         p.time_us = tick
+#if sampled
         p.next_sample_us = at - span
+#end
         p.iae = iae
         # v - v is nan for a non-finite v, else 0.0.  y is finite only
         # when each x_i it sums is; the x_i it leaves out are added here.
@@ -336,14 +389,14 @@ def make(p, every):
 
     return advance
 """
-
-
-def _source(n: int, pattern: str) -> str:
-    """Source of the kernel factory for order ``n`` and coefficient
-    ``pattern`` (see `_pattern`), fully unrolled."""
+def _source(n: int, pattern: str, sampled: bool) -> str:
+    """Source of the kernel factory for order ``n``, coefficient
+    ``pattern`` (see `_pattern`) and, by ``sampled``, with or without the
+    sample rule, fully unrolled."""
     idx = range(n)
     a_pat, c_pat = pattern[:n], pattern[n:]
     c_in = [i for i in idx if c_pat[i] != "0"]
+    a_in = [f"a{j}" for j in idx if a_pat[j] == "*"]
 
     def vec(fmt):
         return ", ".join(fmt.format(i=i) for i in idx)
@@ -369,19 +422,29 @@ def _source(n: int, pattern: str) -> str:
 
     m_vars = ", ".join(f"m{i}_{j}" for i in idx for j in idx)
     n_vars, x_vars = vec("n{i}"), vec("x{i}")
-    return _TEMPLATE.format(
+    stages = dict(k1=deriv("p", "x"), s2=stage("p", "hh"),
+                  k2=deriv("q", "s"), s3=stage("q", "hh"),
+                  k3=deriv("v", "s"), s4=stage("v", "h"),
+                  k4=deriv("w", "s"))
+    step = vec("x{i} + h6 * (p{i} + 2.0 * q{i} + 2.0 * v{i} + w{i})")
+    keep, lines = True, []
+    for line in _TEMPLATE.splitlines(keepends=True):
+        if line in ("#if sampled\n", "#else\n", "#end\n"):
+            keep = line == "#end\n" or (line == "#if sampled\n") == sampled
+        elif keep:
+            lines.append(line)
+    return "".join(lines).format(
         n=n,
         a_vars=vec("a{i}"), c_vars=vec("c{i}"),
         m_vars=m_vars, n_vars=n_vars, x_vars=x_vars, s_vars=vec("s{i}"),
-        rk4_params=", ".join([x_vars, "u", "h"] + bind(
-            [f"a{j}" for j in idx if a_pat[j] == "*"])),
+        rk4_params=", ".join([x_vars, "u", "h"] + bind(a_in)),
         advance_bind=", ".join(bind(m_vars.split(", ") + n_vars.split(", ")
-                                    + [f"c{i}" for i in c_in])),
-        k1=deriv("p", "x"), s2=stage("p", "hh"),
-        k2=deriv("q", "s"), s3=stage("q", "hh"),
-        k3=deriv("v", "s"), s4=stage("v", "h"),
-        k4=deriv("w", "s"),
-        step=vec("x{i} + h6 * (p{i} + 2.0 * q{i} + 2.0 * v{i} + w{i})"),
+                                    + [f"c{i}" for i in c_in]
+                                    + a_in * (not sampled))),
+        **stages, step=step,
+        partial="\n            ".join(["hh = h * 0.5", "h6 = h / 6.0",
+                                        *stages.values(),
+                                        f"{x_vars}, = {step},"]),
         y=output("x"), y_loop=output("x", first=""), y_s=output("s"),
         finite="y - y" + "".join(f" + x{i} - x{i}" for i in idx
                                  if i not in c_in),

@@ -265,7 +265,8 @@ def reclaim_periods(
 def _ticks(seconds: float) -> int:
     """``seconds`` rounded half-up to whole microsecond ticks, at least
     one: the clock's resolution."""
-    return max(int(seconds * 1e6 + 0.5), 1)
+    ticks = int(seconds * 1e6 + 0.5)
+    return ticks if ticks > 1 else 1
 
 
 def manager(specs: Sequence[TaskSpec], levels: CpuLevels, mode: str = "qapm"):

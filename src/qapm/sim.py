@@ -53,7 +53,9 @@ samples, uncopied, to a `metrics.TraceRecorder`, which alone forms the CSV
 rows and the chart series from them.  The trace therefore touches neither
 the step partition nor the job accounting nor the dispatcher, so every
 result but the trace itself is the same at any trace cadence.  A cadence
-of None records no trace at all.
+of None, as in `run` without ``--out``, records no trace at all: every
+plant is built with no cadence, so its kernel is the one compiled without
+the sample rule, which takes the same steps with no per-call sample check.
 
 Each release makes one power-manager decision, a call of the ``decide``
 that `policy.manager` binds once per run, from the simulator's plain

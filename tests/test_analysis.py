@@ -21,6 +21,8 @@ ANALYSIS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
         "one 2 s span at 100 us: 20000 micro steps, 2001 samples at 1000 us",
         "replay of the 2 s cpu-2 run's 1356 advance calls, 1 ms trace: ",
         "replay of the 2 s cpu-2 run's 1356 advance calls, no trace: ",
+        "replay of the jitter-cpu4 seed 1 run's 6859 advance calls, "
+        "no trace: ",
     )),
     ("policy_cost.py", (
         "table1 cpu-2, 2 s: 673 decisions, ",

@@ -497,22 +497,31 @@ def test_builtin_runs_do_not_import_yaml(tmp_path):
 
 def test_kernels_compile_inside_run_loop():
     # Importing the command line and building a scenario compiles no plant
-    # kernel; the first run compiles one per plant order and coefficient
-    # pattern it meets, inside run_loop, where the benchmark's sim_speed_x
-    # times it.  table1's three second-order plants differ only in A's
-    # last row and C's first entry, so they share one kernel, and a second
-    # run, on another processor, compiles none.
+    # kernel; the first run compiles one per plant order, coefficient
+    # pattern and whether the plant takes trace samples that it meets,
+    # inside run_loop, where the benchmark's sim_speed_x times it.
+    # table1's three second-order plants differ only in A's last row and
+    # C's first entry, so they share one kernel, and a second run, on
+    # another processor, compiles none.  A run with no trace compiles its
+    # own two kernels, without the sample rule, and a second one none.
     code = ("import qapm.cli, qapm.plant as plant, qapm.scenario as s, "
             "qapm.sim as sim; print(len(plant._KERNELS)); "
             "sc = s.builtin_table1().with_(duration_s=0.01); "
             "print(len(plant._KERNELS)); sim.run_loop(sc); "
-            "print(sorted(n for n, _ in plant._KERNELS)); "
+            "keys = lambda: sorted((n, smp) for n, _, smp in plant._KERNELS); "
+            "print(keys()); "
             "sim.run_loop(sc.with_(cpu=s.resolve_cpu('cpu-2'))); "
+            "print(len(plant._KERNELS)); "
+            "sim.run_loop(sc.with_(trace_cadence_ms=None)); print(keys()); "
+            "sim.run_loop(sc.with_(cpu=s.resolve_cpu('cpu-3'), "
+            "trace_cadence_ms=None)); "
             "print(len(plant._KERNELS))")
     p = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert p.returncode == 0, p.stderr
-    assert p.stdout.splitlines() == ["0", "0", "[1, 2]", "2"]
+    assert p.stdout.splitlines() == [
+        "0", "0", "[(1, True), (2, True)]", "2",
+        "[(1, False), (1, True), (2, False), (2, True)]", "4"]
 
 
 def test_sweep_emits_summary_table(tmp_path):

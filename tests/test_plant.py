@@ -472,6 +472,58 @@ def test_kernel_equals_generic_loops_exactly(micro):
     assert kinds == ALL_KINDS
 
 
+@pytest.mark.parametrize("micro", (1, 37, 100, 1000))
+def test_plant_without_samples_advances_as_one_with_samples(micro):
+    # A plant built with no cadence runs the kernel compiled without the
+    # sample rule, which takes its lead and remainder steps inline.  It
+    # returns the y, and leaves the x, iae and time_us, that a plant taking
+    # samples does, bit for bit, at cadences of one and three micro steps
+    # and one off the grid.  The spans are random: zero, from the grid,
+    # from off it, and inside the lead step back onto it.  A plant with a
+    # pole at 20 per micro step raises the same DivergenceError text from
+    # both, with the same state written.
+    rng = random.Random(9100 + micro)
+    met = set()
+    for n in range(1, MAX_STATE + 1):
+        runaway = TransferFunction(
+            (1.0,), (0.0,) * (n - 1) + (-20.0 / (micro * 1e-6), 1.0))
+        for tf in (random_tf(rng, n), runaway):
+            for every in (micro, 3 * micro, 2 * micro + 1):
+                bare = StateSpacePlant(tf, micro, label=f"order {n}")
+                sampled = StateSpacePlant(tf, micro, label=f"order {n}",
+                                          sample_every_us=every)
+                for _ in range(100):
+                    lead = -bare.time_us % micro
+                    span = rng.choice((
+                        0, lead + rng.randint(0, 20) * micro,
+                        rng.randint(1, 20 * micro),
+                        rng.randint(1, lead - 1) if lead > 1 else 0))
+                    met.add("zero" if not span else "on the grid" if not lead
+                            else "inside the lead" if span < lead
+                            else "off the grid")
+                    u = rng.choice((0.0, rng.uniform(-2.0, 2.0)))
+                    r = rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0)))
+                    got = []
+                    for p in (bare, sampled):
+                        try:
+                            got.append(bits([p.advance(p.time_us + span,
+                                                       r, u)]))
+                        except DivergenceError as exc:
+                            got.append(str(exc))
+                    assert got[0] == got[1], (n, every, span)
+                    assert bits(bare.x + [bare.iae]) == \
+                        bits(sampled.x + [sampled.iae]), (n, every, span)
+                    assert bare.time_us == sampled.time_us
+                    if isinstance(got[0], str):
+                        break
+                assert bare.samples == []
+                if tf is runaway:
+                    assert got[0].startswith(f"order {n}: state diverged")
+                    met.add("diverged")
+    assert met == {"zero", "on the grid", "diverged"} | (
+        {"inside the lead", "off the grid"} if micro > 1 else set())
+
+
 def test_advance_returns_the_output_at_tick():
     # `advance(tick, r, u)` integrates the plant to ``tick`` and returns y
     # = C x there, bit for bit: spans on and off the 100 us grid, zero

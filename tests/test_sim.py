@@ -420,18 +420,25 @@ def count_advances(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cpu", ["cpu-1", "cpu-2", "cpu-ideal"])
-def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
+@pytest.mark.parametrize("case", ["cpu-1", "cpu-2", "cpu-ideal",
+                                  "jitter-cpu4"])
+def test_results_do_not_depend_on_trace_cadence(case, monkeypatch):
     # A trace sample observes the run and changes nothing in it; not even
-    # how the plants' spans are cut, so the kernel calls are the same.
+    # how the plants' spans are cut, so the kernel calls are the same.  A
+    # run with no trace runs the kernels compiled without the sample rule;
+    # the jitter run takes them off the grid, with 1 ms micro steps.
     calls = count_advances(monkeypatch)
-    sc = builtin_table1(cpu=resolve_cpu(cpu)).with_(duration_s=2.0)
+    if case == "jitter-cpu4":
+        sc, cadences = jitter_cpu4(1), (10.0, 1.0, None)
+    else:
+        sc = builtin_table1(cpu=resolve_cpu(case)).with_(duration_s=2.0)
+        cadences = (0.25, 0.5, 1.0, 2.0, 10.0, None)
     first = None
-    for cadence in (0.25, 0.5, 1.0, 2.0, 10.0, None):
+    for cadence in cadences:
         calls.clear()
         res = run_loop(sc.with_(trace_cadence_ms=cadence))
-        assert len(long_rows(res.trace)) == (
-            0 if cadence is None else (round(2000 / cadence) + 1) * 4)
+        assert len(long_rows(res.trace)) == (0 if cadence is None else (
+            round(sc.duration_s * 1000 / cadence) + 1) * 4)
         seen = (
             calls[:],
             [(j.task_id, j.release, j.deadline, j.completion, j.missed)
@@ -445,7 +452,7 @@ def test_results_do_not_depend_on_trace_cadence(cpu, monkeypatch):
         if first is None:
             first = seen
         else:
-            assert seen == first, f"{cpu}: trace cadence {cadence} ms differs"
+            assert seen == first, f"{case}: trace cadence {cadence} ms differs"
 
 
 def test_trace_rows_do_not_depend_on_cadence():
